@@ -175,7 +175,15 @@ def _cmd_propagate(args) -> int:
     max_paths = opts.get("max_paths", 10**6, int)
     points = None
     if args.points and args.points != "landmarks":
-        points = [int(p) for p in args.points.split(",")]
+        points = []
+        for token in args.points.split(","):
+            try:
+                points.append(int(token))
+            except ValueError:
+                raise CorrsyncError(
+                    f"--points expects comma-separated vertex indices or 'landmarks', "
+                    f"got {token!r}"
+                ) from None
     soft = propagate_soft(
         collection, args.source, args.target, lam=lam, source_points=points,
         max_paths=max_paths, strict=bool(args.strict),

@@ -371,6 +371,12 @@ class ShapeCollection:
             raise ManifestError("duplicate shape ids")
         if self.D.shape != (n, n):
             raise ManifestError(f"distance matrix shape {self.D.shape} != ({n}, {n})")
+        bad = np.argwhere(~np.isfinite(self.D))
+        if bad.size:
+            r, c = (int(x) for x in bad[0])
+            raise MetricAsymmetryError(
+                f"non-finite inter-shape distance {self.D[r, c]!r} at ({r}, {c})"
+            )
         if (self.D < 0).any():
             raise MetricAsymmetryError("negative inter-shape distance")
         if np.abs(self.D - self.D.T).max(initial=0.0) > SYMMETRY_TOL:
@@ -547,15 +553,21 @@ def _read_map(path: str, src: str, tgt: str, n_src: int, n_tgt: int) -> Correspo
     if any(len(r) != width for r in rows) or width not in (2, 3):
         raise ManifestError(f"map file {path}: expected 2 or 3 columns throughout")
     if width == 2:
-        indices = np.full(n_src, -1, dtype=np.int64)
-        for s, t in rows:
-            si, ti = int(s), int(t)
-            if not 0 <= si < n_src:
-                raise IndexRangeError(f"map file {path}: source index {si} out of range")
-            indices[si] = ti
-        if (indices < 0).any():
-            missing = int(np.argmax(indices < 0))
+        sources = np.array([int(s) for s, _ in rows], dtype=np.int64)
+        targets = [int(t) for _, t in rows]
+        outside = (sources < 0) | (sources >= n_src)
+        if outside.any():
+            si = int(sources[np.argmax(outside)])
+            raise IndexRangeError(f"map file {path}: source index {si} out of range")
+        counts = np.bincount(sources, minlength=n_src)
+        if (counts > 1).any():
+            dup = int(np.argmax(counts > 1))
+            raise ManifestError(f"map file {path}: more than one row for source index {dup}")
+        if (counts == 0).any():
+            missing = int(np.argmin(counts))
             raise ManifestError(f"map file {path}: no row for source index {missing}")
+        indices = np.empty(n_src, dtype=np.int64)
+        indices[sources] = targets
         return CorrespondenceMap(
             source_id=src, target_id=tgt, kind="discrete",
             indices=indices, target_size=n_tgt,

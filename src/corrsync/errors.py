@@ -47,7 +47,7 @@ class OracleBoundError(CorrsyncError):
 
 
 class EmptyPathSetError(CorrsyncError):
-    """Strict-mode enumeration pruned every path."""
+    """No path carries weight: strict mode pruned them all, or every weight underflowed."""
 
 
 class MaxStepsError(CorrsyncError):

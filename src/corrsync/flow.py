@@ -100,12 +100,27 @@ def enumerate_paths(
     """All admissible source->target paths with weight >= lam, in lexicographic order.
 
     Weights only shrink along a path, so pruning a partial path below lam is
-    exact. The direct two-vertex path is kept regardless of lam unless strict
-    is set. Exceeding max_paths raises rather than truncating.
+    exact; so is skipping vertices from which the target cannot be reached.
+    The direct two-vertex path is kept regardless of lam unless strict is set.
+    Exceeding max_paths raises rather than truncating.
     """
     i, j = flow.source, flow.target
     D2 = flow.D * flow.D
-    succ = [np.flatnonzero(flow.F[v]) for v in range(flow.n)]
+    # only vertices from which j is reachable can lie on a path
+    live = [False] * flow.n
+    live[j] = True
+    todo = [j]
+    while todo:
+        for v in np.flatnonzero(flow.F[:, todo.pop()]).tolist():
+            if not live[v]:
+                live[v] = True
+                todo.append(v)
+    # per vertex: (successor, WF entry, squared step) for live successors in
+    # ascending order, as Python numbers so the walk indexes no numpy scalars
+    succ = []
+    for v in range(flow.n):
+        us = [u for u in np.flatnonzero(flow.F[v]).tolist() if live[u]]
+        succ.append(list(zip(us, flow.WF[v, us].tolist(), D2[v, us].tolist())))
     found: list[PathRecord] = []
 
     def record(path: list[int], energy: float, weight: float) -> None:
@@ -132,15 +147,15 @@ def enumerate_paths(
             continue
         nxt = succ[v]
         advanced = False
-        while ptr < nxt.size:
-            u = int(nxt[ptr])
+        while ptr < len(nxt):
+            u, wf, d2 = nxt[ptr]
             ptr += 1
-            w = weights[-1] * flow.WF[v, u]
+            w = weights[-1] * wf
             if w >= lam:
                 stack[-1] = (v, ptr)
                 stack.append((u, 0))
                 path.append(u)
-                energies.append(energies[-1] + D2[v, u])
+                energies.append(energies[-1] + d2)
                 weights.append(w)
                 advanced = True
                 break

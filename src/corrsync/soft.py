@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collection import CorrespondenceMap, GeodesicOracle, ShapeCollection, compose_maps
-from .errors import EmptyPathSetError, MissingMapError
+from .errors import EmptyPathSetError, IndexRangeError, MissingMapError
 from .flow import MAX_PATHS_DEFAULT, FlowMatrix, PathRecord, directed_flow_matrix, enumerate_paths
 
 
@@ -70,24 +70,29 @@ def path_distribution(
             f"threshold {lam} in strict mode"
         )
     total = sum(r.weight for r in records)
+    if not total > 0:
+        raise EmptyPathSetError(
+            f"every admissible path from {flow.source} to {flow.target} has "
+            f"Gibbs weight 0 (exp(-beta * E) underflows); lower beta"
+        )
     probs = tuple(r.weight / total for r in records)
     return PathDistribution(tuple(records), probs, lam, strict)
+
+
+def _edge_map(collection: ShapeCollection, a: int, b: int) -> CorrespondenceMap:
+    ids = collection.ids
+    try:
+        return collection.map(ids[a], ids[b])
+    except MissingMapError:
+        raise MissingMapError(
+            f"no stored map {ids[a]!r} -> {ids[b]!r} on admissible edge ({a}, {b})"
+        ) from None
 
 
 def _edge_maps(
     collection: ShapeCollection, vertices: tuple[int, ...]
 ) -> list[CorrespondenceMap]:
-    ids = collection.ids
-    out = []
-    for a, b in zip(vertices, vertices[1:]):
-        try:
-            out.append(collection.map(ids[a], ids[b]))
-        except MissingMapError:
-            raise MissingMapError(
-                f"no stored map {ids[a]!r} -> {ids[b]!r} on admissible edge "
-                f"({a}, {b})"
-            ) from None
-    return out
+    return [_edge_map(collection, a, b) for a, b in zip(vertices, vertices[1:])]
 
 
 def path_composed_map(collection: ShapeCollection, vertices) -> CorrespondenceMap:
@@ -100,6 +105,121 @@ def path_composed_map(collection: ShapeCollection, vertices) -> CorrespondenceMa
     for m in maps[1:]:
         composed = compose_maps(m, composed)
     return composed
+
+
+# Rows are pushed for a block of queries at a time. A block holds at most
+# _ACC_CELLS (query, target vertex) accumulator cells, and the discrete images
+# of _CHUNK_CELLS (chain, query) pairs are buffered before they are added up.
+_ACC_CELLS = 1 << 16
+_CHUNK_CELLS = 1 << 14
+
+
+def _trie_plan(
+    collection: ShapeCollection, dist: PathDistribution
+) -> list[tuple[int, list[CorrespondenceMap], float]]:
+    """Per chain, in order: the number of leading vertices it shares with the
+    previous chain, the maps on its remaining edges, and its probability.
+
+    Chains come in lexicographic order, so each chain shares the longest
+    possible prefix with its predecessor and every edge of the chain trie is
+    listed once.
+    """
+    cache: dict[tuple[int, int], CorrespondenceMap] = {}
+    plan = []
+    prev: tuple[int, ...] = ()
+    for rec, prob in zip(dist.records, dist.probabilities):
+        verts = rec.vertices
+        keep, common = 1, min(len(prev), len(verts))
+        while keep < common and prev[keep] == verts[keep]:
+            keep += 1
+        maps = []
+        for edge in zip(verts[keep - 1 :], verts[keep:]):
+            m = cache.get(edge)
+            if m is None:
+                m = cache[edge] = _edge_map(collection, *edge)
+            maps.append(m)
+        plan.append((keep, maps, prob))
+        prev = verts
+    return plan
+
+
+def _push(image, m: CorrespondenceMap):
+    """Images of a query block one map further: a vertex array while every map
+    so far was discrete, a sparse (queries x vertices) matrix after that."""
+    if isinstance(image, np.ndarray):
+        return m.indices[image] if m.kind == "discrete" else m.matrix[image]
+    return image @ m.to_soft()
+
+
+def _push_block(
+    queries: np.ndarray,
+    plan: list[tuple[int, list[CorrespondenceMap], float]],
+    n_tgt: int,
+    rows: dict[int, dict[int, float]],
+) -> None:
+    """Soft rows of a block of distinct query vertices, added to rows in order.
+
+    The block walks the chain trie once: stack[d] holds the queries' images at
+    depth d of the current chain, so a prefix shared by consecutive chains is
+    pushed once. Each chain adds its probability times its image mass to
+    acc[query, target] in chain order, and first[query, target] keeps the
+    first chain that reached the cell. Each row is then divided by its total,
+    summed in first-reached order. On discrete maps this is the same
+    arithmetic, in the same order, as pushing every chain separately.
+    """
+    b = queries.size
+    acc = np.zeros(b * n_tgt)
+    first = np.full(b * n_tgt, len(plan), dtype=np.int64)
+    offsets = np.arange(b, dtype=np.int64) * n_tgt
+    chunk = max(1, _CHUNK_CELLS // b)
+    images = np.empty((chunk, b), dtype=np.int64)
+    chains = np.empty(chunk, dtype=np.int64)
+    probs = np.empty(chunk)
+    pending = 0
+
+    def flush(n: int) -> None:
+        keys = (images[:n] + offsets).ravel()
+        np.add.at(acc, keys, np.repeat(probs[:n], b))
+        np.minimum.at(first, keys, np.repeat(chains[:n], b))
+
+    stack = [queries]
+    for c, (keep, maps, prob) in enumerate(plan):
+        del stack[keep:]
+        image = stack[-1]
+        for m in maps:
+            image = _push(image, m)
+            stack.append(image)
+        if isinstance(image, np.ndarray):
+            images[pending] = image
+            chains[pending] = c
+            probs[pending] = prob
+            pending += 1
+            if pending == chunk:
+                flush(pending)
+                pending = 0
+        else:
+            flush(pending)
+            pending = 0
+            keys = np.repeat(offsets, np.diff(image.indptr)) + image.indices
+            np.add.at(acc, keys, prob * image.data)
+            np.minimum.at(first, keys, c)
+    flush(pending)
+
+    cells = np.flatnonzero(first < len(plan))  # by query, then target
+    owner = cells // n_tgt
+    counts = np.bincount(owner, minlength=b).tolist()
+    in_first_order = acc[cells[np.lexsort((first[cells], owner))]].tolist()
+    totals = []
+    pos = 0
+    for k in counts:
+        totals.append(sum(in_first_order[pos : pos + k]))
+        pos += k
+    values = (acc[cells] / np.repeat(totals, counts)).tolist()
+    targets = (cells % n_tgt).tolist()
+    pos = 0
+    for q, k in zip(queries.tolist(), counts):
+        rows[q] = dict(zip(targets[pos : pos + k], values[pos : pos + k]))
+        pos += k
 
 
 def propagate_soft(
@@ -116,37 +236,38 @@ def propagate_soft(
 
     source_points defaults to the source shape's landmark vertices when it has
     any, otherwise to every vertex; pass an explicit list to control the query
-    set. Rows are aggregated per target vertex and normalized.
+    set; a vertex outside the source shape raises IndexRangeError before any
+    work. Rows are aggregated per target vertex and normalized.
     """
     i = collection.index(source_id)
     j = collection.index(target_id)
-    flow = directed_flow_matrix(
-        collection.D, i, j, beta=collection.beta, W=collection.W
-    )
-    dist = path_distribution(flow, lam=lam, max_paths=max_paths, strict=strict)
-
     src_shape = collection.shape(source_id)
     if source_points is None:
         if src_shape.landmark_indices:
             source_points = list(src_shape.landmark_indices)
         else:
             source_points = list(range(src_shape.n))
-
-    edge_maps = {rec.vertices: _edge_maps(collection, rec.vertices) for rec in dist.records}
-    rows: dict[int, dict[int, float]] = {}
-    for p in source_points:
-        p = int(p)
+    # distinct queries in first-seen order; a repeated vertex has one row
+    queries = list(dict.fromkeys(int(p) for p in source_points))
+    for p in queries:
         if not 0 <= p < src_shape.n:
-            raise KeyError(f"source vertex {p} out of range for {source_id!r}")
-        acc: dict[int, float] = {}
-        for rec, prob in zip(dist.records, dist.probabilities):
-            row: dict[int, float] = {p: 1.0}
-            for m in edge_maps[rec.vertices]:
-                row = m.push_row(row)
-            for t, mass in row.items():
-                acc[t] = acc.get(t, 0.0) + prob * mass
-        total = sum(acc.values())
-        rows[p] = {t: mass / total for t, mass in sorted(acc.items())}
+            raise IndexRangeError(
+                f"source vertex {p} out of range for shape {source_id!r} "
+                f"({src_shape.n} points)"
+            )
+
+    flow = directed_flow_matrix(
+        collection.D, i, j, beta=collection.beta, W=collection.W
+    )
+    dist = path_distribution(flow, lam=lam, max_paths=max_paths, strict=strict)
+
+    plan = _trie_plan(collection, dist)
+    n_tgt = collection.shape(target_id).n
+    q_all = np.array(queries, dtype=np.int64)
+    block = max(1, _ACC_CELLS // n_tgt)
+    rows: dict[int, dict[int, float]] = {}
+    for start in range(0, q_all.size, block):
+        _push_block(q_all[start : start + block], plan, n_tgt, rows)
 
     return SoftCorrespondence(
         source_id=source_id,

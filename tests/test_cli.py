@@ -63,6 +63,22 @@ class TestExitCodes:
         assert "corrsync" in proc.stdout
 
 
+class TestBadPoints:
+    @pytest.mark.parametrize(
+        "points, named", [("99999", "vertex 99999"), ("-1", "vertex -1"), ("0,abc", "'abc'")]
+    )
+    def test_clean_error_without_traceback(self, l4_manifest, points, named):
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrsync", "propagate", "--manifest", l4_manifest,
+             "--source", "s0", "--target", "s3", "--points", points, "--quiet"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestProvenanceHeaders:
     def test_header_fields(self, l4_manifest, tmp_path):
         out = tmp_path / "f.csv"

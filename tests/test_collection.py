@@ -183,6 +183,14 @@ class TestShapeCollection:
         with pytest.raises(MetricAsymmetryError):
             ShapeCollection(shapes=shapes, D=D, maps={})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_distance_rejected(self, bad):
+        shapes = [two_point_shape(k) for k in "abc"]
+        D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        D[1, 2] = D[2, 1] = bad
+        with pytest.raises(MetricAsymmetryError, match=r"non-finite .* at \(1, 2\)"):
+            ShapeCollection(shapes=shapes, D=D, maps={})
+
     def test_zero_offdiagonal_needs_flag(self):
         shapes = [two_point_shape("a"), two_point_shape("b")]
         D = np.zeros((2, 2))
@@ -273,6 +281,20 @@ class TestManifestRoundTrip:
         got = loaded.maps[("a", "b")]
         assert got.kind == "soft"
         assert got.matrix.toarray() == pytest.approx(np.array([[0.5, 0.5], [0.0, 1.0]]))
+
+    def test_duplicate_discrete_map_row_rejected(self, tmp_path, l4_swap):
+        manifest = save_collection(l4_swap, tmp_path / "dup")
+        path = tmp_path / "dup" / "maps" / "s1__s0.csv"
+        path.write_text(path.read_text() + "0,1\n")
+        with pytest.raises(ManifestError, match=r"s1__s0\.csv.*source index 0"):
+            load_collection(manifest)
+
+    def test_missing_discrete_map_row_rejected(self, tmp_path, l4_swap):
+        manifest = save_collection(l4_swap, tmp_path / "gap")
+        path = tmp_path / "gap" / "maps" / "s1__s0.csv"
+        path.write_text("1,1\n")
+        with pytest.raises(ManifestError, match=r"no row for source index 0"):
+            load_collection(manifest)
 
     def test_identity_helper(self):
         m = identity_map("a", 4)

@@ -118,6 +118,24 @@ class TestEnumeratePaths:
             assert abs(a.weight - b.weight) <= 1e-12
             assert abs(a.energy - b.energy) <= 1e-12
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_energy_and_weight_are_step_sums_in_chain_order(self, seed):
+        # each record carries exactly the left-to-right sum of squared steps
+        # and product of WF entries along its vertices, bit for bit
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 10))
+        D = random_euclidean_distances(rng, n) * rng.uniform(0.2, 1.5)
+        i, j = rng.choice(n, size=2, replace=False)
+        lam = float(rng.choice([0.0, 1e-3, 0.05, 0.3]))
+        flow = directed_flow_matrix(D, int(i), int(j))
+        for rec in enumerate_paths(flow, lam=lam, max_paths=10**6):
+            energy, weight = 0.0, 1.0
+            for a, b in zip(rec.vertices, rec.vertices[1:]):
+                energy += float(D[a, b] * D[a, b])
+                weight *= float(flow.WF[a, b])
+            assert (rec.energy, rec.weight) == (energy, weight)
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.9))
     @settings(max_examples=30, deadline=None)
     def test_pruning_is_exact(self, seed, lam):

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrsync.collection import GeodesicOracle, Shape
-from corrsync.errors import EmptyPathSetError, MissingMapError
+from scipy import sparse
+
+from corrsync.collection import CorrespondenceMap, GeodesicOracle, Shape, ShapeCollection
+from corrsync.errors import EmptyPathSetError, IndexRangeError, MissingMapError
 from corrsync.flow import directed_flow_matrix
 from corrsync.soft import (
     SoftCorrespondence,
+    _edge_maps,
     all_pairs_soft,
     ball_mass,
     frechet_mean,
@@ -18,7 +21,78 @@ from corrsync.soft import (
     tv_distance,
 )
 
-from conftest import build_l4, line_distances, two_point_shape
+from conftest import build_l4, line_distances, random_euclidean_distances, two_point_shape
+
+
+def per_chain_rows(collection, source_id, target_id, lam, source_points, max_paths=10**6):
+    """Reference rows: every queried vertex pushed through every chain separately
+    with CorrespondenceMap.push_row, accumulated per target in chain order."""
+    i = collection.index(source_id)
+    j = collection.index(target_id)
+    flow = directed_flow_matrix(
+        collection.D, i, j, beta=collection.beta, W=collection.W
+    )
+    dist = path_distribution(flow, lam=lam, max_paths=max_paths)
+    edge_maps = {rec.vertices: _edge_maps(collection, rec.vertices) for rec in dist.records}
+    rows: dict[int, dict[int, float]] = {}
+    for p in source_points:
+        p = int(p)
+        acc: dict[int, float] = {}
+        for rec, prob in zip(dist.records, dist.probabilities):
+            row: dict[int, float] = {p: 1.0}
+            for m in edge_maps[rec.vertices]:
+                row = m.push_row(row)
+            for t, mass in row.items():
+                acc[t] = acc.get(t, 0.0) + prob * mass
+        total = sum(acc.values())
+        rows[p] = {t: mass / total for t, mass in sorted(acc.items())}
+    return rows
+
+
+def random_collection(rng, soft_share=0.0):
+    """3-6 shapes of 2-6 points at random 3-D positions, with random maps.
+
+    Maps are random vertex lookups; a share of them (at least one when the
+    share is positive) is replaced by random row-stochastic soft maps with 1-3
+    positive entries per row. Where both
+    directions of a pair are bijections the reverse is made the inverse.
+    """
+    n = int(rng.integers(3, 7))
+    sizes = rng.integers(2, 7, size=n)
+    shapes = [
+        Shape(id=f"s{k}", points=rng.normal(size=(int(sizes[k]), 3))) for k in range(n)
+    ]
+    D = random_euclidean_distances(rng, n) * rng.uniform(0.2, 1.5)
+    lookups = {
+        (a, b): rng.integers(0, sizes[b], size=sizes[a])
+        for a in range(n) for b in range(n) if a != b
+    }
+    for (a, b), fwd in lookups.items():
+        rev = lookups[(b, a)]
+        if a < b and len(set(fwd)) == len(fwd) == len(set(rev)) == len(rev):
+            lookups[(b, a)] = np.argsort(fwd)
+    soft = rng.random(len(lookups)) < soft_share
+    soft[0] |= soft_share > 0
+    maps = {}
+    for ((a, b), idx), is_soft in zip(lookups.items(), soft):
+        src, tgt = f"s{a}", f"s{b}"
+        if is_soft:
+            dense = np.zeros((sizes[a], sizes[b]))
+            for r in range(sizes[a]):
+                cols = rng.choice(sizes[b], size=min(sizes[b], int(rng.integers(1, 4))), replace=False)
+                dense[r, cols] = rng.uniform(0.1, 1.0, size=cols.size)
+            dense /= dense.sum(axis=1, keepdims=True)
+            maps[(src, tgt)] = CorrespondenceMap(src, tgt, "soft", matrix=sparse.csr_matrix(dense))
+        else:
+            maps[(src, tgt)] = CorrespondenceMap(
+                src, tgt, "discrete", indices=idx, target_size=int(sizes[b])
+            )
+    return ShapeCollection(shapes=shapes, D=D, maps=maps)
+
+
+def random_queries(rng, n_points):
+    """0-12 query vertices drawn with replacement, so repeats occur."""
+    return [int(v) for v in rng.integers(0, n_points, size=int(rng.integers(0, 13)))]
 
 
 class TestPathDistribution:
@@ -71,11 +145,97 @@ class TestPropagateSoft:
         with pytest.raises(MissingMapError, match="s1"):
             propagate_soft(l4_swap, "s0", "s3", lam=0.0, max_paths=100)
 
+    @pytest.mark.parametrize("bad", [2, 99999, -1])
+    def test_out_of_range_query_names_vertex_and_shape(self, l4_swap, bad):
+        with pytest.raises(IndexRangeError, match=rf"vertex {bad} .*'s0'"):
+            propagate_soft(l4_swap, "s0", "s3", lam=0.0, source_points=[0, bad], max_paths=100)
+
+    def test_all_weights_underflowing_is_an_error(self):
+        coll = build_l4()
+        coll = ShapeCollection(shapes=coll.shapes, D=coll.D * 40, maps=coll.maps)
+        with pytest.raises(EmptyPathSetError, match="underflows"):
+            propagate_soft(coll, "s0", "s3", lam=0.0, max_paths=100)
+
     def test_provenance_lists_paths(self, l4_swap):
         soft = propagate_soft(l4_swap, "s0", "s3", lam=0.0, source_points=[0], max_paths=100)
         paths = soft.provenance["paths"]
         assert [tuple(p) for p in paths] == [(0, 1, 2, 3), (0, 1, 3), (0, 2, 3), (0, 3)]
         assert sum(soft.provenance["path_probabilities"]) == pytest.approx(1.0)
+
+
+class TestBatchedPush:
+    """propagate_soft pushes a query block once per chain-trie edge; its rows
+    must match pushing every query through every chain separately."""
+
+    LAMS = [0.0, 1e-3, 0.05, 0.3]
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(LAMS))
+    @settings(max_examples=40, deadline=None)
+    def test_discrete_rows_identical_to_per_chain_push(self, seed, lam):
+        rng = np.random.default_rng(seed)
+        coll = random_collection(rng)
+        for a in coll.ids:
+            for b in coll.ids:
+                if a == b:
+                    continue
+                pts = random_queries(rng, coll.shape(a).n)
+                got = propagate_soft(coll, a, b, lam=lam, source_points=pts).rows
+                want = per_chain_rows(coll, a, b, lam, pts)
+                assert got == want
+                assert list(got) == list(want)
+                for v in want:
+                    assert list(got[v].items()) == list(want[v].items())
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(LAMS))
+    @settings(max_examples=25, deadline=None)
+    def test_soft_rows_match_per_chain_push(self, seed, lam):
+        rng = np.random.default_rng(seed)
+        coll = random_collection(rng, soft_share=0.4)
+        assert any(m.kind == "soft" for m in coll.maps.values())
+        for a in coll.ids:
+            for b in coll.ids:
+                if a == b:
+                    continue
+                pts = random_queries(rng, coll.shape(a).n)
+                got = propagate_soft(coll, a, b, lam=lam, source_points=pts).rows
+                want = per_chain_rows(coll, a, b, lam, pts)
+                assert list(got) == list(want)
+                for v in want:
+                    assert list(got[v]) == list(want[v])
+                    assert np.allclose(
+                        list(got[v].values()), list(want[v].values()), rtol=0, atol=1e-12
+                    )
+
+    @pytest.mark.parametrize("soft_share", [0.0, 0.4])
+    def test_block_and_chunk_sizes_change_nothing(self, monkeypatch, soft_share):
+        # blocks of two to six queries, each chain image flushed at once
+        monkeypatch.setattr("corrsync.soft._ACC_CELLS", 12)
+        monkeypatch.setattr("corrsync.soft._CHUNK_CELLS", 3)
+        for seed in range(15):
+            rng = np.random.default_rng(seed)
+            coll = random_collection(rng, soft_share)
+            for a, b in [(coll.ids[0], coll.ids[-1]), (coll.ids[-1], coll.ids[1])]:
+                pts = random_queries(rng, coll.shape(a).n)
+                got = propagate_soft(coll, a, b, lam=0.0, source_points=pts).rows
+                want = per_chain_rows(coll, a, b, 0.0, pts)
+                assert list(got) == list(want)
+                for v in want:
+                    assert list(got[v]) == list(want[v])
+                    assert np.allclose(
+                        list(got[v].values()), list(want[v].values()), rtol=0, atol=1e-12
+                    )
+                    if soft_share == 0.0:
+                        assert list(got[v].items()) == list(want[v].items())
+
+    def test_soft_direct_map_reaches_rows(self, l4_swap):
+        # s0 -> s3 stored as a soft map: the direct chain carries its split mass
+        split = sparse.csr_matrix(np.array([[0.25, 0.75], [1.0, 0.0]]))
+        l4_swap.maps[("s0", "s3")] = CorrespondenceMap("s0", "s3", "soft", matrix=split)
+        soft = propagate_soft(l4_swap, "s0", "s3", lam=0.0, source_points=[0], max_paths=100)
+        Z = np.exp(-9) + 2 * np.exp(-5) + np.exp(-3)
+        want = per_chain_rows(l4_swap, "s0", "s3", 0.0, [0], max_paths=100)
+        assert soft.rows[0] == pytest.approx(want[0], abs=1e-12)
+        assert soft.rows[0][1] == pytest.approx((0.75 * np.exp(-9) + np.exp(-5)) / Z)
 
 
 class TestHardMaps:
