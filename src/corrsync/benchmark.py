@@ -23,7 +23,7 @@ from .collection import (
     identity_map,
     intra_metric,
 )
-from .errors import ManifestError
+from .errors import IndexRangeError, ManifestError
 from .flow import directed_flow_matrix
 from .matching import baseline_pairwise_align, fps_landmarks
 from .soft import frechet_mean, mle, propagate_soft, tv_distance
@@ -59,7 +59,9 @@ def geodesic_errors(
     """Geodesic distance on the target between predictions and true vertices.
 
     predicted is a vertex->vertex mapping or a discrete map; distances divide
-    by the target's geodesic diameter unless normalize is off.
+    by the target's geodesic diameter unless normalize is off. The graph is
+    undirected, so each error is read from the true vertex's cached row: one
+    Dijkstra run per landmark, however many maps are scored against it.
     """
     if not gt_pairs:
         raise ManifestError("no shared landmark labels between the two shapes")
@@ -69,7 +71,14 @@ def geodesic_errors(
         else (lambda v: int(predicted[v]))
     )
     scale = oracle.diameter() if normalize else 1.0
-    errs = [oracle.distance(lookup(s), t) / scale for s, t in gt_pairs]
+    errs = []
+    for s, t in gt_pairs:
+        p = lookup(s)
+        if not 0 <= p < oracle.n:
+            raise IndexRangeError(
+                f"shape {oracle.shape.id!r}: predicted vertex {p} out of range"
+            )
+        errs.append(float(oracle.distances_from(t)[p]) / scale)
     return np.asarray(errs, dtype=float)
 
 

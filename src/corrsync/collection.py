@@ -9,17 +9,18 @@ in-memory table is keyed ``(source_id, target_id)``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import tempfile
 import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DisconnectedGraphError,
@@ -65,6 +66,18 @@ class Shape:
     scalar_field: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        # ids become file names (<id>.xyz, <target>__<source>.csv); an id
+        # starting or ending with "_" would make that pair name ambiguous too
+        if (
+            not isinstance(self.id, str)
+            or not self.id
+            or self.id.strip("_") != self.id
+            or any(bad in self.id for bad in ("/", "\\", "..", "__"))
+        ):
+            raise ManifestError(
+                f"invalid shape id {self.id!r}: ids must be non-empty, contain no "
+                "path separator, '..' or '__', and not start or end with '_'"
+            )
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise ManifestError(f"shape {self.id!r}: points must be (n, 3)")
@@ -185,7 +198,7 @@ class CorrespondenceMap:
     def is_bijection(self) -> bool:
         if self.kind != "discrete" or self.n_source != self.n_target:
             return False
-        return np.unique(self.indices).size == self.n_source
+        return bool((np.bincount(self.indices, minlength=self.n_target) == 1).all())
 
 
 def identity_map(shape_id: str, n: int, target_id: str | None = None) -> CorrespondenceMap:
@@ -257,7 +270,7 @@ class GeodesicOracle:
         self._rows: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
         self._diameter: float | None = None
-        self.graph, self.neighbor_lists = _build_neighbor_graph(shape, k, faces)
+        self.graph = _build_neighbor_graph(shape, k, faces)
         n_comp, labels = csgraph.connected_components(self.graph, directed=False)
         if n_comp > 1:
             sizes = np.bincount(labels)
@@ -272,6 +285,11 @@ class GeodesicOracle:
     @property
     def n(self) -> int:
         return self.shape.n
+
+    @functools.cached_property
+    def neighbor_lists(self) -> list[np.ndarray]:
+        """Graph neighbours of each vertex, ascending."""
+        return np.split(self.graph.indices, self.graph.indptr[1:-1])
 
     def distances_from(self, v: int) -> np.ndarray:
         v = int(v)
@@ -305,42 +323,62 @@ class GeodesicOracle:
         return self._diameter
 
 
-def _build_neighbor_graph(
-    shape: Shape, k: int, faces: np.ndarray | None
-) -> tuple[sparse.csr_matrix, list[np.ndarray]]:
+# KD-tree candidates per vertex beyond its k nearest; a vertex whose k-th
+# neighbour ties the farthest candidate is queried again with twice as many
+_KNN_SLACK = 2
+
+
+def _build_neighbor_graph(shape: Shape, k: int, faces: np.ndarray | None) -> sparse.csr_matrix:
     pts = shape.points
     n = pts.shape[0]
-    rows: list[int] = []
-    cols: list[int] = []
     if faces is not None:
-        for tri in np.asarray(faces, dtype=np.int64):
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                rows.append(int(tri[a]))
-                cols.append(int(tri[b]))
+        tris = np.asarray(faces, dtype=np.int64)
+        if tris.ndim != 2 or tris.shape[1] != 3:
+            raise ManifestError(f"shape {shape.id!r}: faces must be an (m, 3) array")
+        if tris.size and (tris.min() < 0 or tris.max() >= n):
+            raise IndexRangeError(f"shape {shape.id!r}: face vertex index out of range")
+        rows, cols = tris.ravel(), tris[:, [1, 2, 0]].ravel()
     else:
         if k < 1:
             raise ValueError("k must be at least 1")
         k_eff = min(k, n - 1)
-        dmat = cdist(pts, pts)
-        # argpartition with slack, then (distance, index) sort, so exact ties
-        # resolve to the lowest index deterministically
-        slack = min(n - 1, k_eff + 8)
-        for v in range(n):
-            cand = np.argpartition(dmat[v], slack)[: slack + 1]
-            cand = cand[cand != v]
-            order = np.lexsort((cand, dmat[v][cand]))
-            for u in cand[order][:k_eff]:
-                rows.append(v)
-                cols.append(int(u))
-    pairs = sorted({(a, b) for a, b in zip(rows, cols)} | {(b, a) for a, b in zip(rows, cols)})
-    rows_arr = np.array([p[0] for p in pairs], dtype=np.int64)
-    cols_arr = np.array([p[1] for p in pairs], dtype=np.int64)
+        rows = np.repeat(np.arange(n, dtype=np.int64), k_eff)
+        cols = _nearest_neighbors(pts, k_eff).ravel()
+    # symmetric edge set, sorted by (row, col)
+    keys = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    rows_arr, cols_arr = keys // n, keys % n
     lengths = np.linalg.norm(pts[rows_arr] - pts[cols_arr], axis=1)
     # sparse graph routines read 0 as "no edge"; keep coincident points connected
     lengths = np.maximum(lengths, 1e-300)
-    graph = sparse.csr_matrix((lengths, (rows_arr, cols_arr)), shape=(n, n))
-    neighbor_lists = [graph.indices[graph.indptr[v] : graph.indptr[v + 1]] for v in range(n)]
-    return graph, neighbor_lists
+    return sparse.csr_matrix((lengths, (rows_arr, cols_arr)), shape=(n, n))
+
+
+def _nearest_neighbors(pts: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) array: each vertex's k nearest other vertices by (distance, index).
+
+    Exact ties resolve to the lowest index, as a full sort of every row would.
+    """
+    from scipy.spatial import cKDTree
+
+    n = pts.shape[0]
+    tree = cKDTree(pts)
+    out = np.empty((n, k), dtype=np.int64)
+    todo = np.arange(n)
+    q = min(n, k + 1 + _KNN_SLACK)
+    while todo.size:
+        dist, idx = tree.query(pts[todo], k=q)
+        farthest = dist[:, -1].copy()
+        dist[idx == todo[:, None]] = np.inf
+        order = np.lexsort((idx, dist), axis=1)[:, :k]
+        picked = np.take_along_axis(idx, order, axis=1)
+        kth = np.take_along_axis(dist, order[:, -1:], axis=1)[:, 0]
+        # a vertex left out of the query may tie the k-th distance at a lower index
+        wide = (kth >= farthest) & (q < n)
+        out[todo[~wide]] = picked[~wide]
+        todo = todo[wide]
+        q = min(n, 2 * q)
+    return out
 
 
 def intra_metric(shape: Shape, k: int = 8, faces: np.ndarray | None = None) -> GeodesicOracle:
@@ -540,25 +578,36 @@ def load_collection(manifest_path: str, allow_duplicates: bool = False) -> Shape
 
 
 def _read_map(path: str, src: str, tgt: str, n_src: int, n_tgt: int) -> CorrespondenceMap:
-    rows: list[list[str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(line.split(","))
-    if not rows:
+    try:
+        with warnings.catch_warnings():
+            # an empty or comment-only file is reported below, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:
+        raise ManifestError(f"map file {path}: {exc}") from None
+    if table.size == 0:
         raise ManifestError(f"empty map file: {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or width not in (2, 3):
+    width = table.shape[1]
+    if width not in (2, 3):
         raise ManifestError(f"map file {path}: expected 2 or 3 columns throughout")
+    index_cols = table[:, :2]
+    bad = ~(np.isfinite(index_cols) & (index_cols == np.floor(index_cols))).all(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ManifestError(
+            f"map file {path}: non-integer index in row {r}: "
+            + ",".join(_fmt(x) for x in table[r])
+        )
+    sources, targets = index_cols.T
+    outside = (sources < 0) | (sources >= n_src) | (targets < 0) | (targets >= n_tgt)
+    if outside.any():
+        r = int(np.argmax(outside))
+        raise IndexRangeError(
+            f"map file {path}: index ({int(sources[r])},{int(targets[r])}) out of range"
+        )
+    sources = sources.astype(np.int64)
+    targets = targets.astype(np.int64)
     if width == 2:
-        sources = np.array([int(s) for s, _ in rows], dtype=np.int64)
-        targets = [int(t) for _, t in rows]
-        outside = (sources < 0) | (sources >= n_src)
-        if outside.any():
-            si = int(sources[np.argmax(outside)])
-            raise IndexRangeError(f"map file {path}: source index {si} out of range")
         counts = np.bincount(sources, minlength=n_src)
         if (counts > 1).any():
             dup = int(np.argmax(counts > 1))
@@ -572,15 +621,7 @@ def _read_map(path: str, src: str, tgt: str, n_src: int, n_tgt: int) -> Correspo
             source_id=src, target_id=tgt, kind="discrete",
             indices=indices, target_size=n_tgt,
         )
-    data, ri, ci = [], [], []
-    for s, t, m in rows:
-        si, ti = int(s), int(t)
-        if not 0 <= si < n_src or not 0 <= ti < n_tgt:
-            raise IndexRangeError(f"map file {path}: index ({si},{ti}) out of range")
-        ri.append(si)
-        ci.append(ti)
-        data.append(float(m))
-    mat = sparse.csr_matrix((data, (ri, ci)), shape=(n_src, n_tgt))
+    mat = sparse.csr_matrix((table[:, 2], (sources, targets)), shape=(n_src, n_tgt))
     covered = np.diff(mat.indptr) > 0
     if not covered.all():
         raise ManifestError(

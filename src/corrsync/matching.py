@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .collection import (
     CorrespondenceMap,
@@ -326,6 +325,8 @@ def interpolate_dense(
     geodesically nearest matched landmarks' targets (weights 1/d), snapped to
     the nearest target vertex. Matched vertices keep their exact targets.
     """
+    from scipy.spatial import cKDTree
+
     pairs = matches.pairs()
     if not pairs:
         raise ValueError("cannot interpolate from an empty match set")
@@ -374,6 +375,8 @@ def baseline_pairwise_align(
     Returns the final rotation/translation, the nearest-vertex map a -> b under
     the alignment, and the root-mean-square residual over assigned pairs.
     """
+    from scipy.spatial import cKDTree
+
     pa, pb = shape_a.points, shape_b.points
     for pts, who in ((pa, shape_a.id), (pb, shape_b.id)):
         if pts.shape[0] < 3:

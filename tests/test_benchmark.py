@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrsync.benchmark import (
     METHODS,
@@ -17,8 +19,8 @@ from corrsync.benchmark import (
     stability_report,
     synth_collection,
 )
-from corrsync.collection import GeodesicOracle, Shape, compose_maps
-from corrsync.errors import ManifestError
+from corrsync.collection import CorrespondenceMap, GeodesicOracle, Shape, compose_maps
+from corrsync.errors import IndexRangeError, ManifestError
 
 
 def line_oracle(xs):
@@ -55,6 +57,32 @@ class TestErrorCdf:
         curve = curve_from_errors(np.array([0.0, 0.5, 2.0]), grid, method="m")
         assert curve.fractions[-1] == pytest.approx(2.0 / 3.0)
         assert all(b >= a for a, b in zip(curve.fractions, curve.fractions[1:]))
+
+
+class TestGeodesicErrorsFromTruthRows:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_equals_per_prediction_distance(self, seed, as_map):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 200))
+        pts = fibonacci_sphere(n) * rng.uniform(0.5, 2.0) + rng.normal(scale=0.01, size=(n, 3))
+        oracle = GeodesicOracle(Shape(id="t", points=pts), k=6)
+        reference = GeodesicOracle(Shape(id="t", points=pts), k=6)
+        truths = rng.integers(0, n, size=int(rng.integers(1, 20)))
+        guesses = rng.integers(0, n, size=n)
+        predicted = (
+            CorrespondenceMap("s", "t", "discrete", indices=guesses, target_size=n)
+            if as_map else {v: int(guesses[v]) for v in range(n)}
+        )
+        gt = [(int(rng.integers(0, n)), int(t)) for t in truths]
+        errs = geodesic_errors(predicted, gt, oracle, normalize=True)
+        want = [reference.distance(int(guesses[s]), t) / reference.diameter() for s, t in gt]
+        np.testing.assert_allclose(errs, want, rtol=1e-12, atol=0)
+
+    def test_out_of_range_prediction_rejected(self):
+        oracle = line_oracle([0.0, 1.0, 2.0])
+        with pytest.raises(IndexRangeError, match="predicted vertex 7"):
+            geodesic_errors({0: 7}, [(0, 1)], oracle)
 
 
 class TestSharedLabels:

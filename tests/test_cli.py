@@ -62,6 +62,44 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "corrsync" in proc.stdout
 
+    def test_cli_import_leaves_scipy_spatial_unloaded(self):
+        # commands that never build a KD-tree should not pay for importing one
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, corrsync.cli; print('scipy.spatial' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
+class TestBadCollectionFiles:
+    def _propagate(self, manifest, source="s0"):
+        return subprocess.run(
+            [sys.executable, "-m", "corrsync", "propagate", "--manifest", str(manifest),
+             "--source", source, "--target", "s3", "--quiet"],
+            capture_output=True, text=True,
+        )
+
+    def test_non_numeric_map_cell(self, tmp_path):
+        manifest = save_collection(build_l4(swapped_pair=(1, 3)), tmp_path / "c")
+        (tmp_path / "c" / "maps" / "s1__s0.csv").write_text("0,x\n1,1\n")
+        proc = self._propagate(manifest)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "s1__s0.csv" in proc.stderr
+
+    def test_path_escaping_shape_id(self, tmp_path):
+        manifest = save_collection(build_l4(swapped_pair=(1, 3)), tmp_path / "c")
+        doc = json.loads((tmp_path / "c" / "manifest.json").read_text())
+        doc["shapes"][0]["id"] = "../escaped"
+        (tmp_path / "c" / "manifest.json").write_text(json.dumps(doc))
+        proc = self._propagate(manifest, source="../escaped")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "'../escaped'" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestBadPoints:
     @pytest.mark.parametrize(

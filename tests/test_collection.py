@@ -1,9 +1,16 @@
+import os
+import re
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.spatial.distance import cdist
 
+import corrsync.collection as collection_mod
 from corrsync.collection import (
     CorrespondenceMap,
     GeodesicOracle,
@@ -15,6 +22,7 @@ from corrsync.collection import (
     load_collection,
     save_collection,
 )
+from corrsync.collection import _build_neighbor_graph
 from corrsync.errors import (
     DisconnectedGraphError,
     DuplicateShapeError,
@@ -60,12 +68,34 @@ class TestShape:
             Shape(id="s", points=np.zeros((3, 3)), ground_truth={"tip": 9})
 
 
+    @pytest.mark.parametrize(
+        "bad", ["", "../escaped", "a/b", "a\\b", "..", "a__b", "_a", "b_"]
+    )
+    def test_unsafe_ids_rejected(self, bad):
+        with pytest.raises(ManifestError, match=re.escape(repr(bad))):
+            Shape(id=bad, points=np.zeros((2, 3)))
+
+    def test_non_string_id_rejected(self):
+        with pytest.raises(ManifestError, match="invalid shape id 3"):
+            Shape(id=3, points=np.zeros((2, 3)))
+
+
 class TestCorrespondenceMap:
     def test_discrete_roundtrip(self):
         m = CorrespondenceMap("a", "b", "discrete", indices=np.array([2, 0, 1]), target_size=3)
         assert m.n_source == 3
         assert m.is_bijection()
         assert m.push_row({1: 1.0}) == {0: 1.0}
+
+    @pytest.mark.parametrize(
+        "indices, target_size, want",
+        [([1, 1, 0], 3, False), ([0, 1], 3, False), ([1, 0], 2, True), ([], 0, True)],
+    )
+    def test_is_bijection(self, indices, target_size, want):
+        m = CorrespondenceMap(
+            "a", "b", "discrete", indices=np.array(indices, dtype=np.int64), target_size=target_size
+        )
+        assert m.is_bijection() is want
 
     def test_discrete_range_check(self):
         with pytest.raises(IndexRangeError):
@@ -169,6 +199,107 @@ class TestGeodesicOracle:
         pts = np.c_[np.arange(5, dtype=float), np.zeros(5), np.zeros(5)]
         o = GeodesicOracle(Shape(id="line", points=pts), k=1)
         assert o.diameter() == pytest.approx(4.0)
+
+
+def _brute_force_graph(pts, k):
+    """The k-NN graph by definition: full distance matrix, then each row's
+    k_eff nearest other vertices by (distance, index), symmetrized."""
+    n = len(pts)
+    k_eff = min(k, n - 1)
+    dmat = cdist(pts, pts)
+    pairs = set()
+    for v in range(n):
+        others = np.delete(np.arange(n), v)
+        for u in others[np.lexsort((others, dmat[v, others]))][:k_eff]:
+            pairs |= {(v, int(u)), (int(u), v)}
+    return sorted(pairs)
+
+
+def _graph_pairs(graph):
+    rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+    return list(zip(rows.tolist(), graph.indices.tolist()))
+
+
+def _argpartition_graph(pts, k):
+    """The k-NN graph as built before the KD-tree builder, kept as a reference
+    for tie-free clouds (under exact ties its argpartition can miss the
+    lowest-index neighbour)."""
+    n = pts.shape[0]
+    rows, cols = [], []
+    k_eff = min(k, n - 1)
+    dmat = cdist(pts, pts)
+    slack = min(n - 1, k_eff + 8)
+    for v in range(n):
+        cand = np.argpartition(dmat[v], slack)[: slack + 1]
+        cand = cand[cand != v]
+        order = np.lexsort((cand, dmat[v][cand]))
+        for u in cand[order][:k_eff]:
+            rows.append(v)
+            cols.append(int(u))
+    pairs = sorted({(a, b) for a, b in zip(rows, cols)} | {(b, a) for a, b in zip(rows, cols)})
+    rows_arr = np.array([p[0] for p in pairs], dtype=np.int64)
+    cols_arr = np.array([p[1] for p in pairs], dtype=np.int64)
+    lengths = np.linalg.norm(pts[rows_arr] - pts[cols_arr], axis=1)
+    lengths = np.maximum(lengths, 1e-300)
+    return sparse.csr_matrix((lengths, (rows_arr, cols_arr)), shape=(n, n))
+
+
+@st.composite
+def _clouds(draw):
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        # small integer lattice: many exact distance ties and coincident points
+        side = draw(st.integers(1, 4))
+        return rng.integers(0, side, size=(n, 3)).astype(float)
+    return rng.normal(size=(n, 3)) * 10.0 ** draw(st.integers(-3, 3))
+
+
+class TestNeighborGraph:
+    @given(_clouds(), st.integers(1, 12), st.sampled_from([0, 1, 4]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_definition(self, pts, k, slack):
+        with mock.patch.object(collection_mod, "_KNN_SLACK", slack):
+            graph = _build_neighbor_graph(Shape(id="c", points=pts), k, None)
+        assert _graph_pairs(graph) == _brute_force_graph(pts, k)
+        rows = np.repeat(np.arange(len(pts)), np.diff(graph.indptr))
+        lengths = np.linalg.norm(pts[rows] - pts[graph.indices], axis=1)
+        assert np.array_equal(graph.data, np.maximum(lengths, 1e-300))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.integers(1, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_argpartition_builder_without_ties(self, seed, n, k):
+        pts = np.random.default_rng(seed).normal(size=(n, 3))
+        graph = _build_neighbor_graph(Shape(id="c", points=pts), k, None)
+        ref = _argpartition_graph(pts, k)
+        for attr in ("indptr", "indices", "data"):
+            got, want = getattr(graph, attr), getattr(ref, attr)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_faces_give_mesh_edges(self):
+        # square pyramid: four base corners and an apex, six triangles
+        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 1, 0], [0.0, 1, 0], [0.5, 0.5, 1]])
+        faces = np.array([[0, 1, 2], [0, 2, 3], [0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+        o = GeodesicOracle(Shape(id="pyr", points=pts), faces=faces)
+        edges = {tuple(sorted(e)) for f in faces for e in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0]))}
+        assert _graph_pairs(o.graph) == sorted(edges | {(b, a) for a, b in edges})
+        assert o.distance(0, 2) == pytest.approx(np.sqrt(2.0))
+        assert o.distance(1, 3) == pytest.approx(2.0)
+        assert o.graph[0, 4] == pytest.approx(np.linalg.norm(pts[4]))
+        assert [list(nb) for nb in o.neighbor_lists] == [
+            [1, 2, 3, 4], [0, 2, 4], [0, 1, 3, 4], [0, 2, 4], [0, 1, 2, 3]
+        ]
+
+    @pytest.mark.parametrize(
+        "faces, error", [([[0, 1, 5]], IndexRangeError), ([[0, 1, -1]], IndexRangeError),
+                         ([[0, 1]], ManifestError)]
+    )
+    def test_bad_faces_rejected(self, faces, error):
+        pts = np.eye(3)
+        with pytest.raises(error):
+            GeodesicOracle(Shape(id="tri", points=pts), faces=faces)
 
 
 class TestShapeCollection:
@@ -295,6 +426,65 @@ class TestManifestRoundTrip:
         path.write_text("1,1\n")
         with pytest.raises(ManifestError, match=r"no row for source index 0"):
             load_collection(manifest)
+
+    @pytest.mark.parametrize(
+        "text, error, named",
+        [
+            ("0,x\n1,1\n", ManifestError, "could not convert"),
+            ("0,1\n1,1,0.5\n", ManifestError, "number of columns"),
+            ("0,1.5\n1,1\n", ManifestError, "non-integer index in row 0"),
+            ("0,0\n1,nan\n", ManifestError, "non-integer index in row 1"),
+            ("0,1,2,3\n1,1,2,3\n", ManifestError, "2 or 3 columns"),
+            ("# nothing here\n", ManifestError, "empty map file"),
+            ("0,1\ninf,1\n", ManifestError, "non-integer index in row 1"),
+            ("0,1\n2,1\n", IndexRangeError, r"index \(2,1\) out of range"),
+            ("0,1\n1,2\n", IndexRangeError, r"index \(1,2\) out of range"),
+            ("0,1,1.0\n1,-1,1.0\n", IndexRangeError, r"index \(1,-1\) out of range"),
+        ],
+    )
+    def test_bad_map_file_names_file(self, tmp_path, l4_swap, text, error, named):
+        manifest = save_collection(l4_swap, tmp_path / "bad")
+        (tmp_path / "bad" / "maps" / "s1__s0.csv").write_text(text)
+        with pytest.raises(error, match=r"s1__s0\.csv") as exc:
+            load_collection(manifest)
+        assert re.search(named, str(exc.value))
+
+    def test_map_file_comments_and_blank_lines_skipped(self, tmp_path, l4_swap):
+        manifest = save_collection(l4_swap, tmp_path / "c")
+        (tmp_path / "c" / "maps" / "s1__s0.csv").write_text("# header\n\n1,1\n 0 , 0 # trailing\n")
+        assert list(load_collection(manifest).maps[("s0", "s1")].indices) == [0, 1]
+
+    @given(
+        st.lists(
+            st.text(alphabet="ab_.-0", min_size=1, max_size=4), min_size=2, max_size=3, unique=True
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_valid_ids_round_trip(self, ids):
+        try:
+            shapes = [Shape(id=sid, points=np.arange(18.0).reshape(6, 3)) for sid in ids]
+        except ManifestError:
+            return
+        n = len(ids)
+        # constant maps, a different target per ordered pair, so two pairs
+        # sharing one file name would show
+        maps = {}
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids):
+                if a != b:
+                    maps[(a, b)] = CorrespondenceMap(
+                        a, b, "discrete", indices=np.full(6, (i * n + j) % 6), target_size=6
+                    )
+        coll = ShapeCollection(shapes=shapes, D=1.0 - np.eye(n), maps=maps)
+        with tempfile.TemporaryDirectory() as out:
+            loaded = load_collection(save_collection(coll, out))
+            assert sorted(os.listdir(out)) == sorted(
+                ["distances.csv", "manifest.json", "maps"] + [f"{sid}.xyz" for sid in ids]
+            )
+        assert loaded.ids == ids
+        assert loaded.maps.keys() == maps.keys()
+        for key, m in maps.items():
+            assert np.array_equal(loaded.maps[key].indices, m.indices)
 
     def test_identity_helper(self):
         m = identity_map("a", 4)
