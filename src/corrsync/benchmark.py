@@ -60,8 +60,9 @@ def geodesic_errors(
 
     predicted is a vertex->vertex mapping or a discrete map; distances divide
     by the target's geodesic diameter unless normalize is off. The graph is
-    undirected, so each error is read from the true vertex's cached row: one
-    Dijkstra run per landmark, however many maps are scored against it.
+    undirected, so each error is read from the true vertex's cached row: the
+    rows of all true vertices come from one oracle call, and each is computed
+    once however many maps are scored against it.
     """
     if not gt_pairs:
         raise ManifestError("no shared landmark labels between the two shapes")
@@ -71,15 +72,16 @@ def geodesic_errors(
         else (lambda v: int(predicted[v]))
     )
     scale = oracle.diameter() if normalize else 1.0
-    errs = []
-    for s, t in gt_pairs:
-        p = lookup(s)
+    preds = [lookup(s) for s, _ in gt_pairs]
+    for p in preds:
         if not 0 <= p < oracle.n:
             raise IndexRangeError(
                 f"shape {oracle.shape.id!r}: predicted vertex {p} out of range"
             )
-        errs.append(float(oracle.distances_from(t)[p]) / scale)
-    return np.asarray(errs, dtype=float)
+    truth = sorted({t for _, t in gt_pairs})
+    at = {t: i for i, t in enumerate(truth)}
+    rows = oracle.distance_rows(truth)
+    return rows[[at[t] for _, t in gt_pairs], preds] / scale
 
 
 def error_cdf(

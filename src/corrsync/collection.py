@@ -291,16 +291,32 @@ class GeodesicOracle:
         """Graph neighbours of each vertex, ascending."""
         return np.split(self.graph.indices, self.graph.indptr[1:-1])
 
-    def distances_from(self, v: int) -> np.ndarray:
-        v = int(v)
-        if not 0 <= v < self.n:
-            raise IndexRangeError(f"shape {self.shape.id!r}: vertex {v} out of range")
-        row = self._rows.get(v)
-        if row is None:
-            row = csgraph.dijkstra(self.graph, directed=False, indices=v)
+    def check_vertices(self, vertices) -> list[int]:
+        """The vertices as ints; IndexRangeError names the first outside the shape."""
+        idx = np.asarray(vertices, dtype=np.int64).ravel().tolist()
+        if idx and not (min(idx) >= 0 and max(idx) < self.n):
+            bad = next(v for v in idx if not 0 <= v < self.n)
+            raise IndexRangeError(f"shape {self.shape.id!r}: vertex {bad} out of range")
+        return idx
+
+    def distance_rows(self, vertices) -> np.ndarray:
+        """(len(vertices), n) array: the geodesic distance row of each vertex.
+
+        Every vertex is checked before any work. Rows not yet cached are
+        computed in one multi-source Dijkstra call, then cached one copy per
+        row, so no cached row holds on to the rest of its block.
+        """
+        wanted = self.check_vertices(vertices)
+        missing = sorted({v for v in wanted if v not in self._rows})
+        if missing:
+            block = csgraph.dijkstra(self.graph, directed=False, indices=missing)
             with self._lock:
-                self._rows.setdefault(v, row)
-        return self._rows[v]
+                for v, row in zip(missing, block):
+                    self._rows.setdefault(v, row.copy())
+        return np.array([self._rows[v] for v in wanted]).reshape(len(wanted), self.n)
+
+    def distances_from(self, v: int) -> np.ndarray:
+        return self.distance_rows([int(v)])[0]
 
     def distance(self, u: int, v: int) -> float:
         return float(self.distances_from(u)[int(v)])
@@ -309,17 +325,11 @@ class GeodesicOracle:
         """Vertices within geodesic distance radius of center (inclusive)."""
         return np.flatnonzero(self.distances_from(center) <= radius)
 
-    def diameter(self, exact: bool = False) -> float:
-        """Geodesic diameter; default is a deterministic double sweep from vertex 0."""
+    def diameter(self) -> float:
+        """Geodesic diameter by a deterministic double sweep from vertex 0."""
         if self._diameter is None:
-            if exact:
-                best = 0.0
-                for v in range(self.n):
-                    best = max(best, float(self.distances_from(v).max()))
-                self._diameter = best
-            else:
-                a = int(np.argmax(self.distances_from(0)))
-                self._diameter = float(self.distances_from(a).max())
+            a = int(np.argmax(self.distances_from(0)))
+            self._diameter = float(self.distances_from(a).max())
         return self._diameter
 
 

@@ -333,7 +333,7 @@ def interpolate_dense(
     srcs = [p[0] for p in pairs]
     tgts = [p[1] for p in pairs]
     k_eff = min(k, len(pairs))
-    rows = np.vstack([oracle_a.distances_from(s) for s in srcs])  # (L, n_a)
+    rows = oracle_a.distance_rows(srcs)  # (L, n_a)
     exact = {s: t for s, t in pairs}
     tree_b = cKDTree(shape_b.points)
     indices = np.empty(shape_a.n, dtype=np.int64)

@@ -296,22 +296,81 @@ def mle(soft: SoftCorrespondence) -> dict[int, int]:
     return out
 
 
+# Frechet costs are computed for blocks of rows of one support size; a block's
+# (row, support vertex, candidate) tensor holds at most _FRECHET_CELLS cells.
+_FRECHET_CELLS = 1 << 18
+
+
+def _frechet_costs(
+    dist: np.ndarray, pos: np.ndarray, support: np.ndarray, mass: np.ndarray
+) -> np.ndarray:
+    """(rows, s) costs: for row i and candidate x = support[i, x], the sum over
+    q of mass[i, q] * d(x, q) ** 2, added left to right in q.
+
+    dist[pos[i, x]] is the distance row of support[i, x].
+    """
+    r, s = support.shape
+    costs = np.empty((r, s))
+    xb = min(s, max(1, _FRECHET_CELLS // s))
+    rb = max(1, _FRECHET_CELLS // (s * xb))
+    for r0 in range(0, r, rb):
+        rs = slice(r0, r0 + rb)
+        for x0 in range(0, s, xb):
+            xs = slice(x0, x0 + xb)
+            # terms[i, q, x]; float_power is exactly Python's float ** 2
+            d = dist[pos[rs, None, xs], support[rs, :, None]]
+            terms = mass[rs, :, None] * np.float_power(d, 2.0)
+            # running sums add the q terms left to right (np.sum may add
+            # them pairwise), so the last one is the cost
+            np.add.accumulate(terms, axis=1, out=terms)
+            costs[rs, xs] = terms[:, -1]
+    return costs
+
+
 def frechet_mean(soft: SoftCorrespondence, oracle: GeodesicOracle) -> dict[int, int]:
     """Support-restricted Frechet mean per row under the target geodesic metric.
 
-    Picks the support vertex minimizing the mass-weighted sum of squared
-    geodesic distances to the rest of the support; ties take the lowest index.
+    Picks the support vertex x minimizing the sum over the support q, in
+    ascending order, of mass[q] * d(x, q) ** 2; ties take the lowest index.
+    Rows are batched by support size, and the distance rows of every support
+    vertex come from one oracle call. d(x, x) is 0, so a single-vertex row
+    needs no distance row. An empty row maps to -1.
     """
-    out: dict[int, int] = {}
+    out = dict.fromkeys(soft.rows, -1)
+    # support size -> (query vertices, supports, masses), flattened row-major
+    by_size: dict[int, tuple[list, list, list]] = {}
     for v, row in soft.rows.items():
-        support = sorted(row)
-        best_t, best_cost = -1, float("inf")
-        for x in support:
-            dx = oracle.distances_from(x)
-            cost = sum(row[q] * float(dx[q]) ** 2 for q in support)
-            if cost < best_cost:
-                best_t, best_cost = x, cost
-        out[v] = best_t
+        if row:
+            keys, support, mass = by_size.setdefault(len(row), ([], [], []))
+            keys.append(v)
+            sup = sorted(row)
+            support += sup
+            mass += map(row.__getitem__, sup)
+    if not by_size:
+        return out
+    groups = [
+        (keys, np.array(support, dtype=np.int64).reshape(len(keys), s),
+         np.array(mass, dtype=float).reshape(len(keys), s))
+        for s, (keys, support, mass) in by_size.items()
+    ]
+    oracle.check_vertices(np.concatenate([g[1].ravel() for g in groups]))
+    multi = [g[1].ravel() for g in groups if g[1].shape[1] > 1]
+    if multi:
+        fetched = np.unique(np.concatenate(multi))
+        dist = oracle.distance_rows(fetched)
+    for keys, support, mass in groups:
+        # overflowing and inf * 0 terms stay silent, as in Python float arithmetic
+        with np.errstate(over="ignore", invalid="ignore"):
+            if support.shape[1] == 1:
+                costs = mass * 0.0
+            else:
+                costs = _frechet_costs(dist, np.searchsorted(fetched, support), support, mass)
+        # as with a strict < scan from inf: a NaN never wins, nor does inf
+        costs[np.isnan(costs)] = np.inf
+        at = np.arange(len(keys))
+        best = np.argmin(costs, axis=1)
+        picks = np.where(costs[at, best] < np.inf, support[at, best], -1)
+        out.update(zip(keys, picks.tolist()))
     return out
 
 

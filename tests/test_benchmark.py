@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from corrsync.benchmark import (
     METHODS,
@@ -78,6 +79,27 @@ class TestGeodesicErrorsFromTruthRows:
         errs = geodesic_errors(predicted, gt, oracle, normalize=True)
         want = [reference.distance(int(guesses[s]), t) / reference.diameter() for s, t in gt]
         np.testing.assert_allclose(errs, want, rtol=1e-12, atol=0)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_bit_identical_to_single_source_rows(self, seed, normalize):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 120))
+        oracle = GeodesicOracle(Shape(id="t", points=rng.normal(size=(n, 3))), k=6)
+        gt = [(int(s), int(t)) for s, t in rng.integers(0, n, size=(int(rng.integers(1, 20)), 2))]
+        predicted = {s: int(rng.integers(0, n)) for s, _ in gt}
+        errs = geodesic_errors(predicted, gt, oracle, normalize=normalize)
+        scale = oracle.diameter() if normalize else 1.0
+        want = [
+            float(csgraph.dijkstra(oracle.graph, directed=False, indices=t)[predicted[s]]) / scale
+            for s, t in gt
+        ]
+        assert errs.tolist() == want
+
+    def test_out_of_range_truth_rejected(self):
+        oracle = line_oracle([0.0, 1.0, 2.0])
+        with pytest.raises(IndexRangeError, match="vertex 5 out of range"):
+            geodesic_errors({0: 1}, [(0, 5)], oracle)
 
     def test_out_of_range_prediction_rejected(self):
         oracle = line_oracle([0.0, 1.0, 2.0])

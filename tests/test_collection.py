@@ -1,6 +1,9 @@
 import os
 import re
+import sys
 import tempfile
+import types
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -199,6 +202,101 @@ class TestGeodesicOracle:
         pts = np.c_[np.arange(5, dtype=float), np.zeros(5), np.zeros(5)]
         o = GeodesicOracle(Shape(id="line", points=pts), k=1)
         assert o.diameter() == pytest.approx(4.0)
+
+
+def _cloud_oracle(seed, n=60, k=6):
+    pts = np.random.default_rng(seed).normal(size=(n, 3))
+    return GeodesicOracle(Shape(id="cloud", points=pts), k=k)
+
+
+@pytest.fixture
+def dijkstra_calls(monkeypatch):
+    """Every csgraph.dijkstra call made through corrsync.collection, as the
+    list of source vertices it was asked for."""
+    real = collection_mod.csgraph
+    calls = []
+
+    def dijkstra(*args, **kwargs):
+        calls.append(np.atleast_1d(kwargs["indices"]).tolist())
+        return real.dijkstra(*args, **kwargs)
+
+    view = types.SimpleNamespace(
+        connected_components=real.connected_components, dijkstra=dijkstra
+    )
+    monkeypatch.setattr(collection_mod, "csgraph", view)
+    return calls
+
+
+class TestDistanceRows:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 59), min_size=0, max_size=30),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bit_identical_to_single_source_rows(self, seed, vertices):
+        oracle = _cloud_oracle(seed)
+        rows = oracle.distance_rows(vertices)
+        assert rows.shape == (len(vertices), oracle.n)
+        want = [
+            sparse.csgraph.dijkstra(oracle.graph, directed=False, indices=v) for v in vertices
+        ]
+        assert np.array_equal(rows, np.array(want).reshape(rows.shape))
+        fresh = _cloud_oracle(seed)
+        stacked = [fresh.distances_from(v) for v in vertices]
+        assert np.array_equal(rows, np.array(stacked).reshape(rows.shape))
+
+    def test_missing_rows_in_one_call(self, dijkstra_calls):
+        oracle = _cloud_oracle(0)
+        oracle.distance_rows([7, 3, 11, 5])
+        assert dijkstra_calls == [[3, 5, 7, 11]]
+
+    def test_cached_rows_not_recomputed(self, dijkstra_calls):
+        oracle = _cloud_oracle(0)
+        first = oracle.distance_rows([4, 9])
+        again = oracle.distance_rows([9, 2, 4])
+        assert dijkstra_calls == [[4, 9], [2]]
+        assert np.array_equal(again[[0, 2]], first[[1, 0]])
+        oracle.distance_rows([2, 4])
+        oracle.distances_from(9)
+        assert dijkstra_calls == [[4, 9], [2]]
+
+    def test_repeated_vertices(self, dijkstra_calls):
+        oracle = _cloud_oracle(0)
+        rows = oracle.distance_rows([5, 5, 2, 5])
+        assert dijkstra_calls == [[2, 5]]
+        assert np.array_equal(rows[[0, 1, 3]], np.broadcast_to(rows[0], (3, oracle.n)))
+        assert np.array_equal(rows[2], oracle.distances_from(2))
+
+    @pytest.mark.parametrize("bad", [-1, 60, 10**6])
+    def test_out_of_range_checked_before_any_row(self, dijkstra_calls, bad):
+        oracle = _cloud_oracle(0)
+        with pytest.raises(IndexRangeError, match=f"vertex {bad} out of range"):
+            oracle.distance_rows([1, bad, 2])
+        with pytest.raises(IndexRangeError):
+            oracle.distances_from(bad)
+        assert dijkstra_calls == []
+
+    def test_concurrent_fetches_agree(self):
+        oracle = _cloud_oracle(1)
+        reference = _cloud_oracle(1).distance_rows(np.arange(60))
+        rng = np.random.default_rng(2)
+        requests = [rng.integers(0, 60, size=25) for _ in range(32)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(oracle.distance_rows, r) for r in requests]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        for r, rows in zip(requests, results):
+            assert np.array_equal(rows, reference[r])
+        assert sorted(oracle._rows) == sorted(set(np.concatenate(requests).tolist()))
+
+    def test_empty(self, dijkstra_calls):
+        oracle = _cloud_oracle(0)
+        assert oracle.distance_rows([]).shape == (0, oracle.n)
+        assert dijkstra_calls == []
 
 
 def _brute_force_graph(pts, k):

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scipy import sparse
+from scipy.sparse import csgraph
 
+import corrsync.soft as soft_mod
+from corrsync.benchmark import corrupt_maps, synth_collection
 from corrsync.collection import CorrespondenceMap, GeodesicOracle, Shape, ShapeCollection
 from corrsync.errors import EmptyPathSetError, IndexRangeError, MissingMapError
 from corrsync.flow import directed_flow_matrix
@@ -266,6 +269,160 @@ class TestHardMaps:
         oracle = GeodesicOracle(Shape(id="b", points=pts), k=1)
         sc = SoftCorrespondence("a", "b", {0: {0: 0.5, 2: 0.5}}, 0.0, 1.0, 1, False)
         assert frechet_mean(sc, oracle) == {0: 0}
+
+
+def reference_costs(row, oracle):
+    """Per support vertex in ascending order, the Frechet cost by definition:
+    mass[q] * d(x, q) ** 2 added left to right over the ascending support."""
+    support = sorted(row)
+    costs = []
+    for x in support:
+        dx = csgraph.dijkstra(oracle.graph, directed=False, indices=x)
+        cost = 0.0
+        for q in support:
+            cost += row[q] * float(dx[q]) ** 2
+        costs.append(cost)
+    return costs
+
+
+def reference_frechet(soft, oracle):
+    """The per-row scan: the first support vertex with the lowest cost."""
+    out = {}
+    for v, row in soft.rows.items():
+        best_t, best_cost = -1, float("inf")
+        for x, cost in zip(sorted(row), reference_costs(row, oracle)):
+            if cost < best_cost:
+                best_t, best_cost = x, cost
+        out[v] = best_t
+    return out
+
+
+# a unit-spaced line (integer distances, many exact cost ties) and a random cloud
+LINE = GeodesicOracle(
+    Shape(id="line", points=np.c_[np.arange(24.0), np.zeros(24), np.zeros(24)]), k=1
+)
+CLOUD = GeodesicOracle(
+    Shape(id="cloud", points=np.random.default_rng(5).normal(size=(40, 3))), k=6
+)
+
+
+@st.composite
+def soft_rows(draw):
+    """Rows over LINE or CLOUD: supports of 1 to 20 vertices, masses either
+    random or drawn from a few repeated values."""
+    oracle = draw(st.sampled_from([LINE, CLOUD]))
+    mass = (
+        st.sampled_from([0.25, 0.5, 1.0 / 3.0])
+        if draw(st.booleans())
+        else st.floats(1e-6, 1.0)
+    )
+    keys = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
+    rows = {}
+    for v in keys:
+        support = draw(
+            st.lists(st.integers(0, oracle.n - 1), min_size=1,
+                     max_size=20, unique=True)
+        )
+        rows[v] = {q: draw(mass) for q in support}
+    return SoftCorrespondence("a", oracle.shape.id, rows, 0.0, 1.0, 1, False), oracle
+
+
+class TestFrechetMean:
+    @given(soft_rows())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_scan(self, case):
+        sc, oracle = case
+        got = frechet_mean(sc, oracle)
+        assert got == reference_frechet(sc, oracle)
+        assert list(got) == list(sc.rows)
+
+    @given(soft_rows())
+    @settings(max_examples=120, deadline=None)
+    def test_costs_bit_identical_to_left_to_right_sum(self, case):
+        # sizes 9-20 cross numpy's 8-wide pairwise-summation blocks
+        sc, oracle = case
+        for row in sc.rows.values():
+            support = np.array([sorted(row)])
+            mass = np.array([[row[q] for q in sorted(row)]])
+            dist = oracle.distance_rows(support[0])
+            got = soft_mod._frechet_costs(dist, np.arange(support.size)[None, :], support, mass)
+            assert got[0].tolist() == reference_costs(row, oracle)
+
+    @pytest.mark.parametrize("cells", [1, 7, 50])
+    def test_block_size_does_not_change_costs(self, monkeypatch, cells):
+        rng = np.random.default_rng(3)
+        support = np.sort(rng.choice(CLOUD.n, size=(5, 12), replace=True), axis=1)
+        mass = rng.random((5, 12))
+        dist = CLOUD.distance_rows(np.arange(CLOUD.n))
+        want = soft_mod._frechet_costs(dist, support, support, mass)
+        monkeypatch.setattr(soft_mod, "_FRECHET_CELLS", cells)
+        assert np.array_equal(soft_mod._frechet_costs(dist, support, support, mass), want)
+
+    def test_exact_ties_take_lowest_index(self):
+        # on the line, vertices 3 and 5 around 4 are symmetric; 4 is absent
+        sc = SoftCorrespondence(
+            "a", "line", {0: {5: 0.5, 3: 0.5}, 1: {7: 0.25, 1: 0.25, 3: 0.25, 5: 0.25}},
+            0.0, 1.0, 1, False,
+        )
+        assert frechet_mean(sc, LINE) == {0: 3, 1: 3}
+
+    def test_single_vertex_rows_need_no_distance_row(self, monkeypatch):
+        oracle = GeodesicOracle(Shape(id="b", points=CLOUD.shape.points), k=6)
+        monkeypatch.setattr(oracle, "distance_rows", None)
+        sc = SoftCorrespondence("a", "b", {4: {9: 1.0}, 2: {0: 1.0}, 7: {}}, 0.0, 1.0, 1, False)
+        assert frechet_mean(sc, oracle) == {4: 9, 2: 0, 7: -1}
+        assert list(frechet_mean(sc, oracle)) == [4, 2, 7]
+
+    @pytest.mark.parametrize("bad", [-1, 40, 1000])
+    @pytest.mark.parametrize("other", [{}, {3: 0.5, 6: 0.5}])
+    def test_out_of_range_vertex_rejected(self, bad, other):
+        sc = SoftCorrespondence("a", "cloud", {0: other, 1: {bad: 1.0}}, 0.0, 1.0, 1, False)
+        with pytest.raises(IndexRangeError, match=f"vertex {bad} out of range"):
+            frechet_mean(sc, CLOUD)
+        many = SoftCorrespondence("a", "cloud", {1: {2: 0.5, bad: 0.5}}, 0.0, 1.0, 1, False)
+        with pytest.raises(IndexRangeError):
+            frechet_mean(many, CLOUD)
+
+    def test_squares_are_python_float_squares(self):
+        # about 0.08% of d * d differ from float(d) ** 2 in the last bit;
+        # 150 rows of 20 vertices on a 150-point cloud hit some of them
+        oracle = GeodesicOracle(
+            Shape(id="c", points=np.random.default_rng(8).normal(size=(150, 3))), k=6
+        )
+        rng = np.random.default_rng(9)
+        support = (np.arange(150)[:, None] + np.arange(20)) % 150
+        support.sort(axis=1)
+        mass = rng.random(support.shape)
+        got = soft_mod._frechet_costs(oracle.distance_rows(np.arange(150)), support, support, mass)
+        for i in range(150):
+            row = dict(zip(support[i].tolist(), mass[i].tolist()))
+            assert got[i].tolist() == reference_costs(row, oracle)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {3: float("nan")}, {3: float("inf")}, {3: -1.0}, {3: float("nan"), 6: 0.5},
+            {3: float("inf"), 6: 0.5}, {3: -1.0, 6: 0.5},
+            # all costs overflow to inf: no vertex beats the initial inf
+            {0: 1e308, 5: 1e308},
+            # vertex 5 costs inf - inf = nan, which must not win over vertex 0
+            {0: 1e308, 1: -1e308, 5: 1.0},
+        ],
+    )
+    def test_non_finite_costs_as_reference(self, row):
+        sc = SoftCorrespondence("a", "line", {0: row}, 0.0, 1.0, 1, False)
+        assert frechet_mean(sc, LINE) == reference_frechet(sc, LINE)
+
+    def test_threads_agree_with_serial(self):
+        coll = synth_collection(5, 60, 0.10, 0, map_source="truth")
+        coll = corrupt_maps(coll, 0.25, 0)
+        queries = {s.id: list(range(s.n)) for s in coll.shapes}
+        serial = all_pairs_soft(coll, lam=0.978, queries=queries)
+        threaded = all_pairs_soft(coll, lam=0.978, queries=queries, threads=4)
+        assert threaded.frechet == serial.frechet
+        for pair, soft in serial.soft.items():
+            oracle = coll.oracle(pair[1])
+            assert serial.frechet[pair] == reference_frechet(soft, oracle)
 
 
 class TestRowHelpers:
