@@ -29,7 +29,7 @@ from .benchmark import (
     stability_report,
     synth_collection,
 )
-from .collection import atomic_write, load_collection, save_collection
+from .collection import _fmt, atomic_write, load_collection, save_collection
 from .errors import CorrsyncError
 from .flow import directed_flow_matrix
 from .geometry import (
@@ -54,10 +54,6 @@ from .matching import (
     stable_curvature_match,
 )
 from .soft import propagate_soft
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _provenance_header(command: str, seed, config: dict) -> str:

@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import (
     DisconnectedGraphError,
@@ -36,6 +34,26 @@ from .errors import (
 SOFT_PRUNE = 1e-12
 SOFT_ROW_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
+
+
+def __getattr__(name: str):
+    # scipy.sparse and csgraph are imported on first access (PEP 562), so work on
+    # discrete maps never loads them; once imported they are plain module
+    # attributes, and one that was set from outside stays as it is
+    if name not in ("sparse", "csgraph"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    globals().setdefault("sparse", sparse)
+    globals().setdefault("csgraph", csgraph)
+    return globals()[name]
+
+
+def _scipy(name: str):
+    """The module attribute ``sparse`` or ``csgraph``, imported on first use."""
+    scope = globals()
+    return scope[name] if name in scope else __getattr__(name)
 
 
 def edge_weight(d: float, beta: float = 1.0) -> float:
@@ -139,7 +157,7 @@ class CorrespondenceMap:
         elif self.kind == "soft":
             if self.matrix is None:
                 raise ManifestError("soft map needs a matrix")
-            self.matrix = sparse.csr_matrix(self.matrix)
+            self.matrix = _scipy("sparse").csr_matrix(self.matrix)
             if (self.matrix.data < 0).any():
                 raise SoftRowError(
                     f"map {self.source_id!r}->{self.target_id!r}: negative mass"
@@ -193,7 +211,9 @@ class CorrespondenceMap:
             return self.matrix
         n, m = self.n_source, self.n_target
         data = np.ones(n)
-        return sparse.csr_matrix((data, (np.arange(n), self.indices)), shape=(n, m))
+        return _scipy("sparse").csr_matrix(
+            (data, (np.arange(n), self.indices)), shape=(n, m)
+        )
 
     def is_bijection(self) -> bool:
         if self.kind != "discrete" or self.n_source != self.n_target:
@@ -213,6 +233,7 @@ def identity_map(shape_id: str, n: int, target_id: str | None = None) -> Corresp
 
 def _clean_soft(mat: sparse.csr_matrix) -> sparse.csr_matrix:
     """Drop per-row mass below the pruning floor and renormalize rows."""
+    sparse = _scipy("sparse")
     mat = sparse.csr_matrix(mat)
     mat.data[mat.data < SOFT_PRUNE] = 0.0
     mat.eliminate_zeros()
@@ -271,6 +292,7 @@ class GeodesicOracle:
         self._lock = threading.Lock()
         self._diameter: float | None = None
         self.graph = _build_neighbor_graph(shape, k, faces)
+        csgraph = _scipy("csgraph")
         n_comp, labels = csgraph.connected_components(self.graph, directed=False)
         if n_comp > 1:
             sizes = np.bincount(labels)
@@ -309,7 +331,7 @@ class GeodesicOracle:
         wanted = self.check_vertices(vertices)
         missing = sorted({v for v in wanted if v not in self._rows})
         if missing:
-            block = csgraph.dijkstra(self.graph, directed=False, indices=missing)
+            block = _scipy("csgraph").dijkstra(self.graph, directed=False, indices=missing)
             with self._lock:
                 for v, row in zip(missing, block):
                     self._rows.setdefault(v, row.copy())
@@ -361,7 +383,7 @@ def _build_neighbor_graph(shape: Shape, k: int, faces: np.ndarray | None) -> spa
     lengths = np.linalg.norm(pts[rows_arr] - pts[cols_arr], axis=1)
     # sparse graph routines read 0 as "no edge"; keep coincident points connected
     lengths = np.maximum(lengths, 1e-300)
-    return sparse.csr_matrix((lengths, (rows_arr, cols_arr)), shape=(n, n))
+    return _scipy("sparse").csr_matrix((lengths, (rows_arr, cols_arr)), shape=(n, n))
 
 
 def _nearest_neighbors(pts: np.ndarray, k: int) -> np.ndarray:
@@ -438,10 +460,11 @@ class ShapeCollection:
             raise DuplicateShapeError(
                 "two shapes at distance zero; pass allow_duplicates/--allow-duplicates"
             )
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta!r}")
         self._index = {sid: i for i, sid in enumerate(ids)}
-        self.W = np.exp(-self.beta * self.D * self.D)
+        with np.errstate(over="ignore"):  # an overflowing square weighs exp(-inf) = 0
+            self.W = np.exp(-self.beta * self.D * self.D)
         self._oracles: dict[tuple[str, int], GeodesicOracle] = {}
         self._oracle_lock = threading.Lock()
         for (src, tgt), m in self.maps.items():
@@ -518,11 +541,43 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _index(value) -> int:
+    """A vertex index read from a manifest: an int, or a float or string that is one."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _positive(value) -> float:
+    """A finite positive float read from a manifest."""
+    x = float(value)
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(value)
+    return x
+
+
+def _field(value, convert, where: str, name: str):
+    """``convert(value)``; a value it cannot take raises ManifestError naming the field."""
+    try:
+        return convert(value)
+    except (AttributeError, OverflowError, TypeError, ValueError):
+        raise ManifestError(f"{where}: invalid {name!r}: {value!r}") from None
+
+
+def _load_table(path: str, **kwargs) -> np.ndarray:
+    try:
+        return np.loadtxt(path, **kwargs)
+    except ValueError as exc:
+        raise ManifestError(f"file {path}: {exc}") from None
+
+
 def load_collection(manifest_path: str, allow_duplicates: bool = False) -> ShapeCollection:
     """Load a collection from a manifest JSON file.
 
     The manifest references a points file per shape, a distances CSV, and a map
-    directory; all paths are resolved relative to the manifest's directory.
+    directory; all paths are resolved relative to the manifest's directory. A
+    field that is missing or cannot be read raises ManifestError naming it, and
+    the shape it belongs to.
     """
     manifest_path = os.path.abspath(manifest_path)
     if not os.path.exists(manifest_path):
@@ -534,37 +589,52 @@ def load_collection(manifest_path: str, allow_duplicates: bool = False) -> Shape
         except json.JSONDecodeError as exc:
             raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
 
-    def resolve(rel: str) -> str:
-        path = os.path.join(base, rel)
+    def resolve(rel, where: str, name: str) -> str:
+        path = _field(rel, lambda r: os.path.join(base, r), where, name)
         if not os.path.exists(path):
             raise ManifestError(f"referenced file not found: {path}")
         return path
 
-    if "shapes" not in doc or "distances_file" not in doc or "maps_dir" not in doc:
+    if not isinstance(doc, dict) or not {"shapes", "distances_file", "maps_dir"} <= doc.keys():
         raise ManifestError("manifest requires shapes, distances_file, maps_dir")
+    if not isinstance(doc["shapes"], list):
+        raise ManifestError(f"manifest: invalid 'shapes': {doc['shapes']!r}")
+    beta = _field(doc.get("beta", 1.0), _positive, "manifest", "beta")
 
     shapes: list[Shape] = []
-    for entry in doc["shapes"]:
-        points = np.loadtxt(resolve(entry["points_file"]), ndmin=2)
+    for pos, entry in enumerate(doc["shapes"]):
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise ManifestError(f"shape entry {pos}: expected an object with an 'id'")
+        where = f"shape {entry['id']!r}"
+        if "points_file" not in entry:
+            raise ManifestError(f"{where}: missing 'points_file'")
+        points = _load_table(resolve(entry["points_file"], where, "points_file"), ndmin=2)
         field_vals = None
         if entry.get("scalar_field_file"):
-            field_vals = np.loadtxt(resolve(entry["scalar_field_file"]), ndmin=1)
+            field_path = resolve(entry["scalar_field_file"], where, "scalar_field_file")
+            field_vals = _load_table(field_path, ndmin=1)
+        landmarks = entry.get("landmarks")
+        if landmarks is not None:
+            landmarks = _field(landmarks, lambda v: [_index(i) for i in v], where, "landmarks")
+        truth = entry.get("ground_truth")
+        if truth is not None:
+            truth = _field(
+                truth, lambda g: {str(k): _index(v) for k, v in g.items()}, where, "ground_truth"
+            )
         shapes.append(
             Shape(
                 id=str(entry["id"]),
                 points=points,
-                landmark_indices=[int(i) for i in entry["landmarks"]]
-                if entry.get("landmarks") is not None
-                else None,
-                ground_truth={str(k): int(v) for k, v in entry["ground_truth"].items()}
-                if entry.get("ground_truth") is not None
-                else None,
+                landmark_indices=landmarks,
+                ground_truth=truth,
                 scalar_field=field_vals,
             )
         )
 
-    D = np.loadtxt(resolve(doc["distances_file"]), delimiter=",", ndmin=2)
-    maps_dir = os.path.join(base, doc["maps_dir"])
+    D = _load_table(
+        resolve(doc["distances_file"], "manifest", "distances_file"), delimiter=",", ndmin=2
+    )
+    maps_dir = _field(doc["maps_dir"], lambda r: os.path.join(base, r), "manifest", "maps_dir")
     if not os.path.isdir(maps_dir):
         raise ManifestError(f"maps directory not found: {maps_dir}")
 
@@ -582,7 +652,7 @@ def load_collection(manifest_path: str, allow_duplicates: bool = False) -> Shape
         shapes=shapes,
         D=D,
         maps=maps,
-        beta=float(doc.get("beta", 1.0)),
+        beta=beta,
         allow_duplicates=allow_duplicates,
     )
 
@@ -631,7 +701,7 @@ def _read_map(path: str, src: str, tgt: str, n_src: int, n_tgt: int) -> Correspo
             source_id=src, target_id=tgt, kind="discrete",
             indices=indices, target_size=n_tgt,
         )
-    mat = sparse.csr_matrix((table[:, 2], (sources, targets)), shape=(n_src, n_tgt))
+    mat = _scipy("sparse").csr_matrix((table[:, 2], (sources, targets)), shape=(n_src, n_tgt))
     covered = np.diff(mat.indptr) > 0
     if not covered.all():
         raise ManifestError(

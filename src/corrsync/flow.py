@@ -86,7 +86,8 @@ def directed_flow_matrix(
     if adjacency is not None:
         F &= np.asarray(adjacency, dtype=bool)
     if W is None:
-        W = np.exp(-beta * D * D)
+        with np.errstate(over="ignore"):  # an overflowing square weighs exp(-inf) = 0
+            W = np.exp(-beta * D * D)
     WF = np.where(F, W, 0.0)
     return FlowMatrix(source=i, target=j, F=F, WF=WF, D=D, beta=beta)
 
@@ -105,7 +106,8 @@ def enumerate_paths(
     Exceeding max_paths raises rather than truncating.
     """
     i, j = flow.source, flow.target
-    D2 = flow.D * flow.D
+    with np.errstate(over="ignore"):  # an overflowing square is an infinite energy
+        D2 = flow.D * flow.D
     # only vertices from which j is reachable can lie on a path
     live = [False] * flow.n
     live[j] = True

@@ -63,14 +63,34 @@ class TestExitCodes:
         assert "corrsync" in proc.stdout
 
     def test_cli_import_leaves_scipy_spatial_unloaded(self):
-        # commands that never build a KD-tree should not pay for importing one
+        # commands that never build a KD-tree or a sparse matrix should not pay
+        # for importing either
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, corrsync.cli; print('scipy.spatial' in sys.modules)"],
+             "import sys, corrsync.cli; "
+             "print('scipy.spatial' in sys.modules, 'scipy.sparse' in sys.modules)"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["propagate"], ["baseline", "--method", "mst"], ["baseline", "--method", "direct"],
+         ["baseline", "--method", "shortest"], ["flow"]],
+    )
+    def test_discrete_map_commands_run_without_scipy_sparse(self, l4_manifest, command):
+        argv = command + ["--manifest", l4_manifest, "--source", "s0", "--target", "s3",
+                          "--quiet"]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from corrsync.cli import main; rc = main(sys.argv[1:]); "
+             "print(rc, 'scipy.sparse' in sys.modules, file=sys.stderr)", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "0 False"
+        assert proc.stdout
 
 
 class TestBadCollectionFiles:
@@ -88,6 +108,43 @@ class TestBadCollectionFiles:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "s1__s0.csv" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            ({"beta": -1}, "'beta': -1"),
+            ({"beta": 0}, "'beta': 0"),
+            ({"beta": "abc"}, "'beta': 'abc'"),
+            ({"beta": float("nan")}, "'beta': nan"),
+            ({"beta": float("inf")}, "'beta': inf"),
+            ({"beta": None}, "'beta': None"),
+            ({"landmarks": ["x"]}, "shape 's1': invalid 'landmarks': ['x']"),
+            ({"landmarks": [0.5]}, "shape 's1': invalid 'landmarks': [0.5]"),
+            ({"landmarks": 3}, "shape 's1': invalid 'landmarks': 3"),
+            ({"ground_truth": {"tip": "x"}}, "shape 's1': invalid 'ground_truth'"),
+            ({"points_file": None}, "shape 's1': missing 'points_file'"),
+            ({"points_file": 5}, "shape 's1': invalid 'points_file': 5"),
+        ],
+        ids=["beta-negative", "beta-zero", "beta-text", "beta-nan", "beta-inf", "beta-null",
+             "landmark-text", "landmark-fraction", "landmarks-scalar", "truth-text",
+             "points-file-missing", "points-file-number"],
+    )
+    def test_bad_manifest_field(self, tmp_path, edit, named):
+        manifest = save_collection(build_l4(swapped_pair=(1, 3)), tmp_path / "c")
+        doc = json.loads((tmp_path / "c" / "manifest.json").read_text())
+        for key, value in edit.items():
+            target = doc if key == "beta" else doc["shapes"][1]
+            if value is None and key == "points_file":
+                del target[key]
+            else:
+                target[key] = value
+        (tmp_path / "c" / "manifest.json").write_text(json.dumps(doc))
+        proc = self._propagate(manifest)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert named in proc.stderr
+        assert proc.stdout == ""
 
     def test_path_escaping_shape_id(self, tmp_path):
         manifest = save_collection(build_l4(swapped_pair=(1, 3)), tmp_path / "c")

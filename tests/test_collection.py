@@ -1,5 +1,7 @@
+import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import types
@@ -186,6 +188,36 @@ class TestGeodesicOracle:
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
         o = GeodesicOracle(Shape(id="line", points=pts), k=1)
         assert 0 in o.neighbor_lists[1]
+
+    def test_first_use_import_is_safe_across_threads(self):
+        # eight threads build mesh oracles (no KD-tree) at once in a process
+        # that has not imported scipy.sparse yet
+        code = """
+import sys, threading
+import numpy as np
+import corrsync.collection as cc
+assert "scipy.sparse" not in sys.modules
+pts = np.c_[np.arange(30.0), np.zeros(30), np.zeros(30)]
+faces = np.c_[np.arange(28), np.arange(1, 29), np.arange(2, 30)]
+out = []
+def build():
+    oracle = cc.GeodesicOracle(cc.Shape(id="line", points=pts), faces=faces)
+    out.append(oracle.distances_from(0).tolist())
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=build) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+print(len(out), all(row == out[0] for row in out), out[0][-1],
+      cc.csgraph is sys.modules["scipy.sparse.csgraph"])
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["8", "True", "29.0", "True"]
 
     def test_disconnected_graph_reported(self):
         pts = np.vstack([np.zeros((3, 3)) + [0, 0, 0], np.zeros((3, 3)) + [100.0, 0, 0]])
@@ -420,6 +452,12 @@ class TestShapeCollection:
         with pytest.raises(MetricAsymmetryError, match=r"non-finite .* at \(1, 2\)"):
             ShapeCollection(shapes=shapes, D=D, maps={})
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_beta_must_be_finite_and_positive(self, beta):
+        shapes = [two_point_shape("a"), two_point_shape("b")]
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            ShapeCollection(shapes=shapes, D=np.array([[0.0, 1.0], [1.0, 0.0]]), maps={}, beta=beta)
+
     def test_zero_offdiagonal_needs_flag(self):
         shapes = [two_point_shape("a"), two_point_shape("b")]
         D = np.zeros((2, 2))
@@ -546,6 +584,34 @@ class TestManifestRoundTrip:
         with pytest.raises(error, match=r"s1__s0\.csv") as exc:
             load_collection(manifest)
         assert re.search(named, str(exc.value))
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda doc: doc.update(beta="abc"), "manifest: invalid 'beta': 'abc'"),
+            (lambda doc: doc.update(shapes={}), "manifest: invalid 'shapes'"),
+            (lambda doc: doc["shapes"].append(3), "shape entry 4"),
+            (lambda doc: doc["shapes"][0].pop("id"), "shape entry 0"),
+            (lambda doc: doc.update(maps_dir=[]), "manifest: invalid 'maps_dir'"),
+            (lambda doc: doc.update(distances_file=1), "manifest: invalid 'distances_file'"),
+        ],
+        ids=["beta", "shapes-not-a-list", "entry-not-an-object", "entry-without-id",
+             "maps-dir", "distances-file"],
+    )
+    def test_bad_manifest_field_named(self, tmp_path, l4_swap, edit, named):
+        manifest = save_collection(l4_swap, tmp_path / "m")
+        doc = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        edit(doc)
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match=re.escape(named)):
+            load_collection(manifest)
+
+    @pytest.mark.parametrize("name", ["s0.xyz", "distances.csv"])
+    def test_unreadable_table_names_file(self, tmp_path, l4_swap, name):
+        manifest = save_collection(l4_swap, tmp_path / "t")
+        (tmp_path / "t" / name).write_text("0,x\n")
+        with pytest.raises(ManifestError, match=re.escape(name)):
+            load_collection(manifest)
 
     def test_map_file_comments_and_blank_lines_skipped(self, tmp_path, l4_swap):
         manifest = save_collection(l4_swap, tmp_path / "c")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from scipy.sparse import csgraph
 import corrsync.soft as soft_mod
 from corrsync.benchmark import corrupt_maps, synth_collection
 from corrsync.collection import CorrespondenceMap, GeodesicOracle, Shape, ShapeCollection
-from corrsync.errors import EmptyPathSetError, IndexRangeError, MissingMapError
+from corrsync.errors import CorrsyncError, EmptyPathSetError, IndexRangeError, MissingMapError
 from corrsync.flow import directed_flow_matrix
 from corrsync.soft import (
     SoftCorrespondence,
@@ -239,6 +241,90 @@ class TestBatchedPush:
         want = per_chain_rows(l4_swap, "s0", "s3", 0.0, [0], max_paths=100)
         assert soft.rows[0] == pytest.approx(want[0], abs=1e-12)
         assert soft.rows[0][1] == pytest.approx((0.75 * np.exp(-9) + np.exp(-5)) / Z)
+
+
+def all_rows(coll, lam):
+    """Every ordered pair's rows with every vertex queried, or the CorrsyncError
+    the pair raised."""
+    out = {}
+    for a in coll.ids:
+        for b in coll.ids:
+            if a != b:
+                try:
+                    out[(a, b)] = propagate_soft(
+                        coll, a, b, lam=lam, source_points=range(coll.shape(a).n)
+                    ).rows
+                except CorrsyncError as exc:
+                    out[(a, b)] = type(exc)
+    return out
+
+
+def with_distances(coll, D, beta):
+    return ShapeCollection(shapes=coll.shapes, D=D, maps=coll.maps, beta=beta)
+
+
+class TestReadmeInvariants:
+    """Numeric contracts of the README on random collections of 3-6 shapes."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(-8, 8),
+        st.floats(0.05, 20.0),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([0.0, 0.4]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_units_of_d_only_matter_through_beta(self, seed, log2_c, beta, lam, soft_share):
+        # (c D, beta / c^2, lambda) describes the same collection as (D, beta, lambda)
+        coll = random_collection(np.random.default_rng(seed), soft_share)
+        c = 2.0**log2_c
+        want = all_rows(with_distances(coll, coll.D, beta), lam)
+        got = all_rows(with_distances(coll, c * coll.D, beta / c**2), lam)
+        assert got.keys() == want.keys()
+        for pair, rows in want.items():
+            if isinstance(rows, type):
+                assert got[pair] is rows
+                continue
+            assert list(got[pair]) == list(rows)
+            for v, row in rows.items():
+                assert list(got[pair][v]) == list(row)
+                assert np.allclose(list(got[pair][v].values()), list(row.values()), rtol=0, atol=1e-12)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.data(),
+        st.floats(1e-6, 1e6),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([0.0, 0.4]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_positive_d_gives_normalized_rows_or_an_error(
+        self, seed, data, beta, lam, soft_share
+    ):
+        coll = random_collection(np.random.default_rng(seed), soft_share)
+        n = coll.n
+        upper = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                min_size=n * (n - 1) // 2,
+                max_size=n * (n - 1) // 2,
+            )
+        )
+        D = np.zeros((n, n))
+        D[np.triu_indices(n, 1)] = upper
+        D += D.T
+        with warnings.catch_warnings():
+            # an overflowing D^2 is a zero weight, not a warning on stderr
+            warnings.simplefilter("error")
+            result = all_rows(with_distances(coll, D, beta), lam)
+        for pair, rows in result.items():
+            if isinstance(rows, type):
+                continue
+            assert list(rows) == list(range(coll.shape(pair[0]).n))
+            for row in rows.values():
+                masses = np.array(list(row.values()))
+                assert np.isfinite(masses).all() and (masses >= 0).all()
+                assert abs(masses.sum() - 1.0) <= 1e-9
 
 
 class TestHardMaps:
