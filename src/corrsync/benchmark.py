@@ -512,8 +512,8 @@ def stability_report(
         soft_b = propagate_soft(before, a, b, lam=lam, source_points=pts, max_paths=max_paths)
         soft_a = propagate_soft(after, a, b, lam=lam, source_points=pts, max_paths=max_paths)
         worst = 0.0
-        for v in soft_b.rows:
-            worst = max(worst, tv_distance(soft_b.rows[v], soft_a.rows[v]))
+        for v in soft_b.queries.tolist():
+            worst = max(worst, tv_distance(soft_b.row(v), soft_a.row(v)))
         tv[(a, b)] = worst
 
     mst_b = _mst_id_edges(before)

@@ -184,17 +184,15 @@ def _cmd_propagate(args) -> int:
         collection, args.source, args.target, lam=lam, source_points=points,
         max_paths=max_paths, strict=bool(args.strict),
     )
+    rows = []
+    for v in sorted(soft.queries.tolist()):
+        targets, masses = (part.tolist() for part in soft.row(v))
+        rows.append({"source_index": v, "support": [[t, m] for t, m in zip(targets, masses)]})
     payload = {
         "source": args.source,
         "target": args.target,
         "lambda": lam,
-        "rows": [
-            {
-                "source_index": v,
-                "support": [[t, m] for t, m in sorted(soft.rows[v].items())],
-            }
-            for v in sorted(soft.rows)
-        ],
+        "rows": rows,
         "provenance": {
             "version": __version__,
             "command": "propagate",
@@ -206,7 +204,7 @@ def _cmd_propagate(args) -> int:
         },
     }
     _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _info(args, f"propagated {len(soft.rows)} rows over {soft.path_count} paths")
+    _info(args, f"propagated {soft.queries.size} rows over {soft.path_count} paths")
     return 0
 
 

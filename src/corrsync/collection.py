@@ -187,24 +187,8 @@ class CorrespondenceMap:
     def apply(self, v: int) -> int:
         """Image of vertex v under a discrete map."""
         if self.kind != "discrete":
-            raise ValueError("apply() is for discrete maps; use push_row()")
+            raise ValueError("apply() is for discrete maps; a soft map's row v is matrix[v]")
         return int(self.indices[v])
-
-    def push_row(self, row: dict[int, float]) -> dict[int, float]:
-        """Push a sparse distribution over source vertices forward through the map."""
-        out: dict[int, float] = {}
-        if self.kind == "discrete":
-            for v, m in row.items():
-                t = int(self.indices[v])
-                out[t] = out.get(t, 0.0) + m
-            return out
-        mat = self.matrix
-        for v, m in row.items():
-            start, stop = mat.indptr[v], mat.indptr[v + 1]
-            for t, p in zip(mat.indices[start:stop], mat.data[start:stop]):
-                t = int(t)
-                out[t] = out.get(t, 0.0) + m * float(p)
-        return out
 
     def to_soft(self) -> sparse.csr_matrix:
         if self.kind == "soft":

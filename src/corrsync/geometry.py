@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AntipodalError, MaxStepsError
+from .errors import AntipodalError, CorrsyncError, MaxStepsError
 from .flow import FlowMatrix, WalkResult, directed_flow_matrix, sample_walk
 
 UNIT_TOL = 1e-12
@@ -145,6 +145,8 @@ def lattice_walks(
     discard count. Each attempt draws from its own (seed, attempt) stream, so
     results do not depend on scheduling.
     """
+    if not (math.isfinite(beta) and beta > 0):
+        raise CorrsyncError(f"beta must be finite and positive, got {beta!r}")
     source = 0 if source is None else int(source)
     target = lattice.n - 1 if target is None else int(target)
     walks: list[tuple[int, ...]] = []

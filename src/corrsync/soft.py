@@ -10,14 +10,21 @@ the support-restricted Frechet mean under the target's geodesic metric.
 
 from __future__ import annotations
 
+import functools
+import math
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collection import CorrespondenceMap, GeodesicOracle, ShapeCollection, compose_maps
+from .collection import CorrespondenceMap, GeodesicOracle, ShapeCollection
 from .errors import EmptyPathSetError, IndexRangeError, MissingMapError
 from .flow import MAX_PATHS_DEFAULT, FlowMatrix, PathRecord, directed_flow_matrix, enumerate_paths
+
+
+# one soft row: its target vertices, ascending, and their masses
+Row = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -33,28 +40,60 @@ class PathDistribution:
         return len(self.records)
 
 
-@dataclass
+@dataclass(eq=False)
 class SoftCorrespondence:
-    """Per-queried-vertex mass distributions over target vertices.
+    """Per-queried-vertex mass distributions over target vertices, as CSR arrays.
 
-    rows[v] maps target vertex -> probability; provenance records how the rows
-    were produced (threshold, beta, path count).
+    Row k is the row of source vertex queries[k] (distinct, in first-seen
+    order): its targets are indices[indptr[k]:indptr[k + 1]], ascending, and
+    their masses sit at the same positions of data. provenance records how
+    the rows were produced (threshold, beta, path count).
     """
 
     source_id: str
     target_id: str
-    rows: dict[int, dict[int, float]]
+    queries: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     lam: float
     beta: float
     path_count: int
     strict: bool = False
     provenance: dict = field(default_factory=dict)
 
-    def row(self, v: int) -> dict[int, float]:
+    @property
+    def rows(self) -> Mapping[int, dict[int, float]]:
+        """Read-only view {query vertex: {target vertex: mass}}; each lookup builds one dict."""
+        return _RowsView(self)
+
+    @functools.cached_property
+    def _position(self) -> dict[int, int]:
+        return {v: k for k, v in enumerate(self.queries.tolist())}
+
+    def row(self, v: int) -> Row:
+        """Vertex v's row, as slices of indices and data."""
         try:
-            return self.rows[int(v)]
+            k = self._position[int(v)]
         except KeyError:
             raise KeyError(f"vertex {v} was not in the propagated query set") from None
+        span = slice(self.indptr[k], self.indptr[k + 1])
+        return self.indices[span], self.data[span]
+
+
+class _RowsView(Mapping):
+    def __init__(self, soft: SoftCorrespondence) -> None:
+        self._soft = soft
+
+    def __len__(self) -> int:
+        return self._soft.queries.size
+
+    def __iter__(self):
+        return iter(self._soft.queries.tolist())
+
+    def __getitem__(self, v) -> dict[int, float]:
+        targets, masses = self._soft.row(v)
+        return dict(zip(targets.tolist(), masses.tolist()))
 
 
 def path_distribution(
@@ -87,24 +126,6 @@ def _edge_map(collection: ShapeCollection, a: int, b: int) -> CorrespondenceMap:
         raise MissingMapError(
             f"no stored map {ids[a]!r} -> {ids[b]!r} on admissible edge ({a}, {b})"
         ) from None
-
-
-def _edge_maps(
-    collection: ShapeCollection, vertices: tuple[int, ...]
-) -> list[CorrespondenceMap]:
-    return [_edge_map(collection, a, b) for a, b in zip(vertices, vertices[1:])]
-
-
-def path_composed_map(collection: ShapeCollection, vertices) -> CorrespondenceMap:
-    """Materialize the full composite map along one path of shape indices or ids."""
-    vertices = tuple(
-        collection.index(v) if isinstance(v, str) else int(v) for v in vertices
-    )
-    maps = _edge_maps(collection, vertices)
-    composed = maps[0]
-    for m in maps[1:]:
-        composed = compose_maps(m, composed)
-    return composed
 
 
 # Rows are pushed for a block of queries at a time. A block holds at most
@@ -155,9 +176,9 @@ def _push_block(
     queries: np.ndarray,
     plan: list[tuple[int, list[CorrespondenceMap], float]],
     n_tgt: int,
-    rows: dict[int, dict[int, float]],
-) -> None:
-    """Soft rows of a block of distinct query vertices, added to rows in order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Soft rows of a block of distinct query vertices: per query its support
+    size, then the targets and masses of all rows, by query then target.
 
     The block walks the chain trie once: stack[d] holds the queries' images at
     depth d of the current chain, so a prefix shared by consecutive chains is
@@ -207,19 +228,15 @@ def _push_block(
 
     cells = np.flatnonzero(first < len(plan))  # by query, then target
     owner = cells // n_tgt
-    counts = np.bincount(owner, minlength=b).tolist()
-    in_first_order = acc[cells[np.lexsort((first[cells], owner))]].tolist()
-    totals = []
-    pos = 0
-    for k in counts:
-        totals.append(sum(in_first_order[pos : pos + k]))
-        pos += k
-    values = (acc[cells] / np.repeat(totals, counts)).tolist()
-    targets = (cells % n_tgt).tolist()
-    pos = 0
-    for q, k in zip(queries.tolist(), counts):
-        rows[q] = dict(zip(targets[pos : pos + k], values[pos : pos + k]))
-        pos += k
+    counts = np.bincount(owner, minlength=b)
+    # each row's masses in first-reached order, left-aligned in a zero-padded
+    # row: the running sum adds them left to right, and the trailing 0.0
+    # terms leave a positive total unchanged
+    ranks = np.arange(cells.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    padded = np.zeros((b, counts.max()))
+    padded[owner, ranks] = acc[cells[np.lexsort((first[cells], owner))]]
+    totals = np.add.accumulate(padded, axis=1)[:, -1]
+    return counts, cells % n_tgt, acc[cells] / np.repeat(totals, counts)
 
 
 def propagate_soft(
@@ -243,18 +260,16 @@ def propagate_soft(
     j = collection.index(target_id)
     src_shape = collection.shape(source_id)
     if source_points is None:
-        if src_shape.landmark_indices:
-            source_points = list(src_shape.landmark_indices)
-        else:
-            source_points = list(range(src_shape.n))
+        source_points = src_shape.landmark_indices or range(src_shape.n)
     # distinct queries in first-seen order; a repeated vertex has one row
-    queries = list(dict.fromkeys(int(p) for p in source_points))
-    for p in queries:
-        if not 0 <= p < src_shape.n:
-            raise IndexRangeError(
-                f"source vertex {p} out of range for shape {source_id!r} "
-                f"({src_shape.n} points)"
-            )
+    points = np.fromiter(map(int, source_points), dtype=np.int64)
+    queries = points[np.sort(np.unique(points, return_index=True)[1])]
+    outside = (queries < 0) | (queries >= src_shape.n)
+    if outside.any():
+        raise IndexRangeError(
+            f"source vertex {queries[outside][0]} out of range for shape {source_id!r} "
+            f"({src_shape.n} points)"
+        )
 
     flow = directed_flow_matrix(
         collection.D, i, j, beta=collection.beta, W=collection.W
@@ -263,16 +278,22 @@ def propagate_soft(
 
     plan = _trie_plan(collection, dist)
     n_tgt = collection.shape(target_id).n
-    q_all = np.array(queries, dtype=np.int64)
     block = max(1, _ACC_CELLS // n_tgt)
-    rows: dict[int, dict[int, float]] = {}
-    for start in range(0, q_all.size, block):
-        _push_block(q_all[start : start + block], plan, n_tgt, rows)
+    blocks = [
+        _push_block(queries[start : start + block], plan, n_tgt)
+        for start in range(0, queries.size, block)
+    ]
+    # indptr's leading 0, and empty arrays that also serve an empty query set
+    empty = (np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros(0))
+    counts, indices, data = (np.concatenate(part) for part in zip(empty, *blocks))
 
     return SoftCorrespondence(
         source_id=source_id,
         target_id=target_id,
-        rows=rows,
+        queries=queries,
+        indptr=np.cumsum(counts),
+        indices=indices,
+        data=data,
         lam=lam,
         beta=collection.beta,
         path_count=len(dist),
@@ -285,15 +306,18 @@ def propagate_soft(
 
 
 def mle(soft: SoftCorrespondence) -> dict[int, int]:
-    """Most likely target vertex per queried source vertex; ties take the lowest index."""
-    out: dict[int, int] = {}
-    for v, row in soft.rows.items():
-        best_t, best_m = -1, -1.0
-        for t in sorted(row):
-            if row[t] > best_m:
-                best_t, best_m = t, row[t]
-        out[v] = best_t
-    return out
+    """Most likely target vertex per queried source vertex; ties take the lowest
+    index, a NaN mass never wins, and an empty row maps to -1."""
+    sizes = np.diff(soft.indptr)
+    full = sizes > 0
+    starts = soft.indptr[:-1][full]
+    peaks = np.repeat(np.fmax.reduceat(soft.data, starts), sizes[full])
+    # each row's first position holding its peak; a row of NaNs has none and
+    # reads the sentinel past the end
+    hits = np.where(soft.data == peaks, np.arange(soft.data.size), soft.data.size)
+    best = np.full(sizes.size, -1, dtype=np.int64)
+    best[full] = np.append(soft.indices, -1)[np.minimum.reduceat(hits, starts)]
+    return dict(zip(soft.queries.tolist(), best.tolist()))
 
 
 # Frechet costs are computed for blocks of rows of one support size; a block's
@@ -336,56 +360,47 @@ def frechet_mean(soft: SoftCorrespondence, oracle: GeodesicOracle) -> dict[int, 
     vertex come from one oracle call. d(x, x) is 0, so a single-vertex row
     needs no distance row. An empty row maps to -1.
     """
-    out = dict.fromkeys(soft.rows, -1)
-    # support size -> (query vertices, supports, masses), flattened row-major
-    by_size: dict[int, tuple[list, list, list]] = {}
-    for v, row in soft.rows.items():
-        if row:
-            keys, support, mass = by_size.setdefault(len(row), ([], [], []))
-            keys.append(v)
-            sup = sorted(row)
-            support += sup
-            mass += map(row.__getitem__, sup)
-    if not by_size:
-        return out
-    groups = [
-        (keys, np.array(support, dtype=np.int64).reshape(len(keys), s),
-         np.array(mass, dtype=float).reshape(len(keys), s))
-        for s, (keys, support, mass) in by_size.items()
-    ]
-    oracle.check_vertices(np.concatenate([g[1].ravel() for g in groups]))
-    multi = [g[1].ravel() for g in groups if g[1].shape[1] > 1]
-    if multi:
-        fetched = np.unique(np.concatenate(multi))
+    sizes = np.diff(soft.indptr)
+    picks = np.full(sizes.size, -1, dtype=np.int64)
+    oracle.check_vertices(soft.indices)
+    multi = np.repeat(sizes > 1, sizes)
+    if multi.any():
+        fetched = np.unique(soft.indices[multi])
         dist = oracle.distance_rows(fetched)
-    for keys, support, mass in groups:
+    for s in np.unique(sizes[sizes > 0]).tolist():
+        rows = np.flatnonzero(sizes == s)
+        at = soft.indptr[rows, None] + np.arange(s)
+        support, mass = soft.indices[at], soft.data[at]
         # overflowing and inf * 0 terms stay silent, as in Python float arithmetic
         with np.errstate(over="ignore", invalid="ignore"):
-            if support.shape[1] == 1:
+            if s == 1:
                 costs = mass * 0.0
             else:
                 costs = _frechet_costs(dist, np.searchsorted(fetched, support), support, mass)
         # as with a strict < scan from inf: a NaN never wins, nor does inf
         costs[np.isnan(costs)] = np.inf
-        at = np.arange(len(keys))
+        r = np.arange(rows.size)
         best = np.argmin(costs, axis=1)
-        picks = np.where(costs[at, best] < np.inf, support[at, best], -1)
-        out.update(zip(keys, picks.tolist()))
-    return out
+        picks[rows] = np.where(costs[r, best] < np.inf, support[r, best], -1)
+    return dict(zip(soft.queries.tolist(), picks.tolist()))
 
 
-def ball_mass(
-    row: dict[int, float], center: int, radius: float, oracle: GeodesicOracle
-) -> float:
-    """Total row mass within geodesic distance radius of center (inclusive)."""
+def ball_mass(row: Row, center: int, radius: float, oracle: GeodesicOracle) -> float:
+    """Total row mass within geodesic distance radius of center (inclusive),
+    added in the row's target order."""
+    targets, masses = row
     d = oracle.distances_from(center)
-    return float(sum(m for t, m in row.items() if d[t] <= radius))
+    return float(sum(masses[d[targets] <= radius].tolist()))
 
 
-def tv_distance(row_a: dict[int, float], row_b: dict[int, float]) -> float:
-    """Total variation distance between two sparse distributions."""
-    keys = set(row_a) | set(row_b)
-    return 0.5 * sum(abs(row_a.get(k, 0.0) - row_b.get(k, 0.0)) for k in keys)
+def tv_distance(row_a: Row, row_b: Row) -> float:
+    """Total variation distance between two rows."""
+    (ta, ma), (tb, mb) = row_a, row_b
+    keys = np.union1d(ta, tb)
+    diff = np.zeros(keys.size)
+    diff[np.searchsorted(keys, ta)] = ma
+    diff[np.searchsorted(keys, tb)] -= mb
+    return 0.5 * math.fsum(np.abs(diff).tolist())
 
 
 @dataclass

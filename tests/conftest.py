@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from corrsync.collection import CorrespondenceMap, Shape, ShapeCollection
+from corrsync.soft import SoftCorrespondence
 
 
 def line_distances(coords) -> np.ndarray:
@@ -57,6 +58,40 @@ def permutation_collection(perms, D=None) -> ShapeCollection:
                 f"p{a}", f"p{b}", "discrete", indices=pb[inv_a], target_size=n
             )
     return ShapeCollection(shapes=shapes, D=np.asarray(D, dtype=float), maps=maps)
+
+
+def push_row(m: CorrespondenceMap, row: dict[int, float]) -> dict[int, float]:
+    """Push a sparse distribution over source vertices forward through a map,
+    one source vertex at a time: the per-chain reference for propagate_soft."""
+    out: dict[int, float] = {}
+    if m.kind == "discrete":
+        for v, mass in row.items():
+            t = int(m.indices[v])
+            out[t] = out.get(t, 0.0) + mass
+        return out
+    mat = m.matrix
+    for v, mass in row.items():
+        start, stop = mat.indptr[v], mat.indptr[v + 1]
+        for t, p in zip(mat.indices[start:stop], mat.data[start:stop]):
+            t = int(t)
+            out[t] = out.get(t, 0.0) + mass * float(p)
+    return out
+
+
+def soft_from_rows(rows: dict[int, dict[int, float]], source="a", target="b") -> SoftCorrespondence:
+    """A SoftCorrespondence holding the given rows, queried in key order, each
+    row's targets ascending; the masses are stored as given, unchecked."""
+    counts = [len(row) for row in rows.values()]
+    targets = [t for row in rows.values() for t in sorted(row)]
+    masses = [row[t] for row in rows.values() for t in sorted(row)]
+    return SoftCorrespondence(
+        source, target,
+        queries=np.array(list(rows), dtype=np.int64),
+        indptr=np.cumsum([0] + counts),
+        indices=np.array(targets, dtype=np.int64),
+        data=np.array(masses, dtype=float),
+        lam=0.0, beta=1.0, path_count=1,
+    )
 
 
 def random_euclidean_distances(rng, n, dim=3):

@@ -41,9 +41,9 @@ from corrsync.geometry import (
     tangent_toward,
     transport_along_path,
 )
-from corrsync.soft import SoftCorrespondence, all_pairs_soft, frechet_mean, mle, propagate_soft
+from corrsync.soft import all_pairs_soft, frechet_mean, mle, propagate_soft
 
-from conftest import random_euclidean_distances, two_point_shape
+from conftest import random_euclidean_distances, soft_from_rows, two_point_shape
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -120,11 +120,11 @@ def test_criterion_3_consistent_collection_collapses():
 
 def test_criterion_4_hand_fixture_masses(l4_swap):
     soft = propagate_soft(l4_swap, "s0", "s3", lam=0.0, max_paths=100)
-    row = soft.row(0)
+    row = soft.rows[0]
     mass_gap = max(abs(row[0] - 0.8937), abs(row[1] - 0.1063))
     majority_ok = mle(soft)[0] == 0
 
-    lopsided = SoftCorrespondence("a", "b", {0: {0: 0.6, 1: 0.4}}, 0.0, 1.0, 1, False)
+    lopsided = soft_from_rows({0: {0: 0.6, 1: 0.4}})
     oracle = GeodesicOracle(two_point_shape("b"), k=1)
     mean_ok = frechet_mean(lopsided, oracle) == {0: 0}
 

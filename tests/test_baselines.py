@@ -125,6 +125,13 @@ class TestPropagationRoutes:
         m = compose_along(l4_identity, ("s0", "s2", "s3"))
         assert list(m.indices) == [0, 1]
 
+    def test_compose_along_matches_manual_composition(self, l4_swap):
+        m = compose_along(l4_swap, ["s0", "s1", "s3"])
+        # identity into s1, then the swapping map into s3
+        assert list(m.indices) == [1, 0]
+        direct = compose_along(l4_swap, ["s0", "s3"])
+        assert list(direct.indices) == [0, 1]
+
     def test_compose_along_single_shape(self, l4_identity):
         m = compose_along(l4_identity, ("s1",))
         assert list(m.indices) == [0, 1]

@@ -313,6 +313,19 @@ class TestLatticeOutput:
         assert float(first[2]) == 0.0 and float(first[3]) == 0.0
 
 
+    @pytest.mark.parametrize("beta", ["-1", "0", "nan", "inf"])
+    def test_bad_beta_is_a_clean_error(self, beta):
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrsync", "lattice", "--mode", "eop", "--walks", "2",
+             "--side", "5", "--beta", beta, "--quiet"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "beta" in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestHolonomyOutput:
     def test_columns_and_bounds(self, tmp_path):
         out = tmp_path / "h.csv"

@@ -39,7 +39,7 @@ from corrsync.errors import (
     SoftRowError,
 )
 
-from conftest import build_l4, two_point_shape
+from conftest import build_l4, push_row, two_point_shape
 
 
 class TestEdgeWeight:
@@ -90,7 +90,7 @@ class TestCorrespondenceMap:
         m = CorrespondenceMap("a", "b", "discrete", indices=np.array([2, 0, 1]), target_size=3)
         assert m.n_source == 3
         assert m.is_bijection()
-        assert m.push_row({1: 1.0}) == {0: 1.0}
+        assert push_row(m, {1: 1.0}) == {0: 1.0}
 
     @pytest.mark.parametrize(
         "indices, target_size, want",
@@ -120,7 +120,7 @@ class TestCorrespondenceMap:
         m = CorrespondenceMap(
             "a", "b", "soft", matrix=sparse.csr_matrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
         )
-        assert m.push_row({0: 0.5, 1: 0.5}) == pytest.approx({0: 0.25, 1: 0.75})
+        assert push_row(m, {0: 0.5, 1: 0.5}) == pytest.approx({0: 0.25, 1: 0.75})
 
 
 class TestComposeMaps:

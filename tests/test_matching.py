@@ -21,9 +21,8 @@ from corrsync.matching import (
     stable_curvature_match,
     strict_extrema,
 )
-from corrsync.soft import SoftCorrespondence
 
-from conftest import permutation_collection
+from conftest import permutation_collection, soft_from_rows
 
 
 def line_shape(shape_id, xs):
@@ -76,7 +75,7 @@ class TestBallDisjoint:
 
 class TestGpPartialMatch:
     def _soft(self, src, tgt, rows):
-        return SoftCorrespondence(src, tgt, rows, 0.0, 1.0, 1, False)
+        return soft_from_rows(rows, src, tgt)
 
     def test_mutual_mass_matches(self):
         a = line_shape("a", [0.0, 4.0])

@@ -14,31 +14,40 @@ from corrsync.collection import CorrespondenceMap, GeodesicOracle, Shape, ShapeC
 from corrsync.errors import CorrsyncError, EmptyPathSetError, IndexRangeError, MissingMapError
 from corrsync.flow import directed_flow_matrix
 from corrsync.soft import (
-    SoftCorrespondence,
-    _edge_maps,
     all_pairs_soft,
     ball_mass,
     frechet_mean,
     mle,
-    path_composed_map,
     path_distribution,
     propagate_soft,
     tv_distance,
 )
 
-from conftest import build_l4, line_distances, random_euclidean_distances, two_point_shape
+from conftest import (
+    build_l4,
+    line_distances,
+    permutation_collection,
+    push_row,
+    random_euclidean_distances,
+    soft_from_rows,
+    two_point_shape,
+)
 
 
 def per_chain_rows(collection, source_id, target_id, lam, source_points, max_paths=10**6):
     """Reference rows: every queried vertex pushed through every chain separately
-    with CorrespondenceMap.push_row, accumulated per target in chain order."""
+    with push_row, accumulated per target in chain order."""
     i = collection.index(source_id)
     j = collection.index(target_id)
     flow = directed_flow_matrix(
         collection.D, i, j, beta=collection.beta, W=collection.W
     )
     dist = path_distribution(flow, lam=lam, max_paths=max_paths)
-    edge_maps = {rec.vertices: _edge_maps(collection, rec.vertices) for rec in dist.records}
+    ids = collection.ids
+    edge_maps = {
+        rec.vertices: [collection.map(ids[a], ids[b]) for a, b in zip(rec.vertices, rec.vertices[1:])]
+        for rec in dist.records
+    }
     rows: dict[int, dict[int, float]] = {}
     for p in source_points:
         p = int(p)
@@ -46,7 +55,7 @@ def per_chain_rows(collection, source_id, target_id, lam, source_points, max_pat
         for rec, prob in zip(dist.records, dist.probabilities):
             row: dict[int, float] = {p: 1.0}
             for m in edge_maps[rec.vertices]:
-                row = m.push_row(row)
+                row = push_row(m, row)
             for t, mass in row.items():
                 acc[t] = acc.get(t, 0.0) + prob * mass
         total = sum(acc.values())
@@ -211,6 +220,18 @@ class TestBatchedPush:
                         list(got[v].values()), list(want[v].values()), rtol=0, atol=1e-12
                     )
 
+    def test_long_rows_identical_to_per_chain_push(self):
+        # 32 chains through half-corrupted permutations give rows of up to 14
+        # targets, past the 8-wide blocks in which np.sum adds pairwise
+        rng = np.random.default_rng(0)
+        coll = corrupt_maps(permutation_collection([rng.permutation(40) for _ in range(7)]), 0.5, 1)
+        got = propagate_soft(coll, "p0", "p6", lam=0.0).rows
+        want = per_chain_rows(coll, "p0", "p6", 0.0, range(40))
+        assert max(map(len, want.values())) > 8
+        assert list(got) == list(want)
+        for v in want:
+            assert list(got[v].items()) == list(want[v].items())
+
     @pytest.mark.parametrize("soft_share", [0.0, 0.4])
     def test_block_and_chunk_sizes_change_nothing(self, monkeypatch, soft_share):
         # blocks of two to six queries, each chain image flushed at once
@@ -241,6 +262,32 @@ class TestBatchedPush:
         want = per_chain_rows(l4_swap, "s0", "s3", 0.0, [0], max_paths=100)
         assert soft.rows[0] == pytest.approx(want[0], abs=1e-12)
         assert soft.rows[0][1] == pytest.approx((0.75 * np.exp(-9) + np.exp(-5)) / Z)
+
+
+class TestCsrRows:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(TestBatchedPush.LAMS), st.floats(0.1, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_layout_invariants(self, seed, lam, soft_share):
+        rng = np.random.default_rng(seed)
+        coll = random_collection(rng, soft_share)
+        for a in coll.ids:
+            for b in coll.ids:
+                if a == b:
+                    continue
+                pts = random_queries(rng, coll.shape(a).n)
+                sc = propagate_soft(coll, a, b, lam=lam, source_points=pts)
+                assert sc.queries.tolist() == list(dict.fromkeys(pts))
+                assert sc.indptr.size == sc.queries.size + 1 and sc.indptr[0] == 0
+                assert (np.diff(sc.indptr) >= 0).all()
+                assert sc.indptr[-1] == sc.indices.size == sc.data.size
+                for k in range(sc.queries.size):
+                    span = slice(sc.indptr[k], sc.indptr[k + 1])
+                    targets, masses = sc.indices[span], sc.data[span]
+                    assert targets.size > 0
+                    assert (np.diff(targets) > 0).all()
+                    assert 0 <= targets[0] and targets[-1] < coll.shape(b).n
+                    assert np.isfinite(masses).all() and (masses > 0).all()
+                    assert abs(masses.sum() - 1.0) <= 1e-9
 
 
 def all_rows(coll, lam):
@@ -333,18 +380,23 @@ class TestHardMaps:
         assert mle(soft) == {0: 0}
 
     def test_mle_tie_breaks_low(self):
-        sc = SoftCorrespondence("a", "b", {0: {1: 0.5, 0: 0.5}}, 0.0, 1.0, 1, False)
+        sc = soft_from_rows({0: {1: 0.5, 0: 0.5}})
         assert mle(sc) == {0: 0}
 
+    def test_mle_first_maximum_and_empty_row(self):
+        sc = soft_from_rows({0: {0: 0.5, 2: 0.5}, 1: {}, 2: {3: 0.2, 5: 0.8}, 3: {4: 1.0}})
+        assert mle(sc) == reference_mle(sc) == {0: 0, 1: -1, 2: 5, 3: 4}
+        assert list(mle(sc)) == [0, 1, 2, 3]
+
     def test_frechet_prefers_heavier_point(self):
-        sc = SoftCorrespondence("a", "b", {0: {0: 0.6, 1: 0.4}}, 0.0, 1.0, 1, False)
+        sc = soft_from_rows({0: {0: 0.6, 1: 0.4}})
         oracle = GeodesicOracle(two_point_shape("b"), k=1)
         assert frechet_mean(sc, oracle) == {0: 0}
-        flipped = SoftCorrespondence("a", "b", {0: {0: 0.4, 1: 0.6}}, 0.0, 1.0, 1, False)
+        flipped = soft_from_rows({0: {0: 0.4, 1: 0.6}})
         assert frechet_mean(flipped, oracle) == {0: 1}
 
     def test_frechet_tie_breaks_low(self):
-        sc = SoftCorrespondence("a", "b", {0: {0: 0.5, 1: 0.5}}, 0.0, 1.0, 1, False)
+        sc = soft_from_rows({0: {0: 0.5, 1: 0.5}})
         oracle = GeodesicOracle(two_point_shape("b"), k=1)
         assert frechet_mean(sc, oracle) == {0: 0}
 
@@ -353,8 +405,21 @@ class TestHardMaps:
         # would minimize the energy but lies outside the support
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
         oracle = GeodesicOracle(Shape(id="b", points=pts), k=1)
-        sc = SoftCorrespondence("a", "b", {0: {0: 0.5, 2: 0.5}}, 0.0, 1.0, 1, False)
+        sc = soft_from_rows({0: {0: 0.5, 2: 0.5}})
         assert frechet_mean(sc, oracle) == {0: 0}
+
+
+def reference_mle(soft):
+    """The per-row scan: ascending targets, the first mass strictly above the
+    best so far, starting from -1."""
+    out = {}
+    for v, row in soft.rows.items():
+        best_t, best_m = -1, -1.0
+        for t in sorted(row):
+            if row[t] > best_m:
+                best_t, best_m = t, row[t]
+        out[v] = best_t
+    return out
 
 
 def reference_costs(row, oracle):
@@ -410,7 +475,16 @@ def soft_rows(draw):
                      max_size=20, unique=True)
         )
         rows[v] = {q: draw(mass) for q in support}
-    return SoftCorrespondence("a", oracle.shape.id, rows, 0.0, 1.0, 1, False), oracle
+    return soft_from_rows(rows, target=oracle.shape.id), oracle
+
+
+class TestMleScan:
+    @given(soft_rows())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_scan(self, case):
+        # the repeated masses of soft_rows make ties common
+        sc, _ = case
+        assert mle(sc) == reference_mle(sc)
 
 
 class TestFrechetMean:
@@ -446,26 +520,25 @@ class TestFrechetMean:
 
     def test_exact_ties_take_lowest_index(self):
         # on the line, vertices 3 and 5 around 4 are symmetric; 4 is absent
-        sc = SoftCorrespondence(
-            "a", "line", {0: {5: 0.5, 3: 0.5}, 1: {7: 0.25, 1: 0.25, 3: 0.25, 5: 0.25}},
-            0.0, 1.0, 1, False,
+        sc = soft_from_rows(
+            {0: {5: 0.5, 3: 0.5}, 1: {7: 0.25, 1: 0.25, 3: 0.25, 5: 0.25}}, target="line"
         )
         assert frechet_mean(sc, LINE) == {0: 3, 1: 3}
 
     def test_single_vertex_rows_need_no_distance_row(self, monkeypatch):
         oracle = GeodesicOracle(Shape(id="b", points=CLOUD.shape.points), k=6)
         monkeypatch.setattr(oracle, "distance_rows", None)
-        sc = SoftCorrespondence("a", "b", {4: {9: 1.0}, 2: {0: 1.0}, 7: {}}, 0.0, 1.0, 1, False)
+        sc = soft_from_rows({4: {9: 1.0}, 2: {0: 1.0}, 7: {}})
         assert frechet_mean(sc, oracle) == {4: 9, 2: 0, 7: -1}
         assert list(frechet_mean(sc, oracle)) == [4, 2, 7]
 
     @pytest.mark.parametrize("bad", [-1, 40, 1000])
     @pytest.mark.parametrize("other", [{}, {3: 0.5, 6: 0.5}])
     def test_out_of_range_vertex_rejected(self, bad, other):
-        sc = SoftCorrespondence("a", "cloud", {0: other, 1: {bad: 1.0}}, 0.0, 1.0, 1, False)
+        sc = soft_from_rows({0: other, 1: {bad: 1.0}}, target="cloud")
         with pytest.raises(IndexRangeError, match=f"vertex {bad} out of range"):
             frechet_mean(sc, CLOUD)
-        many = SoftCorrespondence("a", "cloud", {1: {2: 0.5, bad: 0.5}}, 0.0, 1.0, 1, False)
+        many = soft_from_rows({1: {2: 0.5, bad: 0.5}}, target="cloud")
         with pytest.raises(IndexRangeError):
             frechet_mean(many, CLOUD)
 
@@ -496,7 +569,7 @@ class TestFrechetMean:
         ],
     )
     def test_non_finite_costs_as_reference(self, row):
-        sc = SoftCorrespondence("a", "line", {0: row}, 0.0, 1.0, 1, False)
+        sc = soft_from_rows({0: row}, target="line")
         assert frechet_mean(sc, LINE) == reference_frechet(sc, LINE)
 
     def test_threads_agree_with_serial(self):
@@ -511,18 +584,22 @@ class TestFrechetMean:
             assert serial.frechet[pair] == reference_frechet(soft, oracle)
 
 
+def csr_row(row):
+    return soft_from_rows({0: row}).row(0)
+
+
 class TestRowHelpers:
     def test_ball_mass_inclusive(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
         oracle = GeodesicOracle(Shape(id="b", points=pts), k=1)
-        row = {0: 0.2, 1: 0.3, 2: 0.5}
+        row = soft_from_rows({0: {0: 0.2, 1: 0.3, 2: 0.5}}).row(0)
         assert ball_mass(row, 0, 1.0, oracle) == pytest.approx(0.5)
         assert ball_mass(row, 1, 1.0, oracle) == pytest.approx(1.0)
 
     def test_tv_distance(self):
-        assert tv_distance({0: 1.0}, {0: 1.0}) == 0.0
-        assert tv_distance({0: 1.0}, {1: 1.0}) == 1.0
-        assert tv_distance({0: 0.5, 1: 0.5}, {0: 1.0}) == pytest.approx(0.5)
+        assert tv_distance(csr_row({0: 1.0}), csr_row({0: 1.0})) == 0.0
+        assert tv_distance(csr_row({0: 1.0}), csr_row({1: 1.0})) == 1.0
+        assert tv_distance(csr_row({0: 0.5, 1: 0.5}), csr_row({0: 1.0})) == pytest.approx(0.5)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -531,8 +608,8 @@ class TestRowHelpers:
         n = int(rng.integers(1, 6))
         a = rng.random(n)
         b = rng.random(n)
-        row_a = dict(enumerate(a / a.sum()))
-        row_b = dict(enumerate(b / b.sum()))
+        row_a = csr_row(dict(enumerate(a / a.sum())))
+        row_b = csr_row(dict(enumerate(b / b.sum())))
         t = tv_distance(row_a, row_b)
         assert 0.0 <= t <= 1.0 + 1e-12
         assert tv_distance(row_a, row_a) == 0.0
@@ -557,12 +634,3 @@ class TestAllPairs:
         assert serial.mle == threaded.mle
         for key in serial.soft:
             assert serial.soft[key].rows == threaded.soft[key].rows
-
-
-class TestPathComposedMap:
-    def test_matches_manual_composition(self, l4_swap):
-        m = path_composed_map(l4_swap, ["s0", "s1", "s3"])
-        # identity into s1, then the swapping map into s3
-        assert list(m.indices) == [1, 0]
-        direct = path_composed_map(l4_swap, ["s0", "s3"])
-        assert list(direct.indices) == [0, 1]
