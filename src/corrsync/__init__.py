@@ -14,7 +14,6 @@ from .collection import (
     Shape,
     ShapeCollection,
     compose_maps,
-    edge_weight,
     identity_map,
     load_collection,
     save_collection,
@@ -36,7 +35,6 @@ __all__ = [
     "brute_force_paths",
     "compose_maps",
     "directed_flow_matrix",
-    "edge_weight",
     "enumerate_paths",
     "frechet_mean",
     "identity_map",

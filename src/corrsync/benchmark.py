@@ -137,7 +137,6 @@ def run_benchmark(
     grid: np.ndarray | None = None,
     normalize: bool = True,
     epsilon: float | None = None,
-    k: int = 8,
     max_paths: int = 10**6,
 ) -> BenchmarkResult:
     """Error curves for each propagation method over labeled shape pairs.
@@ -164,7 +163,7 @@ def run_benchmark(
             raise ManifestError(f"shapes {a!r} and {b!r} share no landmark labels")
         gt[(a, b)] = got
 
-    oracles = {sid: collection.oracle(sid, k=k) for sid in {b for _, b in pairs}}
+    oracles = {sid: collection.oracle(sid) for sid in {b for _, b in pairs}}
     errors: dict[tuple[str, float | None], list[float]] = {}
 
     route_maps: dict[str, dict[tuple[str, str], CorrespondenceMap]] = {}
@@ -237,9 +236,9 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
-def _bump_deform(base: np.ndarray, rng: np.random.Generator, amplitude: float, bumps: int) -> np.ndarray:
+def _bump_deform(base: np.ndarray, rng: np.random.Generator, amplitude: float) -> np.ndarray:
     radial = np.ones(base.shape[0])
-    for _ in range(bumps):
+    for _ in range(6):
         center = rng.normal(size=3)
         center /= np.linalg.norm(center)
         width = rng.uniform(0.35, 0.7)
@@ -257,15 +256,13 @@ def synth_collection(
     *,
     map_source: str = "align",
     landmark_count: int = 16,
-    bumps: int = 6,
-    k: int = 8,
-    align_iterations: int = 8,
     allow_duplicates: bool = False,
 ) -> ShapeCollection:
     """Deformed-sphere collection with shared indexing and labeled landmarks.
 
-    Every shape deforms one deterministic base sampling radially, so the
-    ground-truth correspondence is the identity on indices. Landmark labels sit
+    Every shape deforms one deterministic base sampling radially by six
+    Gaussian bumps, so the ground-truth correspondence is the identity on
+    indices. Landmark labels sit
     on farthest-point vertices of the base cloud. Stored maps and inter-shape
     distances come from rigid alignment ("align") or are the exact identity
     maps ("truth"); distances are symmetrized by averaging both directions.
@@ -274,13 +271,13 @@ def synth_collection(
         raise ValueError("map_source must be 'align' or 'truth'")
     base = fibonacci_sphere(n_points)
     base_shape = Shape(id="base", points=base)
-    fps = fps_landmarks(base_shape, landmark_count, 0, intra_metric(base_shape, k=k))
+    fps = fps_landmarks(base_shape, landmark_count, 0, intra_metric(base_shape))
     labels = {f"L{m:02d}": int(v) for m, v in enumerate(fps.indices)}
 
     shapes = []
     for s in range(n_shapes):
         rng = np.random.default_rng([seed, s])
-        pts = _bump_deform(base, rng, deform_amplitude, bumps)
+        pts = _bump_deform(base, rng, deform_amplitude)
         shapes.append(
             Shape(
                 id=f"s{s:02d}",
@@ -299,7 +296,7 @@ def synth_collection(
             if a == b:
                 continue
             if map_source == "align":
-                res = baseline_pairwise_align(shapes[a], shapes[b], iterations=align_iterations)
+                res = baseline_pairwise_align(shapes[a], shapes[b], iterations=8)
                 maps[(shapes[a].id, shapes[b].id)] = res.map
                 D[a, b] = res.distance
             else:
@@ -481,14 +478,12 @@ def stability_report(
     before: ShapeCollection,
     after: ShapeCollection,
     lam: float = 0.0,
-    queries: dict[str, list[int]] | None = None,
-    max_paths: int = 10**6,
 ) -> StabilityReport:
     """Compare flow structure and soft rows across a collection edit.
 
     Flow edges are compared on the shared shapes only; the total-variation
-    numbers take the worst row over the queried source vertices of each shared
-    ordered pair.
+    numbers take the worst row over the default query vertices (landmarks, or
+    every vertex) of each shared ordered pair.
     """
     shared = tuple(sid for sid in before.ids if sid in set(after.ids))
     pairs = [(a, b) for a in shared for b in shared if a != b]
@@ -496,21 +491,16 @@ def stability_report(
     flow_diff: dict[tuple[str, str], int] = {}
     tv: dict[tuple[str, str], float] = {}
     for a, b in pairs:
-        fb = directed_flow_matrix(
-            before.D, before.index(a), before.index(b), beta=before.beta, W=before.W
-        )
-        fa = directed_flow_matrix(
-            after.D, after.index(a), after.index(b), beta=after.beta, W=after.W
-        )
+        fb = directed_flow_matrix(before.D, before.index(a), before.index(b), beta=before.beta)
+        fa = directed_flow_matrix(after.D, after.index(a), after.index(b), beta=after.beta)
         rows_b = [before.index(s) for s in shared]
         rows_a = [after.index(s) for s in shared]
         sub_b = fb.F[np.ix_(rows_b, rows_b)]
         sub_a = fa.F[np.ix_(rows_a, rows_a)]
         flow_diff[(a, b)] = int((sub_b != sub_a).sum())
 
-        pts = queries.get(a) if queries else None
-        soft_b = propagate_soft(before, a, b, lam=lam, source_points=pts, max_paths=max_paths)
-        soft_a = propagate_soft(after, a, b, lam=lam, source_points=pts, max_paths=max_paths)
+        soft_b = propagate_soft(before, a, b, lam=lam)
+        soft_a = propagate_soft(after, a, b, lam=lam)
         worst = 0.0
         for v in soft_b.queries.tolist():
             worst = max(worst, tv_distance(soft_b.row(v), soft_a.row(v)))

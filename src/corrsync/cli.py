@@ -29,7 +29,7 @@ from .benchmark import (
     stability_report,
     synth_collection,
 )
-from .collection import _fmt, atomic_write, load_collection, save_collection
+from .collection import _fmt, atomic_write, load_collection, map_csv, save_collection
 from .errors import CorrsyncError
 from .flow import directed_flow_matrix
 from .geometry import (
@@ -44,6 +44,8 @@ from .geometry import (
     transport_along_path,
 )
 from .matching import (
+    LandmarkSet,
+    MatchList,
     Shape,
     baseline_pairwise_align,
     detect_extrema,
@@ -120,9 +122,6 @@ class _Options:
                 raise CorrsyncError(f"option {name!r}: cannot read {value!r}")
         return value
 
-    def config_dict(self, **pairs) -> dict:
-        return {k: v for k, v in sorted(pairs.items())}
-
 
 def _parse_lams(raw) -> tuple[float, ...]:
     if isinstance(raw, (int, float)):
@@ -144,11 +143,11 @@ def _cmd_flow(args) -> int:
     collection = _collection(opts)
     i = collection.index(args.source)
     j = collection.index(args.target)
-    flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta, W=collection.W)
+    flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta)
     lines = [
         _provenance_header(
             "flow", opts.get("seed", 0, int),
-            opts.config_dict(manifest=args.manifest, source=args.source, target=args.target),
+            dict(manifest=args.manifest, source=args.source, target=args.target),
         )
     ]
     lines.append("# section: matrix\n")
@@ -197,7 +196,7 @@ def _cmd_propagate(args) -> int:
             "version": __version__,
             "command": "propagate",
             "seed": opts.get("seed", 0, int),
-            "config": opts.config_dict(
+            "config": dict(
                 manifest=args.manifest, beta=collection.beta,
                 strict=bool(args.strict), path_count=soft.path_count,
             ),
@@ -219,25 +218,15 @@ def _cmd_baseline(args) -> int:
         cmap, route = shortest_path_propagate(
             collection, args.source, args.target, epsilon=opts.get("epsilon", None, float)
         )
-    lines = [
-        _provenance_header(
-            "baseline", opts.get("seed", 0, int),
-            opts.config_dict(
-                manifest=args.manifest, method=args.method,
-                source=args.source, target=args.target,
-                route=route if route is None else list(route),
-            ),
-        )
-    ]
-    if cmap.kind == "discrete":
-        for s, t in enumerate(cmap.indices):
-            lines.append(f"{s},{int(t)}\n")
-    else:
-        mat = cmap.matrix
-        for s in range(mat.shape[0]):
-            for pos in range(mat.indptr[s], mat.indptr[s + 1]):
-                lines.append(f"{s},{int(mat.indices[pos])},{_fmt(mat.data[pos])}\n")
-    _emit(args.out, "".join(lines))
+    header = _provenance_header(
+        "baseline", opts.get("seed", 0, int),
+        dict(
+            manifest=args.manifest, method=args.method,
+            source=args.source, target=args.target,
+            route=route if route is None else list(route),
+        ),
+    )
+    _emit(args.out, header + map_csv(cmap))
     _info(args, f"{args.method} route: {route}")
     return 0
 
@@ -258,18 +247,12 @@ def _cmd_match(args) -> int:
     n_land = opts.get("landmarks", 10, int)
     max_matches = opts.get("max_matches", 15, int)
 
-    if shape_a.landmark_indices:
-        from .matching import LandmarkSet
-
-        lm_a = LandmarkSet(a_id, tuple(shape_a.landmark_indices), "provided")
-    else:
-        lm_a = fps_landmarks(shape_a, n_land, 0, oracle_a)
-    if shape_b.landmark_indices:
-        from .matching import LandmarkSet
-
-        lm_b = LandmarkSet(b_id, tuple(shape_b.landmark_indices), "provided")
-    else:
-        lm_b = fps_landmarks(shape_b, n_land, 0, oracle_b)
+    lm_a, lm_b = (
+        LandmarkSet(shape.id, shape.landmark_indices)
+        if shape.landmark_indices
+        else fps_landmarks(shape, n_land, 0, oracle)
+        for shape, oracle in ((shape_a, oracle_a), (shape_b, oracle_b))
+    )
 
     soft_ab = propagate_soft(collection, a_id, b_id, lam=lam, source_points=list(lm_a.indices))
     soft_ba = propagate_soft(collection, b_id, a_id, lam=lam, source_points=list(lm_b.indices))
@@ -287,15 +270,13 @@ def _cmd_match(args) -> int:
             moved, shape_b, extrema_a, extrema_b, args.delta, oracle_a, oracle_b
         )
     else:
-        from .matching import MatchList
-
         seeds = MatchList(a_id, b_id, [])
     refined = joint_fps_refine(seeds, partial, max_matches, oracle_a, oracle_b)
 
     lines = [
         _provenance_header(
             "match", opts.get("seed", 0, int),
-            opts.config_dict(
+            dict(
                 manifest=args.manifest, pair=args.pair, radius=args.radius,
                 delta=args.delta, max_matches=max_matches, lam=lam,
             ),
@@ -309,8 +290,7 @@ def _cmd_match(args) -> int:
     if args.interpolated:
         dense = interpolate_dense(refined, shape_a, shape_b, oracle_a,
                                   k=opts.get("interp_k", 4, int))
-        body = "".join(f"{s},{int(t)}\n" for s, t in enumerate(dense.indices))
-        atomic_write(args.interpolated, body)
+        atomic_write(args.interpolated, map_csv(dense))
     _info(args, f"{len(refined.matched())} matches ({unmatched} unmatched entries)")
     return 0
 
@@ -375,7 +355,7 @@ def _cmd_benchmark(args) -> int:
     )
     header = _provenance_header(
         "benchmark", opts.get("seed", 0, int),
-        opts.config_dict(
+        dict(
             manifest=args.manifest, methods=",".join(methods),
             lams=[float(l) for l in lams], to_mean=bool(args.to_mean),
             normalized=not args.unnormalized,
@@ -406,8 +386,8 @@ def _cmd_lattice(args) -> int:
     lines = [
         _provenance_header(
             "lattice", seed,
-            opts.config_dict(side=side, mode=args.mode, walks=len(report.walks),
-                             discarded=report.discarded),
+            dict(side=side, mode=args.mode, walks=len(report.walks),
+                 discarded=report.discarded),
         ),
         "walk_id,step,x,y\n",
     ]
@@ -430,7 +410,7 @@ def _cmd_holonomy(args) -> int:
     trials = opts.get("trials", 50, int)
     rng = np.random.default_rng(seed)
     lines = [
-        _provenance_header("holonomy", seed, opts.config_dict(trials=trials)),
+        _provenance_header("holonomy", seed, dict(trials=trials)),
         "trial,area,deficit,bound,bound_satisfied,integration_gap\n",
     ]
     worst_gap = 0.0
@@ -490,7 +470,7 @@ def _cmd_stability(args) -> int:
             "version": __version__,
             "command": "stability",
             "seed": opts.get("seed", 0, int),
-            "config": opts.config_dict(manifest=args.manifest, lam=lam, **edit),
+            "config": dict(manifest=args.manifest, lam=lam, **edit),
         },
     }
     _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -508,7 +488,6 @@ def _add_common(p: argparse.ArgumentParser, manifest: bool = True) -> None:
         p.add_argument("--allow-duplicates", action="store_true")
     p.add_argument("--config", help="KEY=VALUE defaults file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="worker thread cap")
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
 

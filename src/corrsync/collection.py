@@ -30,6 +30,7 @@ from .errors import (
     MissingMapError,
     SoftRowError,
 )
+from .flow import gibbs_weights
 
 SOFT_PRUNE = 1e-12
 SOFT_ROW_TOL = 1e-9
@@ -54,19 +55,6 @@ def _scipy(name: str):
     """The module attribute ``sparse`` or ``csgraph``, imported on first use."""
     scope = globals()
     return scope[name] if name in scope else __getattr__(name)
-
-
-def edge_weight(d: float, beta: float = 1.0) -> float:
-    """Similarity weight exp(-beta * d^2) for an inter-shape distance d.
-
-    Maps distance 0 to weight 1 and decays smoothly; beta controls how sharply
-    long hops are suppressed.
-    """
-    if d < 0:
-        raise ValueError(f"negative distance {d!r}")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    return math.exp(-beta * d * d)
 
 
 @dataclass
@@ -183,12 +171,6 @@ class CorrespondenceMap:
         if self.kind == "discrete":
             return int(self.target_size)
         return self.matrix.shape[1]
-
-    def apply(self, v: int) -> int:
-        """Image of vertex v under a discrete map."""
-        if self.kind != "discrete":
-            raise ValueError("apply() is for discrete maps; a soft map's row v is matrix[v]")
-        return int(self.indices[v])
 
     def to_soft(self) -> sparse.csr_matrix:
         if self.kind == "soft":
@@ -327,10 +309,6 @@ class GeodesicOracle:
     def distance(self, u: int, v: int) -> float:
         return float(self.distances_from(u)[int(v)])
 
-    def ball(self, center: int, radius: float) -> np.ndarray:
-        """Vertices within geodesic distance radius of center (inclusive)."""
-        return np.flatnonzero(self.distances_from(center) <= radius)
-
     def diameter(self) -> float:
         """Geodesic diameter by a deterministic double sweep from vertex 0."""
         if self._diameter is None:
@@ -406,7 +384,7 @@ def intra_metric(shape: Shape, k: int = 8, faces: np.ndarray | None = None) -> G
 class ShapeCollection:
     """Shapes plus the symmetric inter-shape distance matrix D and pairwise maps.
 
-    W = exp(-beta * D^2) entrywise. Treated as immutable after construction;
+    W = gibbs_weights(D, beta). Treated as immutable after construction;
     derived structures (oracles, dijkstra rows) are cached.
     """
 
@@ -447,8 +425,7 @@ class ShapeCollection:
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be finite and positive, got {self.beta!r}")
         self._index = {sid: i for i, sid in enumerate(ids)}
-        with np.errstate(over="ignore"):  # an overflowing square weighs exp(-inf) = 0
-            self.W = np.exp(-self.beta * self.D * self.D)
+        self.W = gibbs_weights(self.D, self.beta)
         self._oracles: dict[tuple[str, int], GeodesicOracle] = {}
         self._oracle_lock = threading.Lock()
         for (src, tgt), m in self.maps.items():
@@ -708,6 +685,19 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
+def map_csv(m: CorrespondenceMap) -> str:
+    """A map in the map-file format: one ``source,target`` line per vertex of a
+    discrete map, one ``source,target,mass`` line per stored entry of a soft one."""
+    if m.kind == "discrete":
+        return "".join(f"{s},{int(t)}\n" for s, t in enumerate(m.indices))
+    mat = m.matrix
+    return "".join(
+        f"{s},{int(mat.indices[pos])},{_fmt(mat.data[pos])}\n"
+        for s in range(mat.shape[0])
+        for pos in range(mat.indptr[s], mat.indptr[s + 1])
+    )
+
+
 def save_collection(
     collection: ShapeCollection, out_dir: str, manifest_name: str = "manifest.json"
 ) -> str:
@@ -743,16 +733,7 @@ def save_collection(
         "".join(",".join(_fmt(v) for v in row) + "\n" for row in collection.D),
     )
     for (src, tgt), m in sorted(collection.maps.items()):
-        lines = []
-        if m.kind == "discrete":
-            for si, ti in enumerate(m.indices):
-                lines.append(f"{si},{int(ti)}\n")
-        else:
-            mat = m.matrix
-            for si in range(mat.shape[0]):
-                for pos in range(mat.indptr[si], mat.indptr[si + 1]):
-                    lines.append(f"{si},{int(mat.indices[pos])},{_fmt(mat.data[pos])}\n")
-        atomic_write(os.path.join(out_dir, "maps", f"{tgt}__{src}.csv"), "".join(lines))
+        atomic_write(os.path.join(out_dir, "maps", f"{tgt}__{src}.csv"), map_csv(m))
 
     manifest = {
         "shapes": entries,

@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import MaxStepsError, OracleBoundError, PathBudgetError
+from .errors import CorrsyncError, MaxStepsError, OracleBoundError, PathBudgetError
 
 MAX_PATHS_DEFAULT = 10**6
 ORACLE_MAX_N = 9
@@ -56,20 +56,25 @@ class WalkResult:
     status: str  # "reached" | "discarded"
 
 
+def gibbs_weights(D: np.ndarray, beta: float) -> np.ndarray:
+    """Edge weights W = exp(-beta * D^2), entrywise."""
+    with np.errstate(over="ignore"):  # an overflowing square weighs exp(-inf) = 0
+        return np.exp(-beta * D * D)
+
+
 def directed_flow_matrix(
     D: np.ndarray,
     i: int,
     j: int,
     *,
     beta: float = 1.0,
-    W: np.ndarray | None = None,
     adjacency: np.ndarray | None = None,
 ) -> FlowMatrix:
-    """Build the flow graph for ordered pair (i, j).
+    """Build the flow graph for ordered pair (i, j), weighted by gibbs_weights(D, beta).
 
-    W defaults to exp(-beta * D^2). An optional boolean adjacency restricts
-    edges to an underlying graph (used for lattice experiments); without it the
-    complete graph is assumed and the direct edge (i, j) is always present.
+    An optional boolean adjacency restricts edges to an underlying graph (used
+    for lattice experiments); without it the complete graph is assumed and the
+    direct edge (i, j) is always present.
     """
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
@@ -85,10 +90,7 @@ def directed_flow_matrix(
     F = (di[:, None] < di[None, :]) & (dj[:, None] > dj[None, :])
     if adjacency is not None:
         F &= np.asarray(adjacency, dtype=bool)
-    if W is None:
-        with np.errstate(over="ignore"):  # an overflowing square weighs exp(-inf) = 0
-            W = np.exp(-beta * D * D)
-    WF = np.where(F, W, 0.0)
+    WF = np.where(F, gibbs_weights(D, beta), 0.0)
     return FlowMatrix(source=i, target=j, F=F, WF=WF, D=D, beta=beta)
 
 
@@ -103,8 +105,11 @@ def enumerate_paths(
     Weights only shrink along a path, so pruning a partial path below lam is
     exact; so is skipping vertices from which the target cannot be reached.
     The direct two-vertex path is kept regardless of lam unless strict is set.
-    Exceeding max_paths raises rather than truncating.
+    Exceeding max_paths raises rather than truncating. lam must be finite and
+    in [0, 1].
     """
+    if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
+        raise CorrsyncError(f"lambda must be a finite number in [0, 1], got {lam!r}")
     i, j = flow.source, flow.target
     with np.errstate(over="ignore"):  # an overflowing square is an infinite energy
         D2 = flow.D * flow.D

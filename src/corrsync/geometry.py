@@ -16,7 +16,7 @@ Two experiment families back the toolkit's design rationale numerically:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class LatticeGraph:
 
 def build_lattice(side: int = 31) -> LatticeGraph:
     if side < 2:
-        raise ValueError("side must be at least 2")
+        raise CorrsyncError(f"side must be at least 2, got {side}")
     step = 1.0 / (side - 1)
     coords = np.array(
         [(col * step, row * step) for row in range(side) for col in range(side)]
@@ -147,6 +147,8 @@ def lattice_walks(
     """
     if not (math.isfinite(beta) and beta > 0):
         raise CorrsyncError(f"beta must be finite and positive, got {beta!r}")
+    if count < 1:
+        raise CorrsyncError(f"walks must be at least 1, got {count}")
     source = 0 if source is None else int(source)
     target = lattice.n - 1 if target is None else int(target)
     walks: list[tuple[int, ...]] = []
@@ -398,98 +400,3 @@ def random_triangle(rng: np.random.Generator, min_side: float = 0.2) -> SphereTr
         ]
         if all(min_side < ang < math.pi - min_side for ang in angles):
             return SphereTriangle(p, q, r)
-
-
-# ---------------------------------------------------------------------------
-# directional-progress check for curves between two sphere points
-
-
-@dataclass
-class ProgressCheckResult:
-    passed: bool
-    margin: float
-    min_inner_away: float
-    min_inner_toward: float
-    skipped: int
-    monotone_longitude: bool
-    notes: list[str] = field(default_factory=list)
-
-
-def sample_geodesic(x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
-    """Uniform arc-length samples of the minor great-circle arc from x to y."""
-    x = _check_unit(x, "x")
-    y = _check_unit(y, "y")
-    angle, axis = _leg_angle_axis(x, y)
-    if axis is None:
-        raise AntipodalError("need two distinct points")
-    u = np.cross(axis, x)
-    ts = np.linspace(0.0, 1.0, count)
-    return np.array([math.cos(angle * t) * x + math.sin(angle * t) * u for t in ts])
-
-
-def enhanced_progress_check(
-    samples: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    epsilon: float,
-) -> ProgressCheckResult:
-    """Check a curve keeps moving away from x and toward y at every sample.
-
-    At each sample p the curve tangent (central differences, normalized) must
-    have inner product above epsilon with both the direction away from x and
-    the direction toward y at p. Samples coinciding with x or y, where those
-    directions are undefined, are skipped and counted. Also reports whether
-    the curve's longitude along the x->y great circle increases strictly.
-    """
-    x = _check_unit(x, "x")
-    y = _check_unit(y, "y")
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != 3 or samples.shape[0] < 2:
-        raise ValueError("samples must be (m, 3) with m >= 2")
-    m = samples.shape[0]
-
-    tangents = np.empty_like(samples)
-    tangents[0] = samples[1] - samples[0]
-    tangents[-1] = samples[-1] - samples[-2]
-    if m > 2:
-        tangents[1:-1] = samples[2:] - samples[:-2]
-    norms = np.linalg.norm(tangents, axis=1)
-
-    notes: list[str] = []
-    skipped = 0
-    min_away = float("inf")
-    min_toward = float("inf")
-    for idx in range(m):
-        p = samples[idx]
-        away = -(x - float(np.dot(p, x)) * p)
-        toward = y - float(np.dot(p, y)) * p
-        na, nt = float(np.linalg.norm(away)), float(np.linalg.norm(toward))
-        if na < 1e-9 or nt < 1e-9 or norms[idx] < 1e-15:
-            skipped += 1
-            notes.append(f"sample {idx}: direction undefined, skipped")
-            continue
-        tangent = tangents[idx] / norms[idx]
-        min_away = min(min_away, float(np.dot(tangent, away / na)))
-        min_toward = min(min_toward, float(np.dot(tangent, toward / nt)))
-
-    if min_away == float("inf"):
-        raise ValueError("every sample was skipped; curve is degenerate")
-
-    e1 = x
-    angle, axis = _leg_angle_axis(x, y)
-    if axis is None:
-        raise AntipodalError("x and y must be distinct")
-    e2 = np.cross(axis, x)
-    longitudes = np.arctan2(samples @ e2, samples @ e1)
-    monotone = bool(np.all(np.diff(longitudes) > 0))
-
-    margin = min(min_away, min_toward) - epsilon
-    return ProgressCheckResult(
-        passed=bool(min_away > epsilon and min_toward > epsilon),
-        margin=float(margin),
-        min_inner_away=float(min_away),
-        min_inner_toward=float(min_toward),
-        skipped=skipped,
-        monotone_longitude=monotone,
-        notes=notes,
-    )

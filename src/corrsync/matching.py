@@ -4,7 +4,7 @@ Pipeline pieces: farthest-point landmark sampling, mutual ball-mass partial
 matching from soft correspondences, scalar-field extremum detection, stable
 matching of extrema after rigid alignment, joint farthest-point refinement of
 the match set, and inverse-distance interpolation to a dense map. A rigid
-ICP-style aligner and a hub-composed consistent map table round out the module.
+ICP-style aligner rounds out the module.
 """
 
 from __future__ import annotations
@@ -14,15 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collection import (
-    CorrespondenceMap,
-    GeodesicOracle,
-    Shape,
-    ShapeCollection,
-    compose_maps,
-    identity_map,
-)
-from .errors import BallOverlapError, DegenerateGeometryError, MissingMapError
+from .collection import CorrespondenceMap, GeodesicOracle, Shape
+from .errors import BallOverlapError, DegenerateGeometryError
 from .soft import SoftCorrespondence, ball_mass
 
 
@@ -30,7 +23,6 @@ from .soft import SoftCorrespondence, ball_mass
 class LandmarkSet:
     shape_id: str
     indices: tuple[int, ...]
-    method: str = "fps"
 
 
 @dataclass(frozen=True)
@@ -419,36 +411,3 @@ def _orthogonal_fit(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.nd
     sign = np.sign(np.linalg.det(Vt.T @ U.T))
     R = Vt.T @ np.diag([1.0, 1.0, sign]) @ U.T
     return R, cd - R @ cs
-
-
-def consistent_via_mean(
-    collection: ShapeCollection,
-    hard_maps: dict[tuple[str, str], CorrespondenceMap],
-) -> tuple[dict[tuple[str, str], CorrespondenceMap], str]:
-    """Consistent map table routed through the distance-centered hub shape.
-
-    The hub minimizes the summed squared distance to all other shapes (ties to
-    the lowest index); every output map composes into-hub then out-of-hub.
-    Compositions of output maps collapse exactly whenever each shape's two hub
-    maps invert each other.
-    """
-    sums = (collection.D**2).sum(axis=1)
-    mean_idx = int(np.argmin(sums))
-    mean_id = collection.ids[mean_idx]
-
-    def hub_map(a: str, b: str) -> CorrespondenceMap:
-        if a == b:
-            return identity_map(a, collection.shape(a).n)
-        if (a, b) not in hard_maps:
-            raise MissingMapError(
-                f"consistent table needs the map {a!r} -> {b!r} through the hub"
-            )
-        return hard_maps[(a, b)]
-
-    table: dict[tuple[str, str], CorrespondenceMap] = {}
-    for a in collection.ids:
-        for b in collection.ids:
-            if a == b:
-                continue
-            table[(a, b)] = compose_maps(hub_map(mean_id, b), hub_map(a, mean_id))
-    return table, mean_id

@@ -33,8 +33,6 @@ class PathDistribution:
 
     records: tuple[PathRecord, ...]
     probabilities: tuple[float, ...]
-    lam: float
-    strict: bool
 
     def __len__(self) -> int:
         return len(self.records)
@@ -46,8 +44,9 @@ class SoftCorrespondence:
 
     Row k is the row of source vertex queries[k] (distinct, in first-seen
     order): its targets are indices[indptr[k]:indptr[k + 1]], ascending, and
-    their masses sit at the same positions of data. provenance records how
-    the rows were produced (threshold, beta, path count).
+    their masses sit at the same positions of data. path_count is the number
+    of chains the rows were pushed through, and provenance lists the chains and
+    their probabilities.
     """
 
     source_id: str
@@ -56,10 +55,7 @@ class SoftCorrespondence:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    lam: float
-    beta: float
     path_count: int
-    strict: bool = False
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -115,7 +111,7 @@ def path_distribution(
             f"Gibbs weight 0 (exp(-beta * E) underflows); lower beta"
         )
     probs = tuple(r.weight / total for r in records)
-    return PathDistribution(tuple(records), probs, lam, strict)
+    return PathDistribution(tuple(records), probs)
 
 
 def _edge_map(collection: ShapeCollection, a: int, b: int) -> CorrespondenceMap:
@@ -271,9 +267,7 @@ def propagate_soft(
             f"({src_shape.n} points)"
         )
 
-    flow = directed_flow_matrix(
-        collection.D, i, j, beta=collection.beta, W=collection.W
-    )
+    flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta)
     dist = path_distribution(flow, lam=lam, max_paths=max_paths, strict=strict)
 
     plan = _trie_plan(collection, dist)
@@ -294,10 +288,7 @@ def propagate_soft(
         indptr=np.cumsum(counts),
         indices=indices,
         data=data,
-        lam=lam,
-        beta=collection.beta,
         path_count=len(dist),
-        strict=strict,
         provenance={
             "paths": [list(r.vertices) for r in dist.records],
             "path_probabilities": list(dist.probabilities),
@@ -416,8 +407,6 @@ def all_pairs_soft(
     queries: dict[str, list[int]] | None = None,
     *,
     max_paths: int = MAX_PATHS_DEFAULT,
-    strict: bool = False,
-    k: int = 8,
     threads: int = 1,
 ) -> AllPairsResult:
     """Soft correspondences and both hard extractions for every ordered pair.
@@ -433,11 +422,10 @@ def all_pairs_soft(
         pts = queries.get(a) if queries else None
         try:
             soft = propagate_soft(
-                collection, a, b, lam=lam, source_points=pts,
-                max_paths=max_paths, strict=strict,
+                collection, a, b, lam=lam, source_points=pts, max_paths=max_paths
             )
             hard = mle(soft)
-            mean = frechet_mean(soft, collection.oracle(b, k=k))
+            mean = frechet_mean(soft, collection.oracle(b))
         except Exception as exc:
             raise type(exc)(f"pair ({a!r} -> {b!r}): {exc}") from exc
         return soft, hard, mean

@@ -90,7 +90,7 @@ def soft_from_rows(rows: dict[int, dict[int, float]], source="a", target="b") ->
         indptr=np.cumsum([0] + counts),
         indices=np.array(targets, dtype=np.int64),
         data=np.array(masses, dtype=float),
-        lam=0.0, beta=1.0, path_count=1,
+        path_count=1,
     )
 
 

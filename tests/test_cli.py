@@ -160,12 +160,21 @@ class TestBadCollectionFiles:
 
 class TestBadPoints:
     @pytest.mark.parametrize(
-        "points, named", [("99999", "vertex 99999"), ("-1", "vertex -1"), ("0,abc", "'abc'")]
+        "flag, value, named",
+        [
+            # explicit ids keep the names of the --points cases stable
+            pytest.param("--points", "99999", "vertex 99999", id="99999-vertex 99999"),
+            pytest.param("--points", "-1", "vertex -1", id="-1-vertex -1"),
+            pytest.param("--points", "0,abc", "'abc'", id="0,abc-'abc'"),
+            ("--lambda", "nan", "lambda"),
+            ("--lambda", "-5", "lambda"),
+            ("--lambda", "inf", "lambda"),
+        ],
     )
-    def test_clean_error_without_traceback(self, l4_manifest, points, named):
+    def test_clean_error_without_traceback(self, l4_manifest, flag, value, named):
         proc = subprocess.run(
             [sys.executable, "-m", "corrsync", "propagate", "--manifest", l4_manifest,
-             "--source", "s0", "--target", "s3", "--points", points, "--quiet"],
+             "--source", "s0", "--target", "s3", flag, value, "--quiet"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
@@ -207,6 +216,17 @@ class TestFlowOutput:
             if line and not line.startswith("#")
         ]
         assert matrix[0] == "0,1,1,1"
+
+
+class TestBaselineOutput:
+    def test_direct_output_is_the_stored_map_file(self, tmp_path):
+        save_collection(synth_collection(3, 40, 0.05, seed=5), str(tmp_path / "c"))
+        out = tmp_path / "direct.csv"
+        main(["baseline", "--manifest", str(tmp_path / "c" / "manifest.json"),
+              "--method", "direct", "--source", "s00", "--target", "s02",
+              "--out", str(out), "--quiet"])
+        body = [l for l in out.read_bytes().splitlines(keepends=True) if not l.startswith(b"#")]
+        assert b"".join(body) == (tmp_path / "c" / "maps" / "s02__s00.csv").read_bytes()
 
 
 class TestPropagateOutput:
@@ -313,16 +333,27 @@ class TestLatticeOutput:
         assert float(first[2]) == 0.0 and float(first[3]) == 0.0
 
 
-    @pytest.mark.parametrize("beta", ["-1", "0", "nan", "inf"])
-    def test_bad_beta_is_a_clean_error(self, beta):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            # explicit ids keep the names of the --beta cases stable
+            *(pytest.param("--beta", beta, id=beta) for beta in ("-1", "0", "nan", "inf")),
+            ("--side", "0"),
+            ("--side", "1"),
+            ("--side", "-3"),
+            ("--walks", "0"),
+        ],
+    )
+    def test_bad_beta_is_a_clean_error(self, flag, value):
+        # a repeated option takes its last value
         proc = subprocess.run(
             [sys.executable, "-m", "corrsync", "lattice", "--mode", "eop", "--walks", "2",
-             "--side", "5", "--beta", beta, "--quiet"],
+             "--side", "5", flag, value, "--quiet"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "beta" in proc.stderr
+        assert flag[2:] in proc.stderr
         assert proc.stdout == ""
 
 

@@ -22,7 +22,6 @@ from corrsync.collection import (
     Shape,
     ShapeCollection,
     compose_maps,
-    edge_weight,
     identity_map,
     load_collection,
     save_collection,
@@ -40,19 +39,6 @@ from corrsync.errors import (
 )
 
 from conftest import build_l4, push_row, two_point_shape
-
-
-class TestEdgeWeight:
-    def test_values(self):
-        assert edge_weight(0.0) == 1.0
-        assert edge_weight(2.0) == pytest.approx(np.exp(-4.0))
-        assert edge_weight(2.0, beta=0.5) == pytest.approx(np.exp(-2.0))
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            edge_weight(-1.0)
-        with pytest.raises(ValueError):
-            edge_weight(1.0, beta=0.0)
 
 
 class TestShape:
@@ -224,11 +210,6 @@ print(len(out), all(row == out[0] for row in out), out[0][-1],
         pts += np.arange(6)[:, None] * [0.01, 0, 0]
         with pytest.raises(DisconnectedGraphError):
             GeodesicOracle(Shape(id="split", points=pts), k=2)
-
-    def test_ball_inclusive(self):
-        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-        o = GeodesicOracle(Shape(id="line", points=pts), k=1)
-        assert set(o.ball(0, 1.0)) == {0, 1}
 
     def test_diameter_double_sweep_on_path_graph(self):
         pts = np.c_[np.arange(5, dtype=float), np.zeros(5), np.zeros(5)]

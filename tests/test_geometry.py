@@ -7,13 +7,11 @@ from corrsync.geometry import (
     SphereTriangle,
     TangentVector,
     build_lattice,
-    enhanced_progress_check,
     holonomy_deficit,
     interior_angle,
     lattice_flow,
     lattice_walks,
     random_triangle,
-    sample_geodesic,
     spherical_excess,
     tangent_toward,
     transport_along_path,
@@ -168,35 +166,6 @@ class TestHolonomy:
             SphereTriangle(EX * 2.0, EY, EZ)
         with pytest.raises(AntipodalError):
             SphereTriangle(EX, -EX, EZ)
-
-
-class TestProgressCheck:
-    def test_geodesic_passes(self):
-        samples = sample_geodesic(EX, EY, 50)
-        res = enhanced_progress_check(samples, EX, EY, 1e-3)
-        assert res.passed
-        assert res.monotone_longitude
-        assert res.margin > 0
-
-    def test_skips_endpoints(self):
-        samples = sample_geodesic(EX, EY, 50)
-        res = enhanced_progress_check(samples, EX, EY, 1e-3)
-        assert res.skipped == 2
-        assert res.notes
-
-    def test_detour_fails(self):
-        # walk away from y first, then towards it
-        detour = np.vstack(
-            [sample_geodesic(EX, EZ, 10), sample_geodesic(EZ, EY, 10)]
-        )
-        res = enhanced_progress_check(detour, EX, EY, 1e-3)
-        assert not res.passed
-
-    def test_epsilon_strictness(self):
-        samples = sample_geodesic(EX, EY, 50)
-        good = enhanced_progress_check(samples, EX, EY, 1e-6)
-        res = enhanced_progress_check(samples, EX, EY, 2.0)
-        assert good.passed and not res.passed
 
 
 class TestTangentHelpers:

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from corrsync.collection import GeodesicOracle, Shape, compose_maps
+from corrsync.collection import GeodesicOracle, Shape
 from corrsync.errors import BallOverlapError, DegenerateGeometryError
 from corrsync.matching import (
     LandmarkSet,
@@ -11,7 +9,6 @@ from corrsync.matching import (
     MatchList,
     baseline_pairwise_align,
     check_ball_disjoint,
-    consistent_via_mean,
     detect_extrema,
     fps_landmarks,
     gp_partial_match,
@@ -22,7 +19,7 @@ from corrsync.matching import (
     strict_extrema,
 )
 
-from conftest import permutation_collection, soft_from_rows
+from conftest import soft_from_rows
 
 
 def line_shape(shape_id, xs):
@@ -83,8 +80,8 @@ class TestGpPartialMatch:
         oa, ob = GeodesicOracle(a, k=1), GeodesicOracle(b, k=1)
         soft_ab = self._soft("a", "b", {0: {0: 0.9, 1: 0.1}, 1: {1: 1.0}})
         soft_ba = self._soft("b", "a", {0: {0: 0.8, 1: 0.2}, 1: {1: 1.0}})
-        lm_a = LandmarkSet("a", (0, 1), "fps")
-        lm_b = LandmarkSet("b", (0, 1), "fps")
+        lm_a = LandmarkSet("a", (0, 1))
+        lm_b = LandmarkSet("b", (0, 1))
         out = gp_partial_match(soft_ab, soft_ba, lm_a, lm_b, 1.0, oa, ob)
         assert out.pairs() == [(0, 0), (1, 1)]
 
@@ -95,8 +92,8 @@ class TestGpPartialMatch:
         # landmark 1's mass lands nowhere mutual
         soft_ab = self._soft("a", "b", {0: {0: 1.0}, 1: {0: 1.0}})
         soft_ba = self._soft("b", "a", {0: {0: 1.0}, 1: {1: 1.0}})
-        lm_a = LandmarkSet("a", (0, 1), "fps")
-        lm_b = LandmarkSet("b", (0, 1), "fps")
+        lm_a = LandmarkSet("a", (0, 1))
+        lm_b = LandmarkSet("b", (0, 1))
         out = gp_partial_match(soft_ab, soft_ba, lm_a, lm_b, 1.0, oa, ob)
         assert out.pairs() == [(0, 0)]
         sentinels = [m for m in out.entries if m.target is None]
@@ -109,8 +106,8 @@ class TestGpPartialMatch:
         # both landmarks point at target 0; only the first claims it
         soft_ab = self._soft("a", "b", {0: {0: 1.0}, 1: {0: 1.0}})
         soft_ba = self._soft("b", "a", {0: {0: 0.5, 1: 0.5}, 1: {1: 1.0}})
-        lm_a = LandmarkSet("a", (0, 1), "fps")
-        lm_b = LandmarkSet("b", (0, 1), "fps")
+        lm_a = LandmarkSet("a", (0, 1))
+        lm_b = LandmarkSet("b", (0, 1))
         out = gp_partial_match(soft_ab, soft_ba, lm_a, lm_b, 1.0, oa, ob)
         assert out.pairs() == [(0, 0)]
 
@@ -122,8 +119,8 @@ class TestGpPartialMatch:
         soft_ba = self._soft("b", "a", {0: {0: 1.0}, 1: {1: 1.0}})
         with pytest.raises(BallOverlapError):
             gp_partial_match(
-                soft_ab, soft_ba, LandmarkSet("a", (0, 1), "fps"),
-                LandmarkSet("b", (0, 1), "fps"), 1.0, oa, ob
+                soft_ab, soft_ba, LandmarkSet("a", (0, 1)),
+                LandmarkSet("b", (0, 1)), 1.0, oa, ob
             )
 
 
@@ -316,33 +313,3 @@ class TestBaselineAlign:
         A = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1.0, 0], [0.5, 0.5, 1.0]])
         res = baseline_pairwise_align(Shape(id="a", points=A), Shape(id="b", points=A))
         assert list(res.map.indices) == [0, 1, 2, 3]
-
-
-class TestConsistentViaMean:
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_all_triples_compose_exactly(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(3, 6))
-        n = int(rng.integers(2, 7))
-        perms = [rng.permutation(n) for _ in range(k)]
-        coll = permutation_collection(perms)
-        table, mean_id = consistent_via_mean(coll, dict(coll.maps))
-        ids = coll.ids
-        assert mean_id in ids
-        for a in ids:
-            for b in ids:
-                for c in ids:
-                    if len({a, b, c}) < 3:
-                        continue
-                    comp = compose_maps(table[(b, c)], table[(a, b)])
-                    assert np.array_equal(comp.indices, table[(a, c)].indices)
-
-    def test_mean_minimizes_squared_row_sum(self):
-        idx = np.arange(4, dtype=float)
-        D = np.abs(idx[:, None] - idx[None, :])
-        perms = [np.arange(3) for _ in range(4)]
-        coll = permutation_collection(perms, D=D)
-        _, mean_id = consistent_via_mean(coll, dict(coll.maps))
-        # row sums of D^2: positions 1 and 2 tie at 6; lowest index wins
-        assert mean_id == "p1"

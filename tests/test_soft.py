@@ -39,9 +39,7 @@ def per_chain_rows(collection, source_id, target_id, lam, source_points, max_pat
     with push_row, accumulated per target in chain order."""
     i = collection.index(source_id)
     j = collection.index(target_id)
-    flow = directed_flow_matrix(
-        collection.D, i, j, beta=collection.beta, W=collection.W
-    )
+    flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta)
     dist = path_distribution(flow, lam=lam, max_paths=max_paths)
     ids = collection.ids
     edge_maps = {
@@ -372,6 +370,22 @@ class TestReadmeInvariants:
                 masses = np.array(list(row.values()))
                 assert np.isfinite(masses).all() and (masses >= 0).all()
                 assert abs(masses.sum() - 1.0) <= 1e-9
+
+
+class TestFlowWeights:
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, 20.0), st.sampled_from([1.0, 1e200]))
+    @settings(max_examples=30, deadline=None)
+    def test_flow_weights_are_the_collection_weights(self, seed, beta, scale):
+        # at scale 1e200 every off-diagonal D * D overflows to a weight of 0
+        coll = random_collection(np.random.default_rng(seed))
+        coll = with_distances(coll, scale * coll.D, beta)
+        if scale > 1.0:
+            assert not coll.W[~np.eye(coll.n, dtype=bool)].any()
+        for i in range(coll.n):
+            for j in range(coll.n):
+                if i != j:
+                    flow = directed_flow_matrix(coll.D, i, j, beta=coll.beta)
+                    assert flow.WF.tobytes() == np.where(flow.F, coll.W, 0.0).tobytes()
 
 
 class TestHardMaps:
