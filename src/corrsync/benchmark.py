@@ -5,7 +5,7 @@ reports under collection edits."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from .collection import (
     identity_map,
     intra_metric,
 )
-from .errors import IndexRangeError, ManifestError
-from .flow import directed_flow_matrix
+from .errors import CorrsyncError, IndexRangeError, InvalidValueError, ManifestError
+from .flow import MAX_PATHS_DEFAULT, directed_flow_matrix
 from .matching import baseline_pairwise_align, fps_landmarks
-from .soft import frechet_mean, mle, propagate_soft, tv_distance
+from .soft import LAMBDA_DEFAULT, frechet_mean, mle, propagate_soft, tv_distance
 
 METHODS = ("direct", "mst", "shortest", "frechet", "mle")
 SOFT_METHODS = ("frechet", "mle")
@@ -58,21 +58,24 @@ def geodesic_errors(
 ) -> np.ndarray:
     """Geodesic distance on the target between predictions and true vertices.
 
-    predicted is a vertex->vertex mapping or a discrete map; distances divide
-    by the target's geodesic diameter unless normalize is off. The graph is
-    undirected, so each error is read from the true vertex's cached row: the
-    rows of all true vertices come from one oracle call, and each is computed
-    once however many maps are scored against it.
+    predicted is a vertex->vertex mapping or a discrete map (a soft map raises
+    CorrsyncError); distances divide by the target's geodesic diameter unless
+    normalize is off. The graph is undirected, so each error is read from the
+    true vertex's cached row: the rows of all true vertices come from one
+    oracle call, and each is computed once however many maps are scored
+    against it.
     """
     if not gt_pairs:
         raise ManifestError("no shared landmark labels between the two shapes")
-    lookup = (
-        (lambda v: int(predicted.indices[v]))
-        if isinstance(predicted, CorrespondenceMap)
-        else (lambda v: int(predicted[v]))
-    )
+    if isinstance(predicted, CorrespondenceMap):
+        if predicted.kind != "discrete":
+            raise CorrsyncError(
+                f"map {predicted.source_id!r} -> {predicted.target_id!r} is soft; "
+                f"geodesic errors are defined for discrete maps only"
+            )
+        predicted = predicted.indices
     scale = oracle.diameter() if normalize else 1.0
-    preds = [lookup(s) for s, _ in gt_pairs]
+    preds = [int(predicted[s]) for s, _ in gt_pairs]
     for p in preds:
         if not 0 <= p < oracle.n:
             raise IndexRangeError(
@@ -132,12 +135,12 @@ class BenchmarkResult:
 def run_benchmark(
     collection: ShapeCollection,
     methods: tuple[str, ...] = METHODS,
-    lams: tuple[float, ...] = (0.978,),
+    lams: tuple[float, ...] = (LAMBDA_DEFAULT,),
     to_mean: bool = False,
     grid: np.ndarray | None = None,
     normalize: bool = True,
     epsilon: float | None = None,
-    max_paths: int = 10**6,
+    max_paths: int = MAX_PATHS_DEFAULT,
 ) -> BenchmarkResult:
     """Error curves for each propagation method over labeled shape pairs.
 
@@ -147,7 +150,7 @@ def run_benchmark(
     """
     for m in methods:
         if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+            raise InvalidValueError(f"unknown method {m!r}; choose from {METHODS}")
     ids = collection.ids
     if to_mean:
         hub = int(np.argmin((collection.D**2).sum(axis=1)))
@@ -166,7 +169,6 @@ def run_benchmark(
     oracles = {sid: collection.oracle(sid) for sid in {b for _, b in pairs}}
     errors: dict[tuple[str, float | None], list[float]] = {}
 
-    route_maps: dict[str, dict[tuple[str, str], CorrespondenceMap]] = {}
     for m in methods:
         if m in SOFT_METHODS:
             continue
@@ -178,7 +180,6 @@ def run_benchmark(
                 built[(a, b)] = mst_propagate(collection, a, b)[0]
             else:
                 built[(a, b)] = shortest_path_propagate(collection, a, b, epsilon=epsilon)[0]
-        route_maps[m] = built
         errs: list[float] = []
         for a, b in pairs:
             errs.extend(
@@ -327,11 +328,10 @@ def corrupt_maps(
     collection: ShapeCollection,
     fraction: float,
     seed: int,
-    subset_fraction: float = 0.5,
 ) -> ShapeCollection:
     """Corrupt a seeded choice of unordered pairs by permuting target vertices.
 
-    For each chosen pair, a random permutation of a seeded subset of the second
+    For each chosen pair, a random permutation of a seeded half of the second
     shape's vertices composes onto the stored map, and the reverse map composes
     with the inverse permutation, so mutual-inverse pairs stay mutual inverses.
     Returns a new collection; the input is untouched.
@@ -352,7 +352,7 @@ def corrupt_maps(
         if fwd.kind != "discrete" or (rev is not None and rev.kind != "discrete"):
             raise ValueError("corruption supports discrete maps only")
         n_b = fwd.n_target
-        m = max(2, int(round(subset_fraction * n_b)))
+        m = max(2, int(round(0.5 * n_b)))
         subset = rng.choice(n_b, size=min(m, n_b), replace=False)
         perm = np.arange(n_b, dtype=np.int64)
         perm[subset] = subset[rng.permutation(subset.size)]
@@ -394,14 +394,13 @@ class StabilityReport:
     shared_ids: tuple[str, ...]
 
 
-def add_far_shape(
-    collection: ShapeCollection, factor: float = 10.0, far_id: str = "far"
-) -> ShapeCollection:
-    """New collection with one extra shape uniformly farther than every distance.
+def add_far_shape(collection: ShapeCollection, factor: float = 10.0) -> ShapeCollection:
+    """New collection plus one shape, "far", uniformly farther than every distance.
 
     The far shape copies the first shape's geometry and maps, so it is valid to
     query but never lies between any original pair.
     """
+    far_id = "far"
     if far_id in collection.ids:
         raise ManifestError(f"id {far_id!r} already present")
     first = collection.shapes[0]

@@ -29,12 +29,11 @@ from .benchmark import (
     stability_report,
     synth_collection,
 )
-from .collection import _fmt, atomic_write, load_collection, map_csv, save_collection
+from .collection import KNN_DEFAULT, _fmt, atomic_write, load_collection, map_csv, save_collection
 from .errors import CorrsyncError
-from .flow import directed_flow_matrix
+from .flow import MAX_PATHS_DEFAULT, directed_flow_matrix
 from .geometry import (
     GeodesicLegPath,
-    SphereTriangle,
     TangentVector,
     build_lattice,
     holonomy_deficit,
@@ -55,7 +54,7 @@ from .matching import (
     joint_fps_refine,
     stable_curvature_match,
 )
-from .soft import propagate_soft
+from .soft import LAMBDA_DEFAULT, propagate_soft
 
 
 def _provenance_header(command: str, seed, config: dict) -> str:
@@ -76,13 +75,11 @@ def _emit(out_path: str | None, text: str) -> None:
 
 
 def _info(args, message: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(message, file=sys.stderr)
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
+def _load_config(path: str) -> dict[str, str]:
     if not os.path.exists(path):
         raise CorrsyncError(f"config file not found: {path}")
     values: dict[str, str] = {}
@@ -98,40 +95,8 @@ def _load_config(path: str | None) -> dict[str, str]:
     return values
 
 
-class _Options:
-    """Resolution order: command line flag, then config file, then built-in default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _load_config(getattr(args, "config", None))
-
-    def get(self, name: str, default, cast=None):
-        value = getattr(self.args, name, None)
-        if value is None:
-            raw = self.config.get(name)
-            if raw is None:
-                value = default
-            else:
-                value = raw
-        if value is None:
-            return None
-        if cast is not None and not isinstance(value, cast if isinstance(cast, type) else float):
-            try:
-                value = cast(value)
-            except (TypeError, ValueError):
-                raise CorrsyncError(f"option {name!r}: cannot read {value!r}")
-        return value
-
-
-def _parse_lams(raw) -> tuple[float, ...]:
-    if isinstance(raw, (int, float)):
-        return (float(raw),)
-    return tuple(float(part) for part in str(raw).split(","))
-
-
-def _collection(opts: _Options):
-    manifest = opts.args.manifest
-    return load_collection(manifest, allow_duplicates=bool(opts.args.allow_duplicates))
+def _collection(args):
+    return load_collection(args.manifest, allow_duplicates=args.allow_duplicates)
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +104,13 @@ def _collection(opts: _Options):
 
 
 def _cmd_flow(args) -> int:
-    opts = _Options(args)
-    collection = _collection(opts)
+    collection = _collection(args)
     i = collection.index(args.source)
     j = collection.index(args.target)
     flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta)
     lines = [
         _provenance_header(
-            "flow", opts.get("seed", 0, int),
+            "flow", args.seed,
             dict(manifest=args.manifest, source=args.source, target=args.target),
         )
     ]
@@ -164,10 +128,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    opts = _Options(args)
-    collection = _collection(opts)
-    lam = opts.get("lam", 0.978, float)
-    max_paths = opts.get("max_paths", 10**6, int)
+    collection = _collection(args)
     points = None
     if args.points and args.points != "landmarks":
         points = []
@@ -180,8 +141,8 @@ def _cmd_propagate(args) -> int:
                     f"got {token!r}"
                 ) from None
     soft = propagate_soft(
-        collection, args.source, args.target, lam=lam, source_points=points,
-        max_paths=max_paths, strict=bool(args.strict),
+        collection, args.source, args.target, lam=args.lam, source_points=points,
+        max_paths=args.max_paths, strict=args.strict,
     )
     rows = []
     for v in sorted(soft.queries.tolist()):
@@ -190,15 +151,15 @@ def _cmd_propagate(args) -> int:
     payload = {
         "source": args.source,
         "target": args.target,
-        "lambda": lam,
+        "lambda": args.lam,
         "rows": rows,
         "provenance": {
             "version": __version__,
             "command": "propagate",
-            "seed": opts.get("seed", 0, int),
+            "seed": args.seed,
             "config": dict(
                 manifest=args.manifest, beta=collection.beta,
-                strict=bool(args.strict), path_count=soft.path_count,
+                strict=args.strict, path_count=soft.path_count,
             ),
         },
     }
@@ -208,18 +169,17 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    opts = _Options(args)
-    collection = _collection(opts)
+    collection = _collection(args)
     if args.method == "direct":
         cmap, route = direct_propagate(collection, args.source, args.target), None
     elif args.method == "mst":
         cmap, route = mst_propagate(collection, args.source, args.target)
     else:
         cmap, route = shortest_path_propagate(
-            collection, args.source, args.target, epsilon=opts.get("epsilon", None, float)
+            collection, args.source, args.target, epsilon=args.epsilon
         )
     header = _provenance_header(
-        "baseline", opts.get("seed", 0, int),
+        "baseline", args.seed,
         dict(
             manifest=args.manifest, method=args.method,
             source=args.source, target=args.target,
@@ -232,30 +192,27 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    opts = _Options(args)
-    collection = _collection(opts)
-    try:
-        a_id, b_id = args.pair.split(",")
-    except ValueError:
-        raise CorrsyncError(f"--pair expects two comma-separated shape ids, got {args.pair!r}")
+    collection = _collection(args)
+    ids = args.pair.split(",")
+    if len(ids) != 2 or ids[0] == ids[1]:
+        raise CorrsyncError(
+            f"--pair expects two different comma-separated shape ids, got {args.pair!r}"
+        )
+    a_id, b_id = ids
     shape_a = collection.shape(a_id)
     shape_b = collection.shape(b_id)
-    k = opts.get("knn", 8, int)
-    oracle_a = collection.oracle(a_id, k=k)
-    oracle_b = collection.oracle(b_id, k=k)
-    lam = opts.get("lam", 0.978, float)
-    n_land = opts.get("landmarks", 10, int)
-    max_matches = opts.get("max_matches", 15, int)
+    oracle_a = collection.oracle(a_id, k=args.knn)
+    oracle_b = collection.oracle(b_id, k=args.knn)
 
     lm_a, lm_b = (
         LandmarkSet(shape.id, shape.landmark_indices)
         if shape.landmark_indices
-        else fps_landmarks(shape, n_land, 0, oracle)
+        else fps_landmarks(shape, args.landmarks, 0, oracle)
         for shape, oracle in ((shape_a, oracle_a), (shape_b, oracle_b))
     )
 
-    soft_ab = propagate_soft(collection, a_id, b_id, lam=lam, source_points=list(lm_a.indices))
-    soft_ba = propagate_soft(collection, b_id, a_id, lam=lam, source_points=list(lm_b.indices))
+    soft_ab = propagate_soft(collection, a_id, b_id, lam=args.lam, source_points=list(lm_a.indices))
+    soft_ba = propagate_soft(collection, b_id, a_id, lam=args.lam, source_points=list(lm_b.indices))
     partial = gp_partial_match(
         soft_ab, soft_ba, lm_a, lm_b, args.radius, oracle_a, oracle_b
     )
@@ -263,22 +220,22 @@ def _cmd_match(args) -> int:
     if shape_a.scalar_field is not None and shape_b.scalar_field is not None:
         align = baseline_pairwise_align(shape_a, shape_b)
         moved = Shape(id=a_id, points=shape_a.points @ align.rotation.T + align.translation)
-        extrema_a = detect_extrema(moved, oracle_a, hops=opts.get("hops", 1, int),
+        extrema_a = detect_extrema(moved, oracle_a, hops=args.hops,
                                    field=shape_a.scalar_field)
-        extrema_b = detect_extrema(shape_b, oracle_b, hops=opts.get("hops", 1, int))
+        extrema_b = detect_extrema(shape_b, oracle_b, hops=args.hops)
         seeds = stable_curvature_match(
             moved, shape_b, extrema_a, extrema_b, args.delta, oracle_a, oracle_b
         )
     else:
         seeds = MatchList(a_id, b_id, [])
-    refined = joint_fps_refine(seeds, partial, max_matches, oracle_a, oracle_b)
+    refined = joint_fps_refine(seeds, partial, args.max_matches, oracle_a, oracle_b)
 
     lines = [
         _provenance_header(
-            "match", opts.get("seed", 0, int),
+            "match", args.seed,
             dict(
                 manifest=args.manifest, pair=args.pair, radius=args.radius,
-                delta=args.delta, max_matches=max_matches, lam=lam,
+                delta=args.delta, max_matches=args.max_matches, lam=args.lam,
             ),
         ),
         "source_index,target_index,provenance\n",
@@ -288,8 +245,7 @@ def _cmd_match(args) -> int:
     _emit(args.out, "".join(lines))
     unmatched = len(refined.entries) - len(refined.matched())
     if args.interpolated:
-        dense = interpolate_dense(refined, shape_a, shape_b, oracle_a,
-                                  k=opts.get("interp_k", 4, int))
+        dense = interpolate_dense(refined, shape_a, shape_b, oracle_a)
         atomic_write(args.interpolated, map_csv(dense))
     _info(args, f"{len(refined.matched())} matches ({unmatched} unmatched entries)")
     return 0
@@ -338,26 +294,23 @@ def _curves_svg(curves) -> str:
 
 
 def _cmd_benchmark(args) -> int:
-    opts = _Options(args)
-    collection = _collection(opts)
+    collection = _collection(args)
     methods = tuple(args.methods.split(",")) if args.methods else METHODS
-    lams = _parse_lams(opts.get("lam", 0.978))
-    grid = default_grid(opts.get("grid_count", 100, int), opts.get("grid_max", 0.5, float))
     result = run_benchmark(
         collection,
         methods=methods,
-        lams=lams,
-        to_mean=bool(args.to_mean),
-        grid=grid,
+        lams=args.lam,
+        to_mean=args.to_mean,
+        grid=default_grid(args.grid_count, args.grid_max),
         normalize=not args.unnormalized,
-        epsilon=opts.get("epsilon", None, float),
-        max_paths=opts.get("max_paths", 10**6, int),
+        epsilon=args.epsilon,
+        max_paths=args.max_paths,
     )
     header = _provenance_header(
-        "benchmark", opts.get("seed", 0, int),
+        "benchmark", args.seed,
         dict(
             manifest=args.manifest, methods=",".join(methods),
-            lams=[float(l) for l in lams], to_mean=bool(args.to_mean),
+            lams=list(args.lam), to_mean=args.to_mean,
             normalized=not args.unnormalized,
         ),
     )
@@ -369,24 +322,21 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    opts = _Options(args)
-    side = opts.get("side", 31, int)
-    seed = opts.get("seed", 0, int)
-    lattice = build_lattice(side)
+    lattice = build_lattice(args.side)
     report = lattice_walks(
         lattice,
         mode=args.mode,
-        count=opts.get("walks", 100, int),
-        seed=seed,
-        source=opts.get("source", None, int),
-        target=opts.get("target", None, int),
-        beta=opts.get("beta", 1.0, float),
-        max_steps=opts.get("max_steps", 100_000, int),
+        count=args.walks,
+        seed=args.seed,
+        source=args.source,
+        target=args.target,
+        beta=args.beta,
+        max_steps=args.max_steps,
     )
     lines = [
         _provenance_header(
-            "lattice", seed,
-            dict(side=side, mode=args.mode, walks=len(report.walks),
+            "lattice", args.seed,
+            dict(side=args.side, mode=args.mode, walks=len(report.walks),
                  discarded=report.discarded),
         ),
         "walk_id,step,x,y\n",
@@ -405,16 +355,13 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_holonomy(args) -> int:
-    opts = _Options(args)
-    seed = opts.get("seed", 0, int)
-    trials = opts.get("trials", 50, int)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     lines = [
-        _provenance_header("holonomy", seed, dict(trials=trials)),
+        _provenance_header("holonomy", args.seed, dict(trials=args.trials)),
         "trial,area,deficit,bound,bound_satisfied,integration_gap\n",
     ]
     worst_gap = 0.0
-    for trial in range(trials):
+    for trial in range(args.trials):
         tri = random_triangle(rng)
         v = tangent_toward(tri.p, tri.q)
         tv = TangentVector(tri.p, v)
@@ -427,20 +374,19 @@ def _cmd_holonomy(args) -> int:
             f"{int(res.bound_satisfied)},{_fmt(gap)}\n"
         )
     _emit(args.out, "".join(lines))
-    _info(args, f"{trials} trials, worst closed-vs-integrated gap {worst_gap:.3e}")
+    _info(args, f"{args.trials} trials, worst closed-vs-integrated gap {worst_gap:.3e}")
     return 0
 
 
 def _cmd_synth(args) -> int:
-    opts = _Options(args)
     collection = synth_collection(
-        n_shapes=opts.get("shapes", 8, int),
-        n_points=opts.get("points", 300, int),
-        deform_amplitude=opts.get("amplitude", 0.08, float),
-        seed=opts.get("seed", 0, int),
+        n_shapes=args.shapes,
+        n_points=args.points,
+        deform_amplitude=args.amplitude,
+        seed=args.seed,
         map_source="truth" if args.truth_maps else "align",
-        landmark_count=opts.get("landmarks", 16, int),
-        allow_duplicates=bool(args.allow_duplicates),
+        landmark_count=args.landmarks,
+        allow_duplicates=args.allow_duplicates,
     )
     manifest = save_collection(collection, args.out_dir)
     print(manifest)
@@ -448,16 +394,19 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    opts = _Options(args)
-    collection = _collection(opts)
+    if args.add_far is not None and args.remove is not None:
+        # argparse keeps the two flags apart; a config file can still set one
+        raise CorrsyncError(
+            f"--add-far {args.add_far} and --remove {args.remove} exclude each other"
+        )
+    collection = _collection(args)
     if args.add_far is not None:
         after = add_far_shape(collection, factor=args.add_far)
         edit = {"kind": "add_far", "factor": args.add_far}
     else:
         after = remove_shape(collection, args.remove)
         edit = {"kind": "remove", "shape": args.remove}
-    lam = opts.get("lam", 0.0, float)
-    report = stability_report(collection, after, lam=lam)
+    report = stability_report(collection, after, lam=args.lam)
     payload = {
         "edit": edit,
         "shared_ids": list(report.shared_ids),
@@ -469,8 +418,8 @@ def _cmd_stability(args) -> int:
         "provenance": {
             "version": __version__,
             "command": "stability",
-            "seed": opts.get("seed", 0, int),
-            "config": dict(manifest=args.manifest, lam=lam, **edit),
+            "seed": args.seed,
+            "config": dict(manifest=args.manifest, lam=args.lam, **edit),
         },
     }
     _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -482,17 +431,27 @@ def _cmd_stability(args) -> int:
 # parser
 
 
+def _float_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number or comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _add_common(p: argparse.ArgumentParser, manifest: bool = True) -> None:
     if manifest:
         p.add_argument("--manifest", required=True, help="collection manifest JSON")
         p.add_argument("--allow-duplicates", action="store_true")
     p.add_argument("--config", help="KEY=VALUE defaults file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    p.add_argument("--out", default=None, help="output path (stdout when omitted)")
+    p.add_argument("--out", help="output path (stdout when omitted)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The corrsync parser; config values, if given, become every subcommand's defaults."""
     parser = argparse.ArgumentParser(
         prog="corrsync",
         description="Correspondence synchronization across shape collections",
@@ -510,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=float, default=LAMBDA_DEFAULT)
     p.add_argument("--points", default="landmarks",
                    help="comma-separated source vertices, or 'landmarks'")
     p.add_argument("--strict", action="store_true",
                    help="drop the direct path when it falls below the threshold")
-    p.add_argument("--max-paths", dest="max_paths", type=int, default=None)
+    p.add_argument("--max-paths", dest="max_paths", type=int, default=MAX_PATHS_DEFAULT)
     p.set_defaults(func=_cmd_propagate)
 
     p = sub.add_parser("baseline", help="single-route propagation")
@@ -523,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=("direct", "mst", "shortest"))
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="pruning threshold for --method shortest")
+    p.add_argument("--epsilon", type=float, help="pruning threshold for --method shortest")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("match", help="sparse landmark matching for one pair")
@@ -532,55 +490,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True, help="source,target shape ids")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--max-matches", dest="max_matches", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--landmarks", type=int, default=None,
+    p.add_argument("--max-matches", dest="max_matches", type=int, default=15)
+    p.add_argument("--lambda", dest="lam", type=float, default=LAMBDA_DEFAULT)
+    p.add_argument("--landmarks", type=int, default=10,
                    help="farthest-point landmark count when shapes carry none")
-    p.add_argument("--hops", type=int, default=None)
-    p.add_argument("--knn", type=int, default=None)
-    p.add_argument("--interpolated", default=None,
-                   help="also write a dense interpolated map to this path")
+    p.add_argument("--hops", type=int, default=1)
+    p.add_argument("--knn", type=int, default=KNN_DEFAULT)
+    p.add_argument("--interpolated", help="also write a dense interpolated map to this path")
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("benchmark", help="error curves for propagation methods")
     _add_common(p)
-    p.add_argument("--methods", default=None, help="comma-separated subset of "
-                   + ",".join(METHODS))
-    p.add_argument("--lambda", dest="lam", default=None,
+    p.add_argument("--methods", help="comma-separated subset of " + ",".join(METHODS))
+    p.add_argument("--lambda", dest="lam", type=_float_list, default=(LAMBDA_DEFAULT,),
                    help="threshold or comma-separated sweep")
     p.add_argument("--to-mean", dest="to_mean", action="store_true",
                    help="only score pairs into the central hub shape")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--grid-count", dest="grid_count", type=int, default=None)
-    p.add_argument("--grid-max", dest="grid_max", type=float, default=None)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--grid-count", dest="grid_count", type=int, default=100)
+    p.add_argument("--grid-max", dest="grid_max", type=float, default=0.5)
     p.add_argument("--unnormalized", action="store_true")
-    p.add_argument("--max-paths", dest="max_paths", type=int, default=None)
-    p.add_argument("--svg", default=None, help="also render curves to this SVG path")
+    p.add_argument("--max-paths", dest="max_paths", type=int, default=MAX_PATHS_DEFAULT)
+    p.add_argument("--svg", help="also render curves to this SVG path")
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("lattice", help="grid walk comparison")
     _add_common(p, manifest=False)
     p.add_argument("--mode", required=True, choices=("standard", "nonbacktracking", "eop"))
-    p.add_argument("--walks", type=int, default=None)
-    p.add_argument("--side", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--source", type=int, default=None)
-    p.add_argument("--target", type=int, default=None)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
+    p.add_argument("--walks", type=int, default=100)
+    p.add_argument("--side", type=int, default=31)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--source", type=int)
+    p.add_argument("--target", type=int)
+    p.add_argument("--max-steps", dest="max_steps", type=int, default=100_000)
     p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("holonomy", help="transport deficit trials on the sphere")
     _add_common(p, manifest=False)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=50)
     p.set_defaults(func=_cmd_holonomy)
 
     p = sub.add_parser("synth", help="generate a synthetic collection")
     _add_common(p, manifest=False)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--shapes", type=int, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--amplitude", type=float, default=None)
-    p.add_argument("--landmarks", type=int, default=None)
+    p.add_argument("--shapes", type=int, default=8)
+    p.add_argument("--points", type=int, default=300)
+    p.add_argument("--amplitude", type=float, default=0.08)
+    p.add_argument("--landmarks", type=int, default=16)
     p.add_argument("--truth-maps", dest="truth_maps", action="store_true",
                    help="store exact identity maps instead of aligned ones")
     p.add_argument("--allow-duplicates", action="store_true")
@@ -589,20 +545,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="collection edit impact report")
     _add_common(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--add-far", dest="add_far", nargs="?", const=10.0,
-                       type=float, default=None,
+    group.add_argument("--add-far", dest="add_far", nargs="?", const=10.0, type=float,
                        help="add a uniformly distant shape (optional factor)")
-    group.add_argument("--remove", default=None, help="shape id to remove")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    group.add_argument("--remove", help="shape id to remove")
+    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.set_defaults(func=_cmd_stability)
 
+    for p in sub.choices.values():
+        p.set_defaults(**(config or {}))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.config:
+            # Config values go in as the subcommand's defaults: a flag still
+            # wins, argparse reads each value with its option's type, and keys
+            # naming a store_true flag or no option at all are left out.
+            settable = {
+                key for key, value in vars(args).items()
+                if key not in ("command", "func") and not isinstance(value, bool)
+            }
+            config = {k: v for k, v in _load_config(args.config).items() if k in settable}
+            args = build_parser(config).parse_args(argv)
         return args.func(args)
     except CorrsyncError as exc:
         print(f"corrsync: error: {exc}", file=sys.stderr)

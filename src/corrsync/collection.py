@@ -24,6 +24,7 @@ from .errors import (
     DisconnectedGraphError,
     DuplicateShapeError,
     IndexRangeError,
+    InvalidValueError,
     InverseViolationError,
     ManifestError,
     MetricAsymmetryError,
@@ -32,6 +33,8 @@ from .errors import (
 )
 from .flow import gibbs_weights
 
+# neighbors per vertex in the k-NN graph of a geodesic oracle
+KNN_DEFAULT = 8
 SOFT_PRUNE = 1e-12
 SOFT_ROW_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
@@ -251,7 +254,7 @@ class GeodesicOracle:
     cached per source vertex; the cache is safe under concurrent reads.
     """
 
-    def __init__(self, shape: Shape, k: int = 8, faces: np.ndarray | None = None):
+    def __init__(self, shape: Shape, k: int = KNN_DEFAULT, faces: np.ndarray | None = None):
         self.shape = shape
         self.k = k
         self._rows: dict[int, np.ndarray] = {}
@@ -334,7 +337,7 @@ def _build_neighbor_graph(shape: Shape, k: int, faces: np.ndarray | None) -> spa
         rows, cols = tris.ravel(), tris[:, [1, 2, 0]].ravel()
     else:
         if k < 1:
-            raise ValueError("k must be at least 1")
+            raise InvalidValueError(f"shape {shape.id!r}: k must be at least 1, got {k}")
         k_eff = min(k, n - 1)
         rows = np.repeat(np.arange(n, dtype=np.int64), k_eff)
         cols = _nearest_neighbors(pts, k_eff).ravel()
@@ -375,7 +378,9 @@ def _nearest_neighbors(pts: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def intra_metric(shape: Shape, k: int = 8, faces: np.ndarray | None = None) -> GeodesicOracle:
+def intra_metric(
+    shape: Shape, k: int = KNN_DEFAULT, faces: np.ndarray | None = None
+) -> GeodesicOracle:
     """Build the geodesic oracle for a shape (k-NN graph, or mesh edges if faces given)."""
     return GeodesicOracle(shape, k=k, faces=faces)
 
@@ -467,7 +472,7 @@ class ShapeCollection:
                 f"no stored map {source_id!r} -> {target_id!r}"
             ) from None
 
-    def oracle(self, shape_id: str, k: int = 8) -> GeodesicOracle:
+    def oracle(self, shape_id: str, k: int = KNN_DEFAULT) -> GeodesicOracle:
         key = (shape_id, k)
         if key not in self._oracles:
             built = intra_metric(self.shape(shape_id), k=k)
@@ -698,10 +703,8 @@ def map_csv(m: CorrespondenceMap) -> str:
     )
 
 
-def save_collection(
-    collection: ShapeCollection, out_dir: str, manifest_name: str = "manifest.json"
-) -> str:
-    """Write a collection in the manifest layout; returns the manifest path.
+def save_collection(collection: ShapeCollection, out_dir: str) -> str:
+    """Write a collection in the manifest layout; returns the path of its manifest.json.
 
     Float serialization uses shortest round-trip representation, so
     load(save(c)) reproduces every array bit for bit.
@@ -741,6 +744,6 @@ def save_collection(
         "maps_dir": "maps",
         "beta": collection.beta,
     }
-    manifest_path = os.path.join(out_dir, manifest_name)
+    manifest_path = os.path.join(out_dir, "manifest.json")
     atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return manifest_path

@@ -6,6 +6,10 @@ class CorrsyncError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InvalidValueError(CorrsyncError, ValueError):
+    """An argument value outside its valid range."""
+
+
 class ManifestError(CorrsyncError):
     """Malformed manifest or referenced file problems."""
 

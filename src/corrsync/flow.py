@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import CorrsyncError, MaxStepsError, OracleBoundError, PathBudgetError
+from .errors import InvalidValueError, MaxStepsError, OracleBoundError, PathBudgetError
 
 MAX_PATHS_DEFAULT = 10**6
 ORACLE_MAX_N = 9
@@ -82,9 +82,9 @@ def directed_flow_matrix(
         raise ValueError("D must be square")
     i, j = int(i), int(j)
     if i == j:
-        raise ValueError("flow graph needs two distinct endpoints")
+        raise InvalidValueError(f"flow graph needs two distinct endpoints, got {i} twice")
     if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("endpoint index out of range")
+        raise InvalidValueError(f"endpoint index out of range [0, {n}): ({i}, {j})")
     di = D[i]
     dj = D[j]
     F = (di[:, None] < di[None, :]) & (dj[:, None] > dj[None, :])
@@ -109,7 +109,7 @@ def enumerate_paths(
     in [0, 1].
     """
     if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
-        raise CorrsyncError(f"lambda must be a finite number in [0, 1], got {lam!r}")
+        raise InvalidValueError(f"lambda must be a finite number in [0, 1], got {lam!r}")
     i, j = flow.source, flow.target
     with np.errstate(over="ignore"):  # an overflowing square is an infinite energy
         D2 = flow.D * flow.D
@@ -221,15 +221,15 @@ def brute_force_paths(
     return found
 
 
-def sample_walk(flow: FlowMatrix, seed, max_steps: int | None = None) -> WalkResult:
+def sample_walk(flow: FlowMatrix, seed) -> WalkResult:
     """Random walk from source following outgoing WF weights.
 
     Ends at the target ("reached") or at a vertex with no outgoing edge
-    ("discarded"). The step budget only guards corrupted input; an intact flow
-    graph has no cycles to trap the walk.
+    ("discarded"). The budget of n + 1 steps only guards corrupted input; an
+    intact flow graph has no cycles to trap the walk.
     """
     rng = np.random.default_rng(seed)
-    budget = max_steps if max_steps is not None else flow.n + 1
+    budget = flow.n + 1
     v = flow.source
     trajectory = [v]
     for _ in range(budget):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AntipodalError, CorrsyncError, MaxStepsError
+from .errors import AntipodalError, InvalidValueError, MaxStepsError
 from .flow import FlowMatrix, WalkResult, directed_flow_matrix, sample_walk
 
 UNIT_TOL = 1e-12
@@ -46,9 +46,9 @@ class LatticeGraph:
         return row * self.side + col
 
 
-def build_lattice(side: int = 31) -> LatticeGraph:
+def build_lattice(side: int) -> LatticeGraph:
     if side < 2:
-        raise CorrsyncError(f"side must be at least 2, got {side}")
+        raise InvalidValueError(f"side must be at least 2, got {side}")
     step = 1.0 / (side - 1)
     coords = np.array(
         [(col * step, row * step) for row in range(side) for col in range(side)]
@@ -146,11 +146,16 @@ def lattice_walks(
     results do not depend on scheduling.
     """
     if not (math.isfinite(beta) and beta > 0):
-        raise CorrsyncError(f"beta must be finite and positive, got {beta!r}")
+        raise InvalidValueError(f"beta must be finite and positive, got {beta!r}")
     if count < 1:
-        raise CorrsyncError(f"walks must be at least 1, got {count}")
+        raise InvalidValueError(f"walks must be at least 1, got {count}")
     source = 0 if source is None else int(source)
     target = lattice.n - 1 if target is None else int(target)
+    for name, v in (("source", source), ("target", target)):
+        if not 0 <= v < lattice.n:
+            raise InvalidValueError(f"{name} must be a vertex in [0, {lattice.n}), got {v}")
+    if source == target:
+        raise InvalidValueError(f"source and target must differ, got {source} for both")
     walks: list[tuple[int, ...]] = []
     discarded = 0
     if mode in ("standard", "nonbacktracking"):
@@ -260,19 +265,18 @@ def transport_leg_closed(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndar
     return _rotation(axis, angle) @ v
 
 
-def transport_leg_rk4(a: np.ndarray, b: np.ndarray, v: np.ndarray, steps: int | None = None) -> np.ndarray:
+def transport_leg_rk4(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Transport by integrating V' = -(V . gamma') gamma along the arc.
 
-    Fixed-step RK4; the default step count keeps the identity loop closed to
-    within 1e-9.
+    Fixed-step RK4, one step per 0.002 radians and at least 64; that keeps the
+    identity loop closed to within 1e-9.
     """
     angle, axis = _leg_angle_axis(a, b)
     if axis is None:
         return np.array(v, dtype=float)
     u = np.cross(axis, a)  # unit tangent at a toward b
 
-    if steps is None:
-        steps = max(64, int(math.ceil(angle / 0.002)))
+    steps = max(64, int(math.ceil(angle / 0.002)))
     h = 1.0 / steps
 
     def curve(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +313,7 @@ class GeodesicLegPath:
 
 
 def transport_along_path(
-    path: GeodesicLegPath, tv: TangentVector, method: str = "closed", steps: int | None = None
+    path: GeodesicLegPath, tv: TangentVector, method: str = "closed"
 ) -> TangentVector:
     """Transport a tangent vector along every leg of the path in order."""
     if not np.allclose(tv.point, path.points[0], atol=1e-9):
@@ -319,7 +323,7 @@ def transport_along_path(
         if method == "closed":
             v = transport_leg_closed(a, b, v)
         elif method == "rk4":
-            v = transport_leg_rk4(a, b, v, steps=steps)
+            v = transport_leg_rk4(a, b, v)
         else:
             raise ValueError(f"unknown method {method!r}")
     end = path.points[-1]
@@ -361,18 +365,16 @@ class HolonomyResult:
     direct: np.ndarray
 
 
-def holonomy_deficit(tri: SphereTriangle, tv: TangentVector, method: str = "closed") -> HolonomyResult:
-    """Difference between transporting p->r->q and directly p->q.
+def holonomy_deficit(tri: SphereTriangle, tv: TangentVector) -> HolonomyResult:
+    """Difference between transporting p->r->q and directly p->q, in closed form.
 
     The deficit is bounded by (4/3) * K_max * area; on the unit sphere, K_max
     is 1 and the area is the spherical excess.
     """
     if not np.allclose(tv.point, tri.p, atol=1e-9):
         raise ValueError("tangent vector must be based at the triangle's first vertex")
-    two = transport_along_path(
-        GeodesicLegPath((tri.p, tri.r, tri.q)), tv, method=method
-    ).vector
-    direct = transport_along_path(GeodesicLegPath((tri.p, tri.q)), tv, method=method).vector
+    two = transport_along_path(GeodesicLegPath((tri.p, tri.r, tri.q)), tv).vector
+    direct = transport_along_path(GeodesicLegPath((tri.p, tri.q)), tv).vector
     deficit = float(np.linalg.norm(two - direct))
     area = spherical_excess(tri)
     bound = (4.0 / 3.0) * area
@@ -386,8 +388,9 @@ def holonomy_deficit(tri: SphereTriangle, tv: TangentVector, method: str = "clos
     )
 
 
-def random_triangle(rng: np.random.Generator, min_side: float = 0.2) -> SphereTriangle:
-    """Seeded non-degenerate triangle; resamples until all legs clear min_side radians."""
+def random_triangle(rng: np.random.Generator) -> SphereTriangle:
+    """Seeded non-degenerate triangle; resamples until every leg's angle lies in
+    (0.2, pi - 0.2) radians."""
     while True:
         pts = rng.normal(size=(3, 3))
         norms = np.linalg.norm(pts, axis=1)
@@ -398,5 +401,5 @@ def random_triangle(rng: np.random.Generator, min_side: float = 0.2) -> SphereTr
             math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
             for a, b in ((p, q), (q, r), (r, p))
         ]
-        if all(min_side < ang < math.pi - min_side for ang in angles):
+        if all(0.2 < ang < math.pi - 0.2 for ang in angles):
             return SphereTriangle(p, q, r)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collection import CorrespondenceMap, GeodesicOracle, Shape
-from .errors import BallOverlapError, DegenerateGeometryError
+from .errors import BallOverlapError, DegenerateGeometryError, InvalidValueError
 from .soft import SoftCorrespondence, ball_mass
 
 
@@ -64,7 +64,10 @@ def fps_landmarks(
     ties resolve to the lowest vertex index.
     """
     if not 1 <= count <= shape.n:
-        raise ValueError(f"need 1 <= count <= {shape.n}, got {count}")
+        raise InvalidValueError(
+            f"shape {shape.id!r} has {shape.n} points, so its landmark count must be in "
+            f"[1, {shape.n}], got {count}"
+        )
     chosen = [int(start)]
     mindist = oracle.distances_from(start).copy()
     while len(chosen) < count:
@@ -149,6 +152,8 @@ def strict_extrema(field: np.ndarray, neighbor_lists, hops: int = 1) -> tuple[in
 
     A vertex with no neighbors in range qualifies vacuously.
     """
+    if hops < 1:
+        raise InvalidValueError(f"hops must be at least 1, got {hops}")
     hoods = _hop_neighborhoods(neighbor_lists, hops)
     return tuple(
         v
@@ -263,7 +268,7 @@ def joint_fps_refine(
     """
     seeds = seed_matches.matched()
     if max_matches < len(seeds):
-        raise ValueError(
+        raise InvalidValueError(
             f"max_matches={max_matches} below the {len(seeds)} seed matches"
         )
     chosen: list[Match] = list(seeds)

@@ -14,13 +14,16 @@ import functools
 import math
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .collection import CorrespondenceMap, GeodesicOracle, ShapeCollection
 from .errors import EmptyPathSetError, IndexRangeError, MissingMapError
 from .flow import MAX_PATHS_DEFAULT, FlowMatrix, PathRecord, directed_flow_matrix, enumerate_paths
+
+# the chain-weight threshold lambda used when a caller sets none
+LAMBDA_DEFAULT = 0.978
 
 
 # one soft row: its target vertices, ascending, and their masses
@@ -45,8 +48,7 @@ class SoftCorrespondence:
     Row k is the row of source vertex queries[k] (distinct, in first-seen
     order): its targets are indices[indptr[k]:indptr[k + 1]], ascending, and
     their masses sit at the same positions of data. path_count is the number
-    of chains the rows were pushed through, and provenance lists the chains and
-    their probabilities.
+    of chains the rows were pushed through.
     """
 
     source_id: str
@@ -56,7 +58,6 @@ class SoftCorrespondence:
     indices: np.ndarray
     data: np.ndarray
     path_count: int
-    provenance: dict = field(default_factory=dict)
 
     @property
     def rows(self) -> Mapping[int, dict[int, float]]:
@@ -239,7 +240,7 @@ def propagate_soft(
     collection: ShapeCollection,
     source_id: str,
     target_id: str,
-    lam: float = 0.978,
+    lam: float = LAMBDA_DEFAULT,
     source_points: list[int] | None = None,
     *,
     max_paths: int = MAX_PATHS_DEFAULT,
@@ -289,10 +290,6 @@ def propagate_soft(
         indices=indices,
         data=data,
         path_count=len(dist),
-        provenance={
-            "paths": [list(r.vertices) for r in dist.records],
-            "path_probabilities": list(dist.probabilities),
-        },
     )
 
 
@@ -403,7 +400,7 @@ class AllPairsResult:
 
 def all_pairs_soft(
     collection: ShapeCollection,
-    lam: float = 0.978,
+    lam: float = LAMBDA_DEFAULT,
     queries: dict[str, list[int]] | None = None,
     *,
     max_paths: int = MAX_PATHS_DEFAULT,

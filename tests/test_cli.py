@@ -2,11 +2,10 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from corrsync.cli import main
-from corrsync.collection import save_collection
+from corrsync.collection import CorrespondenceMap, save_collection
 from corrsync.benchmark import synth_collection
 
 from conftest import build_l4
@@ -24,6 +23,19 @@ def synth_manifest(tmp_path_factory):
     coll = synth_collection(4, 60, 0.05, seed=3, map_source="truth")
     out = tmp_path_factory.mktemp("synth")
     return str(save_collection(coll, out))
+
+
+@pytest.fixture(scope="module")
+def seeded_manifest(tmp_path_factory):
+    # s00 -> s01 has curvature seed matches here, so --max-matches 0 is below them
+    coll = synth_collection(3, 80, 0.08, seed=1, map_source="truth")
+    return str(save_collection(coll, tmp_path_factory.mktemp("seeded")))
+
+
+def _run(argv):
+    return subprocess.run(
+        [sys.executable, "-m", "corrsync", *argv], capture_output=True, text=True
+    )
 
 
 class TestExitCodes:
@@ -91,6 +103,39 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip() == "0 False"
         assert proc.stdout
+
+
+class TestBadInputValues:
+    @pytest.mark.parametrize(
+        "command, named",
+        [
+            ("match --pair s00,s01 --max-matches 0", "max_matches=0"),
+            ("match --pair s00,s01 --hops -1", "hops must be at least 1, got -1"),
+            ("match --pair s00,s01 --knn 0", "k must be at least 1, got 0"),
+            ("match --pair s00,s00", "'s00,s00'"),
+            ("benchmark --methods foo", "unknown method 'foo'"),
+            ("synth --landmarks 0", "landmark count must be in [1, 300], got 0"),
+            ("synth --points 2", "has 2 points"),
+            ("lattice --mode standard --source 99999", "source must be a vertex in [0, 961), got 99999"),
+            ("lattice --mode eop --source 3 --target 3", "got 3 for both"),
+            ("lattice --mode standard --target -1", "target must be a vertex in [0, 961), got -1"),
+        ],
+        ids=["max-matches", "hops", "knn", "pair", "methods", "synth-landmarks", "synth-points",
+             "lattice-source", "lattice-equal-ends", "lattice-target"],
+    )
+    def test_clean_error_without_traceback(self, seeded_manifest, tmp_path, command, named):
+        argv = command.split()
+        argv += {
+            "match": ["--manifest", seeded_manifest, "--radius", "0.2", "--delta", "0.6"],
+            "benchmark": ["--manifest", seeded_manifest],
+            "synth": ["--out-dir", str(tmp_path / "c")],
+            "lattice": [],
+        }[argv[0]]
+        proc = _run(argv + ["--quiet"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestBadCollectionFiles:
@@ -280,6 +325,86 @@ class TestConfigFile:
         assert rc == 1
 
 
+    def _propagate(self, manifest, tmp_path, capsys, *extra):
+        out = tmp_path / "soft.json"
+        rc = main(["propagate", "--manifest", manifest, "--source", "s0", "--target", "s3",
+                   "--out", str(out), *extra])
+        return rc, out.read_bytes(), capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["quiet=0\nstrict=1\n", "threads=3\n"],
+                             ids=["flags", "unknown-key"])
+    def test_ignored_keys_change_nothing(self, l4_manifest, tmp_path, capsys, text):
+        # a store_true flag is set on the command line only, and a key naming
+        # no option of the subcommand has no effect
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        plain = self._propagate(l4_manifest, tmp_path, capsys)
+        assert plain[2]  # the progress line that quiet would suppress
+        assert self._propagate(l4_manifest, tmp_path, capsys, "--config", str(cfg)) == plain
+
+    def test_config_reaches_int_option(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("side=9\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ["lattice", "--mode", "eop", "--walks", "3", "--quiet"]
+        assert main(base + ["--side", "9", "--out", str(a)]) == 0
+        assert main(base + ["--config", str(cfg), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert '"side": 9' in a.read_text()
+
+    def test_config_reaches_lambda_list(self, synth_manifest, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lam=0.9,0.978\n")
+        out = tmp_path / "c.csv"
+        rc = main(["benchmark", "--manifest", synth_manifest, "--methods", "mle",
+                   "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert rc == 0
+        rows = [l for l in out.read_text().splitlines() if l.startswith("mle,")]
+        assert {r.split(",")[1] for r in rows} == {"0.9", "0.978"}
+
+    @pytest.mark.parametrize("command", ["propagate", "benchmark"])
+    def test_bad_config_value_is_a_usage_error(self, l4_manifest, tmp_path, command):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lam=abc\n")
+        base = [command, "--manifest", l4_manifest, "--quiet"]
+        if command == "propagate":
+            base += ["--source", "s0", "--target", "s3"]
+        from_config = _run(base + ["--config", str(cfg)])
+        from_flag = _run(base + ["--lambda", "abc"])
+        assert from_config.returncode == from_flag.returncode == 2
+        assert "argument --lambda" in from_config.stderr
+        assert "Traceback" not in from_config.stderr
+        assert from_config.stderr == from_flag.stderr
+
+    def test_config_edit_conflicting_with_flag(self, l4_manifest, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("add_far=2\n")
+        rc = main(["stability", "--manifest", l4_manifest, "--remove", "s3",
+                   "--config", str(cfg), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--add-far" in err and "--remove" in err
+
+
+class TestUsage:
+    def test_bad_benchmark_lambda_is_a_usage_error(self, synth_manifest):
+        proc = _run(["benchmark", "--manifest", synth_manifest, "--lambda", "abc", "--quiet"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "argument --lambda" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command",
+        ["flow", "propagate", "baseline", "match", "benchmark", "lattice", "holonomy",
+         "synth", "stability"],
+    )
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: corrsync {command}")
+
+
 class TestByteStability:
     def test_benchmark_reruns_identical(self, synth_manifest, tmp_path):
         args = ["benchmark", "--manifest", synth_manifest, "--methods",
@@ -319,6 +444,28 @@ class TestBenchmarkOutput:
         mle_lams = {l.split(",")[1] for l in lines[1:] if l.startswith("mle,")}
         assert len(mle_lams) == 2
         assert svg.read_text().count("<polyline") == 3
+
+
+class TestBenchmarkOnSoftMaps:
+    @pytest.fixture(scope="class")
+    def soft_manifest(self, tmp_path_factory):
+        coll = synth_collection(4, 60, 0.05, seed=3, map_source="truth")
+        m = coll.maps[("s00", "s01")]
+        coll.maps[("s00", "s01")] = CorrespondenceMap("s00", "s01", "soft", matrix=m.to_soft())
+        return str(save_collection(coll, tmp_path_factory.mktemp("softmap")))
+
+    @pytest.mark.parametrize("method", ["direct", "mst", "shortest"])
+    def test_route_methods_name_the_soft_map(self, soft_manifest, method):
+        proc = _run(["benchmark", "--manifest", soft_manifest, "--methods", method, "--quiet"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "map 's00' -> 's01' is soft" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_mle_scores_soft_maps(self, soft_manifest, capsys):
+        rc = main(["benchmark", "--manifest", soft_manifest, "--methods", "mle", "--quiet"])
+        assert rc == 0
+        assert "mle,0.978," in capsys.readouterr().out
 
 
 class TestLatticeOutput:

@@ -168,12 +168,6 @@ class TestPropagateSoft:
         with pytest.raises(EmptyPathSetError, match="underflows"):
             propagate_soft(coll, "s0", "s3", lam=0.0, max_paths=100)
 
-    def test_provenance_lists_paths(self, l4_swap):
-        soft = propagate_soft(l4_swap, "s0", "s3", lam=0.0, source_points=[0], max_paths=100)
-        paths = soft.provenance["paths"]
-        assert [tuple(p) for p in paths] == [(0, 1, 2, 3), (0, 1, 3), (0, 2, 3), (0, 3)]
-        assert sum(soft.provenance["path_probabilities"]) == pytest.approx(1.0)
-
 
 class TestBatchedPush:
     """propagate_soft pushes a query block once per chain-trie edge; its rows
