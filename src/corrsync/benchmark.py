@@ -175,11 +175,17 @@ def run_benchmark(
         built: dict[tuple[str, str], CorrespondenceMap] = {}
         for a, b in pairs:
             if m == "direct":
-                built[(a, b)] = direct_propagate(collection, a, b)
+                built[(a, b)], route = direct_propagate(collection, a, b), (a, b)
             elif m == "mst":
-                built[(a, b)] = mst_propagate(collection, a, b)[0]
+                built[(a, b)], route = mst_propagate(collection, a, b)
             else:
-                built[(a, b)] = shortest_path_propagate(collection, a, b, epsilon=epsilon)[0]
+                built[(a, b)], route = shortest_path_propagate(collection, a, b, epsilon=epsilon)
+            for u, v in zip(route, route[1:]):
+                if collection.map(u, v).kind != "discrete":
+                    raise CorrsyncError(
+                        f"map {u!r} -> {v!r} is soft; the {m} route {a!r} -> {b!r} "
+                        f"composes discrete maps only"
+                    )
         errs: list[float] = []
         for a, b in pairs:
             errs.extend(

@@ -130,9 +130,9 @@ def _cmd_flow(args) -> int:
 def _cmd_propagate(args) -> int:
     collection = _collection(args)
     points = None
-    if args.points and args.points != "landmarks":
+    if args.source_points and args.source_points != "landmarks":
         points = []
-        for token in args.points.split(","):
+        for token in args.source_points.split(","):
             try:
                 points.append(int(token))
             except ValueError:
@@ -394,11 +394,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    if args.add_far is not None and args.remove is not None:
-        # argparse keeps the two flags apart; a config file can still set one
-        raise CorrsyncError(
-            f"--add-far {args.add_far} and --remove {args.remove} exclude each other"
-        )
     collection = _collection(args)
     if args.add_far is not None:
         after = add_far_shape(collection, factor=args.add_far)
@@ -450,6 +445,14 @@ def _add_common(p: argparse.ArgumentParser, manifest: bool = True) -> None:
     p.add_argument("--out", help="output path (stdout when omitted)")
 
 
+# Dests a config file cannot set: outputs, edits and the method and source
+# vertex selections are given on the command line only.
+_COMMAND_LINE_ONLY = frozenset(
+    {"command", "func", "out", "svg", "interpolated", "methods", "source_points", "add_far",
+     "remove"}
+)
+
+
 def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
     """The corrsync parser; config values, if given, become every subcommand's defaults."""
     parser = argparse.ArgumentParser(
@@ -470,7 +473,7 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=LAMBDA_DEFAULT)
-    p.add_argument("--points", default="landmarks",
+    p.add_argument("--points", dest="source_points", metavar="POINTS", default="landmarks",
                    help="comma-separated source vertices, or 'landmarks'")
     p.add_argument("--strict", action="store_true",
                    help="drop the direct path when it falls below the threshold")
@@ -562,13 +565,20 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             # Config values go in as the subcommand's defaults: a flag still
             # wins, argparse reads each value with its option's type, and keys
-            # naming a store_true flag or no option at all are left out.
+            # naming a store_true flag, a command-line-only option or no
+            # option at all are left out.
             settable = {
                 key for key, value in vars(args).items()
-                if key not in ("command", "func") and not isinstance(value, bool)
+                if key not in _COMMAND_LINE_ONLY and not isinstance(value, bool)
             }
             config = {k: v for k, v in _load_config(args.config).items() if k in settable}
-            args = build_parser(config).parse_args(argv)
+            try:
+                args = build_parser(config).parse_args(argv)
+            except SystemExit:
+                # the command line parsed once already, so a config value failed
+                print(f"corrsync: error: the value above comes from --config {args.config}",
+                      file=sys.stderr)
+                raise
         return args.func(args)
     except CorrsyncError as exc:
         print(f"corrsync: error: {exc}", file=sys.stderr)

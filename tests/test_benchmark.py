@@ -21,7 +21,7 @@ from corrsync.benchmark import (
     synth_collection,
 )
 from corrsync.collection import CorrespondenceMap, GeodesicOracle, Shape, compose_maps
-from corrsync.errors import IndexRangeError, ManifestError
+from corrsync.errors import CorrsyncError, IndexRangeError, ManifestError
 
 
 def line_oracle(xs):
@@ -184,6 +184,16 @@ class TestRunBenchmark:
         coll = synth_collection(4, 60, 0.05, seed=7, map_source="truth")
         res = run_benchmark(coll, methods=("direct", "mst", "shortest"))
         assert set(res.errors) == {("direct", None), ("mst", None), ("shortest", None)}
+
+    @pytest.mark.parametrize("method", ["mst", "shortest"])
+    def test_soft_map_inside_a_route_is_named(self, method):
+        # seed 3: the hub is s01, and both routes from s02 run s02 -> s00 -> s01
+        coll = synth_collection(4, 60, 0.05, seed=3, map_source="truth")
+        soft = coll.maps[("s02", "s00")].to_soft()
+        coll.maps[("s02", "s00")] = CorrespondenceMap("s02", "s00", "soft", matrix=soft)
+        assert run_benchmark(coll, methods=("direct",), to_mean=True).pairs[1] == ("s02", "s01")
+        with pytest.raises(CorrsyncError, match="map 's02' -> 's00' is soft"):
+            run_benchmark(coll, methods=(method,), to_mean=True)
 
 
 class TestCorruptMaps:
