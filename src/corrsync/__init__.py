@@ -13,7 +13,6 @@ from .collection import (
     GeodesicOracle,
     Shape,
     ShapeCollection,
-    compose_maps,
     identity_map,
     load_collection,
     save_collection,
@@ -33,7 +32,6 @@ __all__ = [
     "__version__",
     "all_pairs_soft",
     "brute_force_paths",
-    "compose_maps",
     "directed_flow_matrix",
     "enumerate_paths",
     "frechet_mean",

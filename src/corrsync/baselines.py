@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collection import CorrespondenceMap, ShapeCollection, compose_maps, identity_map
+from .collection import CorrespondenceMap, ShapeCollection, _clean_soft
 from .errors import DisconnectedGraphError
 
 
@@ -91,15 +91,22 @@ def kruskal_mst(D: np.ndarray) -> TreeStructure:
 
 
 def compose_along(collection: ShapeCollection, route) -> CorrespondenceMap:
-    """Compose stored maps along a route of shape ids (or indices)."""
+    """Compose stored maps along a route of shape ids (or indices).
+
+    Every source vertex is pushed along the route as propagate_soft pushes a
+    query block along a chain. A soft result is pruned and renormalized once.
+    """
     ids = collection.ids
     route = [v if isinstance(v, str) else ids[int(v)] for v in route]
-    if len(route) == 1:
-        return identity_map(route[0], collection.shape(route[0]).n)
-    composed = collection.map(route[0], route[1])
-    for a, b in zip(route[1:], route[2:]):
-        composed = compose_maps(collection.map(a, b), composed)
-    return composed
+    source, target = route[0], route[-1]
+    image = np.arange(collection.shape(source).n)
+    for a, b in zip(route, route[1:]):
+        image = collection.map(a, b).push(image)
+    if isinstance(image, np.ndarray):
+        return CorrespondenceMap(
+            source, target, "discrete", indices=image, target_size=collection.shape(target).n
+        )
+    return CorrespondenceMap(source, target, "soft", matrix=_clean_soft(image))
 
 
 def direct_propagate(collection: ShapeCollection, source_id: str, target_id: str) -> CorrespondenceMap:

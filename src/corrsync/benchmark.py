@@ -5,7 +5,7 @@ reports under collection edits."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +47,10 @@ class ErrorCurve:
 
 
 def default_grid(count: int = 100, upper: float = 0.5) -> np.ndarray:
+    if count < 1:
+        raise InvalidValueError(f"error grid needs at least 1 threshold, got {count}")
+    if not (math.isfinite(upper) and upper >= 0):
+        raise InvalidValueError(f"error grid maximum must be finite and >= 0, got {upper!r}")
     return np.linspace(0.0, upper, count)
 
 
@@ -276,6 +280,8 @@ def synth_collection(
     """
     if map_source not in ("align", "truth"):
         raise ValueError("map_source must be 'align' or 'truth'")
+    if n_shapes < 1:
+        raise InvalidValueError(f"shape count must be at least 1, got {n_shapes}")
     base = fibonacci_sphere(n_points)
     base_shape = Shape(id="base", points=base)
     fps = fps_landmarks(base_shape, landmark_count, 0, intra_metric(base_shape))
@@ -363,15 +369,9 @@ def corrupt_maps(
         perm = np.arange(n_b, dtype=np.int64)
         perm[subset] = subset[rng.permutation(subset.size)]
         inv = np.argsort(perm)
-        new_maps[(a, b)] = CorrespondenceMap(
-            source_id=a, target_id=b, kind="discrete",
-            indices=perm[fwd.indices], target_size=n_b,
-        )
+        new_maps[(a, b)] = replace(fwd, indices=perm[fwd.indices])
         if rev is not None:
-            new_maps[(b, a)] = CorrespondenceMap(
-                source_id=b, target_id=a, kind="discrete",
-                indices=rev.indices[inv], target_size=rev.n_target,
-            )
+            new_maps[(b, a)] = replace(rev, indices=rev.indices[inv])
 
     provenance = dict(collection.provenance)
     provenance["corrupted_pairs"] = corrupted
@@ -404,7 +404,8 @@ def add_far_shape(collection: ShapeCollection, factor: float = 10.0) -> ShapeCol
     """New collection plus one shape, "far", uniformly farther than every distance.
 
     The far shape copies the first shape's geometry and maps, so it is valid to
-    query but never lies between any original pair.
+    query but never lies between any original pair. A map into or out of the
+    first shape that is not stored raises MissingMapError.
     """
     far_id = "far"
     if far_id in collection.ids:
@@ -426,22 +427,8 @@ def add_far_shape(collection: ShapeCollection, factor: float = 10.0) -> ShapeCol
 
     maps = dict(collection.maps)
     for sid in collection.ids:
-        if sid == first.id:
-            maps[(far_id, sid)] = identity_map(far_id, far.n, sid)
-            maps[(sid, far_id)] = identity_map(sid, far.n, far_id)
-        else:
-            fwd = collection.maps[(first.id, sid)]
-            rev = collection.maps[(sid, first.id)]
-            maps[(far_id, sid)] = CorrespondenceMap(
-                source_id=far_id, target_id=sid, kind=fwd.kind,
-                indices=None if fwd.indices is None else fwd.indices.copy(),
-                matrix=fwd.matrix, target_size=fwd.target_size,
-            )
-            maps[(sid, far_id)] = CorrespondenceMap(
-                source_id=sid, target_id=far_id, kind=rev.kind,
-                indices=None if rev.indices is None else rev.indices.copy(),
-                matrix=rev.matrix, target_size=rev.target_size,
-            )
+        maps[(far_id, sid)] = replace(collection.map(first.id, sid), source_id=far_id)
+        maps[(sid, far_id)] = replace(collection.map(sid, first.id), target_id=far_id)
     return ShapeCollection(
         shapes=collection.shapes + [far],
         D=D,

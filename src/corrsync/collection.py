@@ -184,6 +184,14 @@ class CorrespondenceMap:
             (data, (np.arange(n), self.indices)), shape=(n, m)
         )
 
+    def push(self, image):
+        """Images of a block of source vertices one map further: a vertex array
+        while every map so far was discrete, a sparse (rows x n_target) matrix
+        after that."""
+        if isinstance(image, np.ndarray):
+            return self.indices[image] if self.kind == "discrete" else self.matrix[image]
+        return image @ self.to_soft()
+
     def is_bijection(self) -> bool:
         if self.kind != "discrete" or self.n_source != self.n_target:
             return False
@@ -215,38 +223,6 @@ def _clean_soft(mat: sparse.csr_matrix) -> sparse.csr_matrix:
     return out
 
 
-def compose_maps(outer: CorrespondenceMap, inner: CorrespondenceMap) -> CorrespondenceMap:
-    """Composite map: apply ``inner`` first, then ``outer``.
-
-    Discrete maps compose by lookup; any soft participant makes the result soft
-    (matrix product of the row-stochastic forms, pruned and renormalized).
-    """
-    if inner.target_id != outer.source_id:
-        raise MissingMapError(
-            f"cannot compose {inner.source_id!r}->{inner.target_id!r} "
-            f"with {outer.source_id!r}->{outer.target_id!r}"
-        )
-    if inner.n_target != outer.n_source:
-        raise IndexRangeError(
-            f"compose size mismatch: {inner.n_target} vs {outer.n_source}"
-        )
-    if inner.kind == "discrete" and outer.kind == "discrete":
-        return CorrespondenceMap(
-            source_id=inner.source_id,
-            target_id=outer.target_id,
-            kind="discrete",
-            indices=outer.indices[inner.indices],
-            target_size=outer.target_size,
-        )
-    product = _clean_soft(inner.to_soft() @ outer.to_soft())
-    return CorrespondenceMap(
-        source_id=inner.source_id,
-        target_id=outer.target_id,
-        kind="soft",
-        matrix=product,
-    )
-
-
 class GeodesicOracle:
     """Geodesic distances within one shape via a symmetrized k-NN graph.
 
@@ -254,13 +230,13 @@ class GeodesicOracle:
     cached per source vertex; the cache is safe under concurrent reads.
     """
 
-    def __init__(self, shape: Shape, k: int = KNN_DEFAULT, faces: np.ndarray | None = None):
+    def __init__(self, shape: Shape, k: int = KNN_DEFAULT):
         self.shape = shape
         self.k = k
         self._rows: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
         self._diameter: float | None = None
-        self.graph = _build_neighbor_graph(shape, k, faces)
+        self.graph = _build_neighbor_graph(shape, k)
         csgraph = _scipy("csgraph")
         n_comp, labels = csgraph.connected_components(self.graph, directed=False)
         if n_comp > 1:
@@ -325,22 +301,14 @@ class GeodesicOracle:
 _KNN_SLACK = 2
 
 
-def _build_neighbor_graph(shape: Shape, k: int, faces: np.ndarray | None) -> sparse.csr_matrix:
+def _build_neighbor_graph(shape: Shape, k: int) -> sparse.csr_matrix:
     pts = shape.points
     n = pts.shape[0]
-    if faces is not None:
-        tris = np.asarray(faces, dtype=np.int64)
-        if tris.ndim != 2 or tris.shape[1] != 3:
-            raise ManifestError(f"shape {shape.id!r}: faces must be an (m, 3) array")
-        if tris.size and (tris.min() < 0 or tris.max() >= n):
-            raise IndexRangeError(f"shape {shape.id!r}: face vertex index out of range")
-        rows, cols = tris.ravel(), tris[:, [1, 2, 0]].ravel()
-    else:
-        if k < 1:
-            raise InvalidValueError(f"shape {shape.id!r}: k must be at least 1, got {k}")
-        k_eff = min(k, n - 1)
-        rows = np.repeat(np.arange(n, dtype=np.int64), k_eff)
-        cols = _nearest_neighbors(pts, k_eff).ravel()
+    if k < 1:
+        raise InvalidValueError(f"shape {shape.id!r}: k must be at least 1, got {k}")
+    k_eff = min(k, n - 1)
+    rows = np.repeat(np.arange(n, dtype=np.int64), k_eff)
+    cols = _nearest_neighbors(pts, k_eff).ravel()
     # symmetric edge set, sorted by (row, col)
     keys = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
     keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
@@ -378,11 +346,9 @@ def _nearest_neighbors(pts: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def intra_metric(
-    shape: Shape, k: int = KNN_DEFAULT, faces: np.ndarray | None = None
-) -> GeodesicOracle:
-    """Build the geodesic oracle for a shape (k-NN graph, or mesh edges if faces given)."""
-    return GeodesicOracle(shape, k=k, faces=faces)
+def intra_metric(shape: Shape, k: int = KNN_DEFAULT) -> GeodesicOracle:
+    """Build the geodesic oracle for a shape over its k-NN graph."""
+    return GeodesicOracle(shape, k=k)
 
 
 @dataclass

@@ -34,7 +34,6 @@ class FlowMatrix:
     F: np.ndarray
     WF: np.ndarray
     D: np.ndarray
-    beta: float
 
     @property
     def n(self) -> int:
@@ -91,7 +90,7 @@ def directed_flow_matrix(
     if adjacency is not None:
         F &= np.asarray(adjacency, dtype=bool)
     WF = np.where(F, gibbs_weights(D, beta), 0.0)
-    return FlowMatrix(source=i, target=j, F=F, WF=WF, D=D, beta=beta)
+    return FlowMatrix(source=i, target=j, F=F, WF=WF, D=D)
 
 
 def enumerate_paths(

@@ -161,14 +161,6 @@ def _trie_plan(
     return plan
 
 
-def _push(image, m: CorrespondenceMap):
-    """Images of a query block one map further: a vertex array while every map
-    so far was discrete, a sparse (queries x vertices) matrix after that."""
-    if isinstance(image, np.ndarray):
-        return m.indices[image] if m.kind == "discrete" else m.matrix[image]
-    return image @ m.to_soft()
-
-
 def _push_block(
     queries: np.ndarray,
     plan: list[tuple[int, list[CorrespondenceMap], float]],
@@ -205,7 +197,7 @@ def _push_block(
         del stack[keep:]
         image = stack[-1]
         for m in maps:
-            image = _push(image, m)
+            image = m.push(image)
             stack.append(image)
         if isinstance(image, np.ndarray):
             images[pending] = image

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from corrsync.baselines import (
     compose_along,
@@ -9,9 +10,26 @@ from corrsync.baselines import (
     mst_propagate,
     shortest_path_propagate,
 )
+from corrsync.collection import CorrespondenceMap, Shape, ShapeCollection
 from corrsync.errors import DisconnectedGraphError
+from corrsync.soft import propagate_soft
 
 from conftest import build_l4, line_distances, random_euclidean_distances
+
+
+def _soft_l4(seed, n=6) -> ShapeCollection:
+    """build_l4's line of four shapes, with n points each and random soft n x n maps."""
+    rng = np.random.default_rng(seed)
+    l4 = build_l4()
+    pts = np.c_[np.arange(n, dtype=float), np.zeros(n), np.zeros(n)]
+    maps = {}
+    for a, b in l4.maps:
+        raw = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        raw[np.arange(n), rng.integers(0, n, n)] += 0.1
+        raw /= raw.sum(axis=1, keepdims=True)
+        maps[(a, b)] = CorrespondenceMap(a, b, "soft", matrix=sparse.csr_matrix(raw))
+    shapes = [Shape(id=s.id, points=pts) for s in l4.shapes]
+    return ShapeCollection(shapes=shapes, D=l4.D, maps=maps)
 
 
 class TestKruskal:
@@ -131,6 +149,24 @@ class TestPropagationRoutes:
         assert list(m.indices) == [1, 0]
         direct = compose_along(l4_swap, ["s0", "s3"])
         assert list(direct.indices) == [0, 1]
+
+    @pytest.mark.parametrize("soft_maps", [False, True], ids=["discrete", "soft"])
+    def test_single_chain_rows_equal_the_route_composite(self, soft_maps):
+        # at lambda exp(-4) only the chain s0-s1-s2-s3 (energy 3) is kept:
+        # every other chain has energy 5 or more, and strict drops the direct one
+        coll = _soft_l4(seed=7) if soft_maps else build_l4(swapped_pair=(1, 2))
+        n = coll.shape("s0").n
+        soft = propagate_soft(
+            coll, "s0", "s3", lam=np.exp(-4), strict=True, source_points=range(n)
+        )
+        assert soft.path_count == 1
+        rows = np.zeros((n, n))
+        rows[np.repeat(soft.queries, np.diff(soft.indptr)), soft.indices] = soft.data
+        route = compose_along(coll, ["s0", "s1", "s2", "s3"])
+        if soft_maps:
+            assert np.abs(rows - route.matrix.toarray()).max() <= 1e-12
+        else:
+            assert np.array_equal(rows, np.eye(n)[route.indices])
 
     def test_compose_along_single_shape(self, l4_identity):
         m = compose_along(l4_identity, ("s1",))

@@ -119,9 +119,17 @@ class TestBadInputValues:
             ("lattice --mode standard --source 99999", "source must be a vertex in [0, 961), got 99999"),
             ("lattice --mode eop --source 3 --target 3", "got 3 for both"),
             ("lattice --mode standard --target -1", "target must be a vertex in [0, 961), got -1"),
+            ("synth --shapes 0", "shape count must be at least 1, got 0"),
+            ("synth --shapes -2", "shape count must be at least 1, got -2"),
+            ("benchmark --grid-max nan", "got nan"),
+            ("benchmark --grid-max -1", "got -1.0"),
+            ("benchmark --grid-count 0", "at least 1 threshold, got 0"),
+            ("benchmark --grid-count -3", "at least 1 threshold, got -3"),
         ],
         ids=["max-matches", "hops", "knn", "pair", "methods", "synth-landmarks", "synth-points",
-             "lattice-source", "lattice-equal-ends", "lattice-target"],
+             "lattice-source", "lattice-equal-ends", "lattice-target", "synth-shapes-0",
+             "synth-shapes-negative", "grid-max-nan", "grid-max-negative", "grid-count-0",
+             "grid-count-negative"],
     )
     def test_clean_error_without_traceback(self, seeded_manifest, tmp_path, command, named):
         argv = command.split()
@@ -534,6 +542,16 @@ class TestSynthAndStability:
         assert data["mst_changed"] is False
         assert all(v == 0.0 for v in data["tv"].values())
         assert all(v == 0 for v in data["flow_edge_diff"].values())
+
+    def test_add_far_names_a_missing_map(self, tmp_path):
+        coll = synth_collection(4, 50, 0.05, seed=6, map_source="truth")
+        manifest = save_collection(coll, tmp_path / "coll")
+        (tmp_path / "coll" / "maps" / "s03__s00.csv").unlink()
+        proc = _run(["stability", "--manifest", str(manifest), "--add-far", "--quiet"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "no stored map 's00' -> 's03'" in proc.stderr
+        assert proc.stdout == ""
 
     def test_stability_remove(self, tmp_path, capsys):
         main(["synth", "--out-dir", str(tmp_path / "coll"), "--shapes", "4",

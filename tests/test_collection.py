@@ -21,11 +21,11 @@ from corrsync.collection import (
     GeodesicOracle,
     Shape,
     ShapeCollection,
-    compose_maps,
     identity_map,
     load_collection,
     save_collection,
 )
+from corrsync.baselines import compose_along
 from corrsync.collection import _build_neighbor_graph
 from corrsync.errors import (
     DisconnectedGraphError,
@@ -109,27 +109,38 @@ class TestCorrespondenceMap:
         assert push_row(m, {0: 0.5, 1: 0.5}) == pytest.approx({0: 0.25, 1: 0.75})
 
 
+def _chain_collection(*maps: CorrespondenceMap) -> ShapeCollection:
+    """Shapes a, b, c, ... on a line, storing only the given maps a -> b -> c -> ..."""
+    ids = [maps[0].source_id] + [m.target_id for m in maps]
+    sizes = [maps[0].n_source] + [m.n_target for m in maps]
+    shapes = [
+        Shape(id=sid, points=np.c_[np.arange(n, dtype=float), np.zeros(n), np.zeros(n)])
+        for sid, n in zip(ids, sizes)
+    ]
+    pos = np.arange(len(ids), dtype=float)
+    D = np.abs(pos[:, None] - pos[None, :])
+    return ShapeCollection(
+        shapes=shapes, D=D, maps={(m.source_id, m.target_id): m for m in maps}
+    )
+
+
 class TestComposeMaps:
     def test_discrete_fixture(self):
         f = CorrespondenceMap("a", "b", "discrete", indices=np.array([2, 0, 1]), target_size=3)
         g = CorrespondenceMap("b", "c", "discrete", indices=np.array([1, 2, 0]), target_size=3)
-        comp = compose_maps(g, f)
+        assert list(g.push(f.push(np.arange(3)))) == [0, 1, 2]
+        comp = compose_along(_chain_collection(f, g), ["a", "b", "c"])
         assert comp.source_id == "a" and comp.target_id == "c"
-        assert list(comp.indices) == [0, 1, 2]
+        assert comp.kind == "discrete" and list(comp.indices) == [0, 1, 2]
 
     def test_soft_square_fixture(self):
         mat = sparse.csr_matrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
         m = CorrespondenceMap("a", "b", "soft", matrix=mat)
         m2 = CorrespondenceMap("b", "c", "soft", matrix=mat.copy())
-        comp = compose_maps(m2, m)
-        dense = comp.matrix.toarray()
-        assert dense == pytest.approx(np.array([[0.25, 0.75], [0.0, 1.0]]))
-
-    def test_label_mismatch_rejected(self):
-        f = CorrespondenceMap("a", "b", "discrete", indices=np.array([0, 1]), target_size=2)
-        g = CorrespondenceMap("x", "c", "discrete", indices=np.array([0, 1]), target_size=2)
-        with pytest.raises(MissingMapError):
-            compose_maps(g, f)
+        want = np.array([[0.25, 0.75], [0.0, 1.0]])
+        assert m2.push(m.push(np.arange(2))).toarray() == pytest.approx(want)
+        comp = compose_along(_chain_collection(m, m2), ["a", "b", "c"])
+        assert comp.kind == "soft" and comp.matrix.toarray() == pytest.approx(want)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -140,12 +151,12 @@ class TestComposeMaps:
             return CorrespondenceMap(
                 src, tgt, "discrete", indices=rng.permutation(n), target_size=n
             )
-        f = pmap("a", "b")
-        g = pmap("b", "c")
-        h = pmap("c", "d")
-        left = compose_maps(h, compose_maps(g, f))
-        right = compose_maps(compose_maps(h, g), f)
-        assert np.array_equal(left.indices, right.indices)
+        f, g, h = pmap("a", "b"), pmap("b", "c"), pmap("c", "d")
+        coll = _chain_collection(f, g, h)
+        left = h.push(compose_along(coll, ["a", "b", "c"]).indices)
+        right = compose_along(coll, ["b", "c", "d"]).push(f.indices)
+        assert np.array_equal(left, right)
+        assert np.array_equal(left, compose_along(coll, ["a", "b", "c", "d"]).indices)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -157,7 +168,7 @@ class TestComposeMaps:
             raw[np.arange(n), rng.integers(0, n, n)] += 0.2
             raw /= raw.sum(axis=1, keepdims=True)
             return CorrespondenceMap(src, tgt, "soft", matrix=sparse.csr_matrix(raw))
-        comp = compose_maps(soft("b", "c"), soft("a", "b"))
+        comp = compose_along(_chain_collection(soft("a", "b"), soft("b", "c")), ["a", "b", "c"])
         sums = np.asarray(comp.matrix.sum(axis=1)).ravel()
         assert np.allclose(sums, 1.0, atol=1e-9)
 
@@ -176,18 +187,17 @@ class TestGeodesicOracle:
         assert 0 in o.neighbor_lists[1]
 
     def test_first_use_import_is_safe_across_threads(self):
-        # eight threads build mesh oracles (no KD-tree) at once in a process
-        # that has not imported scipy.sparse yet
+        # eight threads build k-NN oracles at once in a process that has not
+        # imported scipy.sparse yet
         code = """
 import sys, threading
 import numpy as np
 import corrsync.collection as cc
 assert "scipy.sparse" not in sys.modules
 pts = np.c_[np.arange(30.0), np.zeros(30), np.zeros(30)]
-faces = np.c_[np.arange(28), np.arange(1, 29), np.arange(2, 30)]
 out = []
 def build():
-    oracle = cc.GeodesicOracle(cc.Shape(id="line", points=pts), faces=faces)
+    oracle = cc.GeodesicOracle(cc.Shape(id="line", points=pts))
     out.append(oracle.distances_from(0).tolist())
 sys.setswitchinterval(1e-6)
 threads = [threading.Thread(target=build) for _ in range(8)]
@@ -372,7 +382,7 @@ class TestNeighborGraph:
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force_definition(self, pts, k, slack):
         with mock.patch.object(collection_mod, "_KNN_SLACK", slack):
-            graph = _build_neighbor_graph(Shape(id="c", points=pts), k, None)
+            graph = _build_neighbor_graph(Shape(id="c", points=pts), k)
         assert _graph_pairs(graph) == _brute_force_graph(pts, k)
         rows = np.repeat(np.arange(len(pts)), np.diff(graph.indptr))
         lengths = np.linalg.norm(pts[rows] - pts[graph.indices], axis=1)
@@ -382,35 +392,12 @@ class TestNeighborGraph:
     @settings(max_examples=40, deadline=None)
     def test_bit_identical_to_argpartition_builder_without_ties(self, seed, n, k):
         pts = np.random.default_rng(seed).normal(size=(n, 3))
-        graph = _build_neighbor_graph(Shape(id="c", points=pts), k, None)
+        graph = _build_neighbor_graph(Shape(id="c", points=pts), k)
         ref = _argpartition_graph(pts, k)
         for attr in ("indptr", "indices", "data"):
             got, want = getattr(graph, attr), getattr(ref, attr)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-
-    def test_faces_give_mesh_edges(self):
-        # square pyramid: four base corners and an apex, six triangles
-        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 1, 0], [0.0, 1, 0], [0.5, 0.5, 1]])
-        faces = np.array([[0, 1, 2], [0, 2, 3], [0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
-        o = GeodesicOracle(Shape(id="pyr", points=pts), faces=faces)
-        edges = {tuple(sorted(e)) for f in faces for e in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0]))}
-        assert _graph_pairs(o.graph) == sorted(edges | {(b, a) for a, b in edges})
-        assert o.distance(0, 2) == pytest.approx(np.sqrt(2.0))
-        assert o.distance(1, 3) == pytest.approx(2.0)
-        assert o.graph[0, 4] == pytest.approx(np.linalg.norm(pts[4]))
-        assert [list(nb) for nb in o.neighbor_lists] == [
-            [1, 2, 3, 4], [0, 2, 4], [0, 1, 3, 4], [0, 2, 4], [0, 1, 2, 3]
-        ]
-
-    @pytest.mark.parametrize(
-        "faces, error", [([[0, 1, 5]], IndexRangeError), ([[0, 1, -1]], IndexRangeError),
-                         ([[0, 1]], ManifestError)]
-    )
-    def test_bad_faces_rejected(self, faces, error):
-        pts = np.eye(3)
-        with pytest.raises(error):
-            GeodesicOracle(Shape(id="tri", points=pts), faces=faces)
 
 
 class TestShapeCollection:
