@@ -405,8 +405,11 @@ def add_far_shape(collection: ShapeCollection, factor: float = 10.0) -> ShapeCol
 
     The far shape copies the first shape's geometry and maps, so it is valid to
     query but never lies between any original pair. A map into or out of the
-    first shape that is not stored raises MissingMapError.
+    first shape that is not stored raises MissingMapError; factor must be a
+    finite number above 1.
     """
+    if not (math.isfinite(factor) and factor > 1):
+        raise InvalidValueError(f"far-shape factor must be a finite number > 1, got {factor!r}")
     far_id = "far"
     if far_id in collection.ids:
         raise ManifestError(f"id {far_id!r} already present")

@@ -14,6 +14,7 @@ exp(-beta * E) equals the product of the traversed W entries.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -47,6 +48,34 @@ class PathRecord:
     vertices: tuple[int, ...]
     energy: float
     weight: float
+
+
+class ChainTrie(Sequence):
+    """A walk's chains, in lexicographic order, as the edges of their trie.
+
+    Chain c shares its first shared[c] vertices with chain c - 1 (the first
+    chain shares the source); tails[c] holds its vertices from the last shared
+    one on, and energies[c] and weights[c] its energy and Gibbs weight.
+    Iterating builds PathRecords; an index builds every record up to it.
+    """
+
+    def __init__(self) -> None:
+        self.shared: list[int] = []
+        self.tails: list[tuple[int, ...]] = []
+        self.energies: list[float] = []
+        self.weights: list[float] = []
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __iter__(self):
+        verts: tuple[int, ...] = ()
+        for keep, tail, energy, weight in zip(self.shared, self.tails, self.energies, self.weights):
+            verts = verts[: keep - 1] + tail
+            yield PathRecord(verts, energy, weight)
+
+    def __getitem__(self, k):
+        return list(self)[k]
 
 
 @dataclass(frozen=True)
@@ -98,9 +127,11 @@ def enumerate_paths(
     lam: float = 0.0,
     max_paths: int = MAX_PATHS_DEFAULT,
     strict: bool = False,
-) -> list[PathRecord]:
+) -> ChainTrie:
     """All admissible source->target paths with weight >= lam, in lexicographic order.
 
+    One DFS visits successors in ascending order; the target is a sink, so no
+    path is a prefix of another and the walk emits them in lexicographic order.
     Weights only shrink along a path, so pruning a partial path below lam is
     exact; so is skipping vertices from which the target cannot be reached.
     The direct two-vertex path is kept regardless of lam unless strict is set.
@@ -113,68 +144,52 @@ def enumerate_paths(
     with np.errstate(over="ignore"):  # an overflowing square is an infinite energy
         D2 = flow.D * flow.D
     # only vertices from which j is reachable can lie on a path
-    live = [False] * flow.n
-    live[j] = True
-    todo = [j]
-    while todo:
-        for v in np.flatnonzero(flow.F[:, todo.pop()]).tolist():
-            if not live[v]:
-                live[v] = True
-                todo.append(v)
+    live = np.arange(flow.n) == j
+    while (grown := live | flow.F[:, live].any(axis=1)).sum() > live.sum():
+        live = grown
     # per vertex: (successor, WF entry, squared step) for live successors in
     # ascending order, as Python numbers so the walk indexes no numpy scalars
-    succ = []
-    for v in range(flow.n):
-        us = [u for u in np.flatnonzero(flow.F[v]).tolist() if live[u]]
-        succ.append(list(zip(us, flow.WF[v, us].tolist(), D2[v, us].tolist())))
-    found: list[PathRecord] = []
+    rows, cols = np.nonzero(flow.F & live)
+    steps = list(zip(cols.tolist(), flow.WF[rows, cols].tolist(), D2[rows, cols].tolist()))
+    ends = np.cumsum(np.bincount(rows, minlength=flow.n)).tolist()
+    succ = [steps[a:b] for a, b in zip([0, *ends], ends)]
 
-    def record(path: list[int], energy: float, weight: float) -> None:
-        if len(found) >= max_paths:
-            raise PathBudgetError(
-                f"path count exceeded max_paths={max_paths}; raise the budget "
-                f"or tighten the weight threshold"
-            )
-        found.append(PathRecord(tuple(path), energy, weight))
-
-    # stack-based DFS, neighbors in ascending index order
-    stack: list[tuple[int, int]] = [(i, 0)]
+    trie = ChainTrie()
+    shared, tails, energies, weights = trie.shared, trie.tails, trie.energies, trie.weights
+    # the DFS stack: the path so far, never holding j, and per path vertex its
+    # energy, its weight and the iterator over its successors not yet visited
     path = [i]
-    energies = [0.0]
-    weights = [1.0]
-    while stack:
-        v, ptr = stack[-1]
-        if v == j:
-            record(path, energies[-1], weights[-1])
-            stack.pop()
-            path.pop()
-            energies.pop()
-            weights.pop()
-            continue
-        nxt = succ[v]
-        advanced = False
-        while ptr < len(nxt):
-            u, wf, d2 = nxt[ptr]
-            ptr += 1
-            w = weights[-1] * wf
-            if w >= lam:
-                stack[-1] = (v, ptr)
-                stack.append((u, 0))
+    frames = [(0.0, 1.0, iter(succ[i]))]
+    depth = low = 1  # the path's length, and its least length since the last chain
+    while frames:
+        energy, weight, nexts = frames[-1]
+        for u, wf, d2 in nexts:
+            w = weight * wf
+            # below lam only the source's direct edge survives, unless strict
+            if w < lam and (strict or u != j or depth > 1):
+                continue
+            if u != j:
                 path.append(u)
-                energies.append(energies[-1] + d2)
-                weights.append(w)
-                advanced = True
+                frames.append((energy + d2, w, iter(succ[u])))
+                depth += 1
                 break
-        if not advanced:
-            stack.pop()
+            if len(weights) >= max_paths:
+                raise PathBudgetError(
+                    f"path count exceeded max_paths={max_paths}; raise the budget "
+                    f"or tighten the weight threshold"
+                )
+            shared.append(low)
+            tails.append((*path[low - 1 :], j))
+            energies.append(energy + d2)
+            weights.append(w)
+            low = depth
+        else:
+            frames.pop()
             path.pop()
-            energies.pop()
-            weights.pop()
-
-    if not strict and flow.F[i, j] and not any(p.vertices == (i, j) for p in found):
-        record([i, j], float(D2[i, j]), float(flow.WF[i, j]))
-    found.sort(key=lambda p: p.vertices)
-    return found
+            depth -= 1
+            if depth < low:
+                low = depth
+    return trie
 
 
 def brute_force_paths(

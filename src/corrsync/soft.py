@@ -15,12 +15,13 @@ import math
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, pairwise
 
 import numpy as np
 
 from .collection import CorrespondenceMap, GeodesicOracle, ShapeCollection
 from .errors import EmptyPathSetError, IndexRangeError, MissingMapError
-from .flow import MAX_PATHS_DEFAULT, FlowMatrix, PathRecord, directed_flow_matrix, enumerate_paths
+from .flow import MAX_PATHS_DEFAULT, ChainTrie, FlowMatrix, directed_flow_matrix, enumerate_paths
 
 # the chain-weight threshold lambda used when a caller sets none
 LAMBDA_DEFAULT = 0.978
@@ -34,7 +35,7 @@ Row = tuple[np.ndarray, np.ndarray]
 class PathDistribution:
     """Retained paths with normalized probabilities (threshold applied pre-normalization)."""
 
-    records: tuple[PathRecord, ...]
+    records: ChainTrie
     probabilities: tuple[float, ...]
 
     def __len__(self) -> int:
@@ -105,24 +106,30 @@ def path_distribution(
             f"no admissible path from {flow.source} to {flow.target} survives "
             f"threshold {lam} in strict mode"
         )
-    total = sum(r.weight for r in records)
+    total = sum(records.weights)
     if not total > 0:
         raise EmptyPathSetError(
             f"every admissible path from {flow.source} to {flow.target} has "
             f"Gibbs weight 0 (exp(-beta * E) underflows); lower beta"
         )
-    probs = tuple(r.weight / total for r in records)
-    return PathDistribution(tuple(records), probs)
+    return PathDistribution(records, tuple(w / total for w in records.weights))
 
 
-def _edge_map(collection: ShapeCollection, a: int, b: int) -> CorrespondenceMap:
+def _edge_maps(
+    collection: ShapeCollection, trie: ChainTrie
+) -> dict[tuple[int, int], CorrespondenceMap]:
+    """The stored map of every edge on the trie's chains, looked up once each in
+    chain order, so a missing map names the first edge met that needs it."""
     ids = collection.ids
-    try:
-        return collection.map(ids[a], ids[b])
-    except MissingMapError:
-        raise MissingMapError(
-            f"no stored map {ids[a]!r} -> {ids[b]!r} on admissible edge ({a}, {b})"
-        ) from None
+    maps = {}
+    for a, b in dict.fromkeys(chain.from_iterable(map(pairwise, trie.tails))):
+        try:
+            maps[a, b] = collection.map(ids[a], ids[b])
+        except MissingMapError:
+            raise MissingMapError(
+                f"no stored map {ids[a]!r} -> {ids[b]!r} on admissible edge ({a}, {b})"
+            ) from None
+    return maps
 
 
 # Rows are pushed for a block of queries at a time. A block holds at most
@@ -132,38 +139,10 @@ _ACC_CELLS = 1 << 16
 _CHUNK_CELLS = 1 << 14
 
 
-def _trie_plan(
-    collection: ShapeCollection, dist: PathDistribution
-) -> list[tuple[int, list[CorrespondenceMap], float]]:
-    """Per chain, in order: the number of leading vertices it shares with the
-    previous chain, the maps on its remaining edges, and its probability.
-
-    Chains come in lexicographic order, so each chain shares the longest
-    possible prefix with its predecessor and every edge of the chain trie is
-    listed once.
-    """
-    cache: dict[tuple[int, int], CorrespondenceMap] = {}
-    plan = []
-    prev: tuple[int, ...] = ()
-    for rec, prob in zip(dist.records, dist.probabilities):
-        verts = rec.vertices
-        keep, common = 1, min(len(prev), len(verts))
-        while keep < common and prev[keep] == verts[keep]:
-            keep += 1
-        maps = []
-        for edge in zip(verts[keep - 1 :], verts[keep:]):
-            m = cache.get(edge)
-            if m is None:
-                m = cache[edge] = _edge_map(collection, *edge)
-            maps.append(m)
-        plan.append((keep, maps, prob))
-        prev = verts
-    return plan
-
-
 def _push_block(
     queries: np.ndarray,
-    plan: list[tuple[int, list[CorrespondenceMap], float]],
+    dist: PathDistribution,
+    maps: dict[tuple[int, int], CorrespondenceMap],
     n_tgt: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Soft rows of a block of distinct query vertices: per query its support
@@ -171,51 +150,48 @@ def _push_block(
 
     The block walks the chain trie once: stack[d] holds the queries' images at
     depth d of the current chain, so a prefix shared by consecutive chains is
-    pushed once. Each chain adds its probability times its image mass to
-    acc[query, target] in chain order, and first[query, target] keeps the
-    first chain that reached the cell. Each row is then divided by its total,
-    summed in first-reached order. On discrete maps this is the same
-    arithmetic, in the same order, as pushing every chain separately.
+    pushed once and each chain pushes only its tail. Each chain adds its
+    probability times its image mass to acc[query, target] in chain order,
+    and first[query, target] keeps the first chain that reached the cell.
+    Each row is then divided by its total, summed in first-reached order. On
+    discrete maps this is the same arithmetic, in the same order, as pushing
+    every chain separately.
     """
     b = queries.size
     acc = np.zeros(b * n_tgt)
-    first = np.full(b * n_tgt, len(plan), dtype=np.int64)
+    first = np.full(b * n_tgt, len(dist), dtype=np.int64)
     offsets = np.arange(b, dtype=np.int64) * n_tgt
     chunk = max(1, _CHUNK_CELLS // b)
     images = np.empty((chunk, b), dtype=np.int64)
-    chains = np.empty(chunk, dtype=np.int64)
-    probs = np.empty(chunk)
-    pending = 0
+    probs = np.asarray(dist.probabilities)
 
-    def flush(n: int) -> None:
-        keys = (images[:n] + offsets).ravel()
-        np.add.at(acc, keys, np.repeat(probs[:n], b))
-        np.minimum.at(first, keys, np.repeat(chains[:n], b))
+    def flush(start: int, stop: int) -> None:
+        keys = (images[: stop - start] + offsets).ravel()
+        np.add.at(acc, keys, np.repeat(probs[start:stop], b))
+        np.minimum.at(first, keys, np.repeat(np.arange(start, stop), b))
 
     stack = [queries]
-    for c, (keep, maps, prob) in enumerate(plan):
+    start = 0  # images[k] holds the discrete image of chain start + k
+    for c, (keep, tail) in enumerate(zip(dist.records.shared, dist.records.tails)):
         del stack[keep:]
         image = stack[-1]
-        for m in maps:
-            image = m.push(image)
+        for edge in pairwise(tail):
+            image = maps[edge].push(image)
             stack.append(image)
         if isinstance(image, np.ndarray):
-            images[pending] = image
-            chains[pending] = c
-            probs[pending] = prob
-            pending += 1
-            if pending == chunk:
-                flush(pending)
-                pending = 0
+            images[c - start] = image
+            if c + 1 - start == chunk:
+                flush(start, c + 1)
+                start = c + 1
         else:
-            flush(pending)
-            pending = 0
+            flush(start, c)
+            start = c + 1
             keys = np.repeat(offsets, np.diff(image.indptr)) + image.indices
-            np.add.at(acc, keys, prob * image.data)
+            np.add.at(acc, keys, probs[c] * image.data)
             np.minimum.at(first, keys, c)
-    flush(pending)
+    flush(start, len(dist))
 
-    cells = np.flatnonzero(first < len(plan))  # by query, then target
+    cells = np.flatnonzero(first < len(dist))  # by query, then target
     owner = cells // n_tgt
     counts = np.bincount(owner, minlength=b)
     # each row's masses in first-reached order, left-aligned in a zero-padded
@@ -263,11 +239,11 @@ def propagate_soft(
     flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta)
     dist = path_distribution(flow, lam=lam, max_paths=max_paths, strict=strict)
 
-    plan = _trie_plan(collection, dist)
+    maps = _edge_maps(collection, dist.records)
     n_tgt = collection.shape(target_id).n
     block = max(1, _ACC_CELLS // n_tgt)
     blocks = [
-        _push_block(queries[start : start + block], plan, n_tgt)
+        _push_block(queries[start : start + block], dist, maps, n_tgt)
         for start in range(0, queries.size, block)
     ]
     # indptr's leading 0, and empty arrays that also serve an empty query set

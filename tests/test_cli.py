@@ -125,17 +125,25 @@ class TestBadInputValues:
             ("benchmark --grid-max -1", "got -1.0"),
             ("benchmark --grid-count 0", "at least 1 threshold, got 0"),
             ("benchmark --grid-count -3", "at least 1 threshold, got -3"),
+            ("stability --add-far 0.5", "factor must be a finite number > 1, got 0.5"),
+            ("stability --add-far 1", "factor must be a finite number > 1, got 1.0"),
+            ("stability --add-far 0", "factor must be a finite number > 1, got 0.0"),
+            ("stability --add-far -1", "factor must be a finite number > 1, got -1.0"),
+            ("stability --add-far nan", "factor must be a finite number > 1, got nan"),
+            ("stability --add-far inf", "factor must be a finite number > 1, got inf"),
         ],
         ids=["max-matches", "hops", "knn", "pair", "methods", "synth-landmarks", "synth-points",
              "lattice-source", "lattice-equal-ends", "lattice-target", "synth-shapes-0",
              "synth-shapes-negative", "grid-max-nan", "grid-max-negative", "grid-count-0",
-             "grid-count-negative"],
+             "grid-count-negative", "add-far-half", "add-far-one", "add-far-0",
+             "add-far-negative", "add-far-nan", "add-far-inf"],
     )
     def test_clean_error_without_traceback(self, seeded_manifest, tmp_path, command, named):
         argv = command.split()
         argv += {
             "match": ["--manifest", seeded_manifest, "--radius", "0.2", "--delta", "0.6"],
             "benchmark": ["--manifest", seeded_manifest],
+            "stability": ["--manifest", seeded_manifest],
             "synth": ["--out-dir", str(tmp_path / "c")],
             "lattice": [],
         }[argv[0]]

@@ -101,6 +101,49 @@ class TestEnumeratePaths:
         with pytest.raises(PathBudgetError):
             enumerate_paths(flow, lam=0.0, max_paths=2)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_rescued_direct_chain_keeps_its_lexicographic_position(self, strict):
+        # pair (0, 2) of five points on a line: lam drops the direct chain
+        # (energy 9) while kept chains leave the source through vertex 1,
+        # below the target's index, and vertex 4, above it
+        D = line_distances([0.0, 1.0, 3.0, 2.0, 1.5])
+        flow = directed_flow_matrix(D, 0, 2)
+        got = [r.vertices for r in enumerate_paths(flow, lam=0.02, strict=strict)]
+        assert got == [r.vertices for r in brute_force_paths(D, 0, 2, lam=0.02, strict=strict)]
+        rescued = [] if strict else [(0, 2)]
+        assert got == [(0, 1, 3, 2), (0, 1, 4, 2), (0, 1, 4, 3, 2), *rescued, (0, 4, 3, 2)]
+
+    @pytest.mark.parametrize(
+        "coords, j",
+        [([0.0, 1.0, 3.0, 2.0, 1.5], 2), ([0.0, 1.0, 2.0, 3.0], 3)],
+        ids=["direct-inside", "direct-overflows"],
+    )
+    def test_budget_is_the_chain_count_at_positive_lambda(self, coords, j):
+        # in the second case the rescued direct chain comes last, so it is the
+        # chain that overflows a budget one short of the count
+        flow = directed_flow_matrix(line_distances(coords), 0, j)
+        count = len(enumerate_paths(flow, lam=0.02))
+        assert len(enumerate_paths(flow, lam=0.02, max_paths=count)) == count
+        with pytest.raises(PathBudgetError):
+            enumerate_paths(flow, lam=0.02, max_paths=count - 1)
+        assert len(enumerate_paths(flow, lam=0.02, max_paths=count - 1, strict=True)) == count - 1
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_budget_boundary_matches_brute_force_count(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 8))
+        D = random_euclidean_distances(rng, n)
+        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+        lam = float(rng.choice([0.0, 1e-3, 0.05, 0.3]))
+        strict = bool(rng.integers(0, 2))
+        count = len(brute_force_paths(D, i, j, lam=lam, strict=strict))
+        flow = directed_flow_matrix(D, i, j)
+        assert len(enumerate_paths(flow, lam=lam, max_paths=count, strict=strict)) == count
+        if count:
+            with pytest.raises(PathBudgetError):
+                enumerate_paths(flow, lam=lam, max_paths=count - 1, strict=strict)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, seed):
@@ -128,8 +171,9 @@ class TestEnumeratePaths:
         D = random_euclidean_distances(rng, n) * rng.uniform(0.2, 1.5)
         i, j = rng.choice(n, size=2, replace=False)
         lam = float(rng.choice([0.0, 1e-3, 0.05, 0.3]))
+        strict = bool(rng.integers(0, 2))
         flow = directed_flow_matrix(D, int(i), int(j))
-        for rec in enumerate_paths(flow, lam=lam, max_paths=10**6):
+        for rec in enumerate_paths(flow, lam=lam, max_paths=10**6, strict=strict):
             energy, weight = 0.0, 1.0
             for a, b in zip(rec.vertices, rec.vertices[1:]):
                 energy += float(D[a, b] * D[a, b])

@@ -157,6 +157,15 @@ class TestPropagateSoft:
         with pytest.raises(MissingMapError, match="s1"):
             propagate_soft(l4_swap, "s0", "s3", lam=0.0, max_paths=100)
 
+    def test_two_missing_maps_name_the_first_met_in_chain_order(self):
+        # chain (0, 1, 2, 3) comes first and needs s2 -> s3; s0 -> s3 comes
+        # first in edge order but only the last chain, (0, 3), needs it
+        coll = build_l4()
+        coll.maps.pop(("s0", "s3"))
+        coll.maps.pop(("s2", "s3"))
+        with pytest.raises(MissingMapError, match=r"'s2' -> 's3' on admissible edge \(2, 3\)"):
+            propagate_soft(coll, "s0", "s3", lam=0.0, max_paths=100)
+
     @pytest.mark.parametrize("bad", [2, 99999, -1])
     def test_out_of_range_query_names_vertex_and_shape(self, l4_swap, bad):
         with pytest.raises(IndexRangeError, match=rf"vertex {bad} .*'s0'"):
