@@ -5,6 +5,11 @@ A collection is loaded from a JSON manifest and treated as immutable afterwards.
 Maps are stored per ordered pair and never inverted implicitly: the file
 ``<target>__<source>.csv`` holds the map from ``source`` to ``target``, and the
 in-memory table is keyed ``(source_id, target_id)``.
+
+A collection built in memory holds its maps in a dict and checks them all when
+it is constructed. A loaded one holds a ``MapFiles`` table, which reads and
+checks each map file when its map is first accessed, so a command reads only
+the files of the maps it uses.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import os
 import tempfile
 import threading
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -356,12 +362,14 @@ class ShapeCollection:
     """Shapes plus the symmetric inter-shape distance matrix D and pairwise maps.
 
     W = gibbs_weights(D, beta). Treated as immutable after construction;
-    derived structures (oracles, dijkstra rows) are cached.
+    derived structures (oracles, dijkstra rows) are cached. ``maps`` is checked
+    here as a whole, unless it is a MapFiles table made for these shapes, which
+    checks each map as it reads it.
     """
 
     shapes: list[Shape]
     D: np.ndarray
-    maps: dict[tuple[str, str], CorrespondenceMap]
+    maps: Mapping[tuple[str, str], CorrespondenceMap]
     beta: float = 1.0
     allow_duplicates: bool = False
     provenance: dict = field(default_factory=dict)
@@ -399,17 +407,11 @@ class ShapeCollection:
         self.W = gibbs_weights(self.D, self.beta)
         self._oracles: dict[tuple[str, int], GeodesicOracle] = {}
         self._oracle_lock = threading.Lock()
-        for (src, tgt), m in self.maps.items():
-            if src not in self._index or tgt not in self._index:
-                raise ManifestError(f"map for unknown pair ({src!r}, {tgt!r})")
-            if (m.source_id, m.target_id) != (src, tgt):
-                raise ManifestError(f"map table key ({src!r}, {tgt!r}) mislabeled")
-            if m.n_source != self.shape(src).n or m.n_target != self.shape(tgt).n:
-                raise IndexRangeError(
-                    f"map {src!r}->{tgt!r} sized {m.n_source}x{m.n_target}, "
-                    f"shapes have {self.shape(src).n} and {self.shape(tgt).n} points"
-                )
-        _check_declared_inverses(self)
+        sizes = {s.id: s.n for s in self.shapes}
+        if not (isinstance(self.maps, MapFiles) and self.maps.sizes == sizes):
+            for key, m in self.maps.items():
+                _check_map(key, m, sizes)
+            _check_declared_inverses(self.maps)
 
     @property
     def n(self) -> int:
@@ -447,22 +449,81 @@ class ShapeCollection:
         return self._oracles[key]
 
 
-def _check_declared_inverses(collection: ShapeCollection) -> None:
+def _check_map(key: tuple[str, str], m: CorrespondenceMap, sizes: dict[str, int]) -> None:
+    """A table entry's key names two shapes of the collection, its map carries
+    that key's labels, and the map is sized by the two shapes' point counts."""
+    src, tgt = key
+    if src not in sizes or tgt not in sizes:
+        raise ManifestError(f"map for unknown pair ({src!r}, {tgt!r})")
+    if (m.source_id, m.target_id) != (src, tgt):
+        raise ManifestError(f"map table key ({src!r}, {tgt!r}) mislabeled")
+    if m.n_source != sizes[src] or m.n_target != sizes[tgt]:
+        raise IndexRangeError(
+            f"map {src!r}->{tgt!r} sized {m.n_source}x{m.n_target}, "
+            f"shapes have {sizes[src]} and {sizes[tgt]} points"
+        )
+
+
+def _check_inverse(fwd: CorrespondenceMap, rev: CorrespondenceMap) -> None:
     # binds only pairs where both stored directions are discrete bijections
+    if fwd.is_bijection() and rev.is_bijection():
+        if not np.array_equal(rev.indices[fwd.indices], np.arange(fwd.n_source)):
+            raise InverseViolationError(
+                f"maps {fwd.source_id!r}<->{fwd.target_id!r} are bijections "
+                "but not mutual inverses"
+            )
+
+
+def _check_declared_inverses(maps: Mapping) -> None:
+    """Check each pair stored in both directions once, the direction met first as fwd."""
     seen = set()
-    for (src, tgt) in collection.maps:
-        if (tgt, src) in seen or (tgt, src) not in collection.maps:
-            seen.add((src, tgt))
-            continue
+    for (src, tgt), fwd in maps.items():
+        if (tgt, src) in maps and (tgt, src) not in seen:
+            _check_inverse(fwd, maps[(tgt, src)])
         seen.add((src, tgt))
-        fwd = collection.maps[(src, tgt)]
-        rev = collection.maps[(tgt, src)]
-        if fwd.is_bijection() and rev.is_bijection():
-            roundtrip = rev.indices[fwd.indices]
-            if not np.array_equal(roundtrip, np.arange(fwd.n_source)):
-                raise InverseViolationError(
-                    f"maps {src!r}<->{tgt!r} are bijections but not mutual inverses"
-                )
+
+
+class MapFiles(Mapping):
+    """The map table of a loaded collection, keyed ``(source_id, target_id)``.
+
+    Its keys are the pairs whose map file exists. A file is read when its map
+    is first accessed, once, under a lock (pairs may be propagated on several
+    threads), and the map is checked as ShapeCollection checks an in-memory
+    table: its labels and sizes, and, once both directions of a pair have been
+    read, that two discrete bijections are mutual inverses. A file that fails
+    is not kept, so every access to it raises. ``values()`` and ``items()``
+    read every file.
+    """
+
+    def __init__(self, paths: dict[tuple[str, str], str], sizes: dict[str, int]):
+        self._paths = paths
+        self.sizes = sizes
+        self._read: dict[tuple[str, str], CorrespondenceMap] = {}
+        self._lock = threading.Lock()
+
+    def __getitem__(self, key: tuple[str, str]) -> CorrespondenceMap:
+        m = self._read.get(key)
+        if m is None:
+            path = self._paths[key]
+            with self._lock:
+                m = self._read.get(key)
+                if m is None:
+                    src, tgt = key
+                    m = _read_map(path, src, tgt, self.sizes[src], self.sizes[tgt])
+                    _check_map(key, m, self.sizes)
+                    if (tgt, src) in self._read:
+                        _check_inverse(self._read[(tgt, src)], m)
+                    self._read[key] = m
+        return m
+
+    def __contains__(self, key) -> bool:
+        return key in self._paths
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +571,12 @@ def load_collection(manifest_path: str, allow_duplicates: bool = False) -> Shape
     directory; all paths are resolved relative to the manifest's directory. A
     field that is missing or cannot be read raises ManifestError naming it, and
     the shape it belongs to.
+
+    The map directory is only listed here: its ``<target>__<source>.csv`` files
+    for two distinct shape ids of the manifest become the keys of a MapFiles
+    table, and every other file in it is ignored. Each map file is read and
+    checked when its map is first accessed, so a malformed file raises from
+    the access that reads it, and one that is never accessed raises nothing.
     """
     manifest_path = os.path.abspath(manifest_path)
     if not os.path.exists(manifest_path):
@@ -570,20 +637,20 @@ def load_collection(manifest_path: str, allow_duplicates: bool = False) -> Shape
     if not os.path.isdir(maps_dir):
         raise ManifestError(f"maps directory not found: {maps_dir}")
 
+    # one scan of the directory; a file is read when its map is first used
+    listed = set(os.listdir(maps_dir))
     sizes = {s.id: s.n for s in shapes}
-    maps: dict[tuple[str, str], CorrespondenceMap] = {}
+    paths: dict[tuple[str, str], str] = {}
     for tgt in sizes:
         for src in sizes:
-            if src == tgt:
-                continue
-            path = os.path.join(maps_dir, f"{tgt}__{src}.csv")
-            if os.path.exists(path):
-                maps[(src, tgt)] = _read_map(path, src, tgt, sizes[src], sizes[tgt])
+            name = f"{tgt}__{src}.csv"
+            if src != tgt and name in listed:
+                paths[(src, tgt)] = os.path.join(maps_dir, name)
 
     return ShapeCollection(
         shapes=shapes,
         D=D,
-        maps=maps,
+        maps=MapFiles(paths, sizes),
         beta=beta,
         allow_duplicates=allow_duplicates,
     )

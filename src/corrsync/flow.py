@@ -14,6 +14,7 @@ exp(-beta * E) equals the product of the traversed W entries.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -136,10 +137,12 @@ def enumerate_paths(
     exact; so is skipping vertices from which the target cannot be reached.
     The direct two-vertex path is kept regardless of lam unless strict is set.
     Exceeding max_paths raises rather than truncating. lam must be finite and
-    in [0, 1].
+    in [0, 1], and max_paths an integer of at least 1.
     """
     if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
         raise InvalidValueError(f"lambda must be a finite number in [0, 1], got {lam!r}")
+    if not (isinstance(max_paths, numbers.Integral) and max_paths >= 1):
+        raise InvalidValueError(f"max_paths must be an integer >= 1, got {max_paths!r}")
     i, j = flow.source, flow.target
     with np.errstate(over="ignore"):  # an overflowing square is an infinite energy
         D2 = flow.D * flow.D

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import corrsync.collection as collection_mod
 from corrsync.collection import CorrespondenceMap, Shape, ShapeCollection
 from corrsync.soft import SoftCorrespondence
 
@@ -115,3 +116,17 @@ def t3_distances():
     # only the direct edge is admissible for pair (0, 2): the lone candidate
     # intermediate sits at distance 1 from the source but 1.9 from the target
     return np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.9], [1.0, 1.9, 0.0]])
+
+
+@pytest.fixture
+def map_reads(monkeypatch):
+    """The (source, target) of every map file read, in read order."""
+    calls = []
+    real = collection_mod._read_map
+
+    def counted(path, src, tgt, n_src, n_tgt):
+        calls.append((src, tgt))
+        return real(path, src, tgt, n_src, n_tgt)
+
+    monkeypatch.setattr(collection_mod, "_read_map", counted)
+    return calls

@@ -1,12 +1,16 @@
 import json
 import subprocess
 import sys
+from itertools import pairwise
 
 import pytest
 
+from corrsync.baselines import kruskal_mst
 from corrsync.cli import main
 from corrsync.collection import CorrespondenceMap, save_collection
 from corrsync.benchmark import synth_collection
+from corrsync.flow import directed_flow_matrix, enumerate_paths
+from corrsync.soft import LAMBDA_DEFAULT
 
 from conftest import build_l4
 
@@ -131,17 +135,24 @@ class TestBadInputValues:
             ("stability --add-far -1", "factor must be a finite number > 1, got -1.0"),
             ("stability --add-far nan", "factor must be a finite number > 1, got nan"),
             ("stability --add-far inf", "factor must be a finite number > 1, got inf"),
+            ("propagate --max-paths 0", "max_paths must be an integer >= 1, got 0"),
+            ("propagate --max-paths -5", "max_paths must be an integer >= 1, got -5"),
+            ("benchmark --methods mle --max-paths 0", "max_paths must be an integer >= 1, got 0"),
+            ("benchmark --methods mle --max-paths -5", "max_paths must be an integer >= 1, got -5"),
         ],
         ids=["max-matches", "hops", "knn", "pair", "methods", "synth-landmarks", "synth-points",
              "lattice-source", "lattice-equal-ends", "lattice-target", "synth-shapes-0",
              "synth-shapes-negative", "grid-max-nan", "grid-max-negative", "grid-count-0",
              "grid-count-negative", "add-far-half", "add-far-one", "add-far-0",
-             "add-far-negative", "add-far-nan", "add-far-inf"],
+             "add-far-negative", "add-far-nan", "add-far-inf", "propagate-max-paths-0",
+             "propagate-max-paths-negative", "benchmark-max-paths-0",
+             "benchmark-max-paths-negative"],
     )
     def test_clean_error_without_traceback(self, seeded_manifest, tmp_path, command, named):
         argv = command.split()
         argv += {
             "match": ["--manifest", seeded_manifest, "--radius", "0.2", "--delta", "0.6"],
+            "propagate": ["--manifest", seeded_manifest, "--source", "s00", "--target", "s01"],
             "benchmark": ["--manifest", seeded_manifest],
             "stability": ["--manifest", seeded_manifest],
             "synth": ["--out-dir", str(tmp_path / "c")],
@@ -163,12 +174,14 @@ class TestBadCollectionFiles:
         )
 
     def test_non_numeric_map_cell(self, tmp_path):
+        # at the default lambda the only s0 -> s3 chain on L4 is the direct one,
+        # so propagate reads s3__s0.csv
         manifest = save_collection(build_l4(swapped_pair=(1, 3)), tmp_path / "c")
-        (tmp_path / "c" / "maps" / "s1__s0.csv").write_text("0,x\n1,1\n")
+        (tmp_path / "c" / "maps" / "s3__s0.csv").write_text("0,x\n1,1\n")
         proc = self._propagate(manifest)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "s1__s0.csv" in proc.stderr
+        assert "s3__s0.csv" in proc.stderr
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -217,6 +230,71 @@ class TestBadCollectionFiles:
         assert "Traceback" not in proc.stderr
         assert "'../escaped'" in proc.stderr
         assert proc.stdout == ""
+
+
+class TestMapFilesReadOnUse:
+    """A command reads the map files of the maps it uses, and only those."""
+
+    @pytest.fixture(scope="class")
+    def synth6(self, tmp_path_factory):
+        coll = synth_collection(6, 40, 0.05, seed=3, map_source="truth")
+        return coll, str(save_collection(coll, tmp_path_factory.mktemp("synth6")))
+
+    @pytest.mark.parametrize("pair", [("s00", "s05"), ("s05", "s02"), ("s02", "s04")])
+    def test_propagate_reads_the_chain_edge_maps(self, synth6, tmp_path, map_reads, pair):
+        coll, manifest = synth6
+        flow = directed_flow_matrix(coll.D, coll.index(pair[0]), coll.index(pair[1]))
+        chains = enumerate_paths(flow, lam=LAMBDA_DEFAULT)
+        edges = {(coll.ids[a], coll.ids[b]) for r in chains for a, b in pairwise(r.vertices)}
+        rc = main(["propagate", "--manifest", manifest, "--source", pair[0], "--target",
+                   pair[1], "--out", str(tmp_path / "p.json"), "--quiet"])
+        assert rc == 0
+        assert sorted(map_reads) == sorted(edges)
+        assert len(edges) < len(coll.maps)
+
+    @pytest.mark.parametrize("pair", [("s00", "s05"), ("s05", "s02"), ("s02", "s04")])
+    def test_mst_reads_the_route_maps(self, synth6, tmp_path, map_reads, pair):
+        coll, manifest = synth6
+        route = kruskal_mst(coll.D).path(coll.index(pair[0]), coll.index(pair[1]))
+        rc = main(["baseline", "--method", "mst", "--manifest", manifest, "--source", pair[0],
+                   "--target", pair[1], "--out", str(tmp_path / "m.csv"), "--quiet"])
+        assert rc == 0
+        assert map_reads == [(coll.ids[a], coll.ids[b]) for a, b in pairwise(route)]
+
+    @pytest.fixture
+    def bad_map(self, tmp_path):
+        """A saved collection whose map s00 -> s01 is malformed, and a clean copy's
+        propagate output for s01 -> s00, made at the same path."""
+        coll = synth_collection(4, 60, 0.05, seed=3, map_source="truth")
+        manifest = str(save_collection(coll, tmp_path / "c"))
+        # s00 is the sink of every s01 -> s00 chain, so no chain leaves it
+        argv = ["propagate", "--manifest", manifest, "--source", "s01", "--target", "s00",
+                "--quiet", "--out"]
+        assert main(argv + [str(tmp_path / "clean.json")]) == 0
+        (tmp_path / "c" / "maps" / "s01__s00.csv").write_text("0,x\n1,1\n")
+        return manifest, argv
+
+    def test_unread_malformed_map_does_not_fail(self, bad_map, tmp_path):
+        manifest, argv = bad_map
+        assert main(["flow", "--manifest", manifest, "--source", "s00", "--target", "s01",
+                     "--out", str(tmp_path / "f.csv"), "--quiet"]) == 0
+        assert main(argv + [str(tmp_path / "bad.json")]) == 0
+        assert (tmp_path / "bad.json").read_bytes() == (tmp_path / "clean.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["benchmark", "--methods", "direct"], ["benchmark"], ["stability", "--add-far", "10"],
+         ["stability", "--remove", "s03"]],
+        ids=["benchmark-direct", "benchmark", "stability-add-far", "stability-remove"],
+    )
+    def test_commands_reading_every_map_name_it(self, bad_map, tmp_path, capsys, command):
+        manifest, _ = bad_map
+        rc = main(command + ["--manifest", manifest, "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "s01__s00.csv" in captured.err and "could not convert" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "o").exists()
 
 
 class TestBadPoints:

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -26,7 +27,9 @@ from corrsync.collection import (
     save_collection,
 )
 from corrsync.baselines import compose_along
+from corrsync.benchmark import synth_collection
 from corrsync.collection import _build_neighbor_graph
+from corrsync.soft import all_pairs_soft
 from corrsync.errors import (
     DisconnectedGraphError,
     DuplicateShapeError,
@@ -39,6 +42,21 @@ from corrsync.errors import (
 )
 
 from conftest import build_l4, push_row, two_point_shape
+
+
+# malformed contents of a map file: (text, error class, what its message names)
+BAD_MAP_FILES = [
+    ("0,x\n1,1\n", ManifestError, "could not convert"),
+    ("0,1\n1,1,0.5\n", ManifestError, "number of columns"),
+    ("0,1.5\n1,1\n", ManifestError, "non-integer index in row 0"),
+    ("0,0\n1,nan\n", ManifestError, "non-integer index in row 1"),
+    ("0,1,2,3\n1,1,2,3\n", ManifestError, "2 or 3 columns"),
+    ("# nothing here\n", ManifestError, "empty map file"),
+    ("0,1\ninf,1\n", ManifestError, "non-integer index in row 1"),
+    ("0,1\n2,1\n", IndexRangeError, r"index \(2,1\) out of range"),
+    ("0,1\n1,2\n", IndexRangeError, r"index \(1,2\) out of range"),
+    ("0,1,1.0\n1,-1,1.0\n", IndexRangeError, r"index \(1,-1\) out of range"),
+]
 
 
 class TestShape:
@@ -521,36 +539,34 @@ class TestManifestRoundTrip:
         manifest = save_collection(l4_swap, tmp_path / "dup")
         path = tmp_path / "dup" / "maps" / "s1__s0.csv"
         path.write_text(path.read_text() + "0,1\n")
+        coll = load_collection(manifest)
         with pytest.raises(ManifestError, match=r"s1__s0\.csv.*source index 0"):
-            load_collection(manifest)
+            coll.map("s0", "s1")
 
     def test_missing_discrete_map_row_rejected(self, tmp_path, l4_swap):
         manifest = save_collection(l4_swap, tmp_path / "gap")
         path = tmp_path / "gap" / "maps" / "s1__s0.csv"
         path.write_text("1,1\n")
+        coll = load_collection(manifest)
         with pytest.raises(ManifestError, match=r"no row for source index 0"):
-            load_collection(manifest)
+            coll.map("s0", "s1")
 
-    @pytest.mark.parametrize(
-        "text, error, named",
-        [
-            ("0,x\n1,1\n", ManifestError, "could not convert"),
-            ("0,1\n1,1,0.5\n", ManifestError, "number of columns"),
-            ("0,1.5\n1,1\n", ManifestError, "non-integer index in row 0"),
-            ("0,0\n1,nan\n", ManifestError, "non-integer index in row 1"),
-            ("0,1,2,3\n1,1,2,3\n", ManifestError, "2 or 3 columns"),
-            ("# nothing here\n", ManifestError, "empty map file"),
-            ("0,1\ninf,1\n", ManifestError, "non-integer index in row 1"),
-            ("0,1\n2,1\n", IndexRangeError, r"index \(2,1\) out of range"),
-            ("0,1\n1,2\n", IndexRangeError, r"index \(1,2\) out of range"),
-            ("0,1,1.0\n1,-1,1.0\n", IndexRangeError, r"index \(1,-1\) out of range"),
-        ],
-    )
+    @pytest.mark.parametrize("text, error, named", BAD_MAP_FILES)
     def test_bad_map_file_names_file(self, tmp_path, l4_swap, text, error, named):
         manifest = save_collection(l4_swap, tmp_path / "bad")
         (tmp_path / "bad" / "maps" / "s1__s0.csv").write_text(text)
+        coll = load_collection(manifest)
         with pytest.raises(error, match=r"s1__s0\.csv") as exc:
-            load_collection(manifest)
+            coll.map("s0", "s1")
+        assert re.search(named, str(exc.value))
+
+    @pytest.mark.parametrize("text, error, named", BAD_MAP_FILES)
+    def test_reading_every_map_names_bad_file(self, tmp_path, l4_swap, text, error, named):
+        manifest = save_collection(l4_swap, tmp_path / "bad")
+        (tmp_path / "bad" / "maps" / "s1__s0.csv").write_text(text)
+        coll = load_collection(manifest)
+        with pytest.raises(error, match=r"s1__s0\.csv") as exc:
+            dict(coll.maps)
         assert re.search(named, str(exc.value))
 
     @pytest.mark.parametrize(
@@ -613,12 +629,97 @@ class TestManifestRoundTrip:
             assert sorted(os.listdir(out)) == sorted(
                 ["distances.csv", "manifest.json", "maps"] + [f"{sid}.xyz" for sid in ids]
             )
-        assert loaded.ids == ids
-        assert loaded.maps.keys() == maps.keys()
-        for key, m in maps.items():
-            assert np.array_equal(loaded.maps[key].indices, m.indices)
+            # map files are read on first access, so before the directory goes
+            assert loaded.ids == ids
+            assert loaded.maps.keys() == maps.keys()
+            for key, m in maps.items():
+                assert np.array_equal(loaded.maps[key].indices, m.indices)
 
     def test_identity_helper(self):
         m = identity_map("a", 4)
         assert list(m.indices) == [0, 1, 2, 3]
         assert m.source_id == "a" and m.target_id == "a"
+
+
+class TestMapFiles:
+    def test_files_read_on_first_access_only(self, tmp_path, l4_swap, map_reads):
+        coll = load_collection(save_collection(l4_swap, tmp_path / "c"))
+        assert isinstance(coll.maps, collection_mod.MapFiles)
+        assert map_reads == []
+        assert len(coll.maps) == 12 and ("s0", "s1") in coll.maps
+        assert map_reads == []
+        first = coll.map("s0", "s1")
+        assert coll.map("s0", "s1") is first
+        assert map_reads == [("s0", "s1")]
+        with pytest.raises(MissingMapError):
+            coll.map("s0", "nowhere")
+
+    def test_unread_bad_file_fails_only_when_read(self, tmp_path, l4_swap):
+        manifest = save_collection(l4_swap, tmp_path / "c")
+        (tmp_path / "c" / "maps" / "s1__s0.csv").write_text("0,x\n1,1\n")
+        coll = load_collection(manifest)
+        assert list(coll.map("s0", "s3").indices) == [0, 1]
+        with pytest.raises(ManifestError, match=r"s1__s0\.csv"):
+            save_collection(coll, tmp_path / "copy")
+        # a failed read is not kept: the next access reads the file again
+        with pytest.raises(ManifestError, match=r"s1__s0\.csv"):
+            coll.map("s0", "s1")
+
+    @pytest.mark.parametrize("first, second", [(("a", "b"), ("b", "a")), (("b", "a"), ("a", "b"))])
+    def test_inverse_checked_when_second_direction_read(self, tmp_path, first, second):
+        shapes = [two_point_shape("a"), two_point_shape("b")]
+        swap = CorrespondenceMap("a", "b", "discrete", indices=np.array([1, 0]), target_size=2)
+        back = CorrespondenceMap("b", "a", "discrete", indices=np.array([1, 0]), target_size=2)
+        coll = ShapeCollection(
+            shapes=shapes, D=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            maps={("a", "b"): swap, ("b", "a"): back},
+        )
+        manifest = save_collection(coll, tmp_path / "c")
+        # b -> a becomes the identity: both bijections, not mutual inverses
+        (tmp_path / "c" / "maps" / "a__b.csv").write_text("0,0\n1,1\n")
+        loaded = load_collection(manifest)
+        loaded.map(*first)
+        for _ in range(2):
+            with pytest.raises(InverseViolationError):
+                loaded.map(*second)
+        with pytest.raises(InverseViolationError):
+            dict(loaded.maps)
+        loaded.map(*first)
+
+    def test_threaded_pairs_read_each_file_once(self, tmp_path):
+        manifest = save_collection(
+            synth_collection(5, 40, 0.05, seed=2, map_source="truth"), tmp_path / "c"
+        )
+        serial = all_pairs_soft(load_collection(manifest))
+        real = collection_mod._read_map
+
+        def slow(*args):
+            time.sleep(0.002)  # widens the window in which two threads could read one file
+            return real(*args)
+
+        coll = load_collection(manifest)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(collection_mod, "_read_map", side_effect=slow) as read:
+                threaded = all_pairs_soft(coll, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        keys = sorted((c.args[1], c.args[2]) for c in read.call_args_list)
+        assert keys == sorted(coll.maps)
+        assert threaded.mle == serial.mle and threaded.frechet == serial.frechet
+        for pair, soft in serial.soft.items():
+            other = threaded.soft[pair]
+            for name in ("queries", "indptr", "indices", "data"):
+                assert np.array_equal(getattr(other, name), getattr(soft, name))
+
+    def test_stray_files_ignored(self, tmp_path, l4_swap, map_reads):
+        manifest = save_collection(l4_swap, tmp_path / "c")
+        maps_dir = tmp_path / "c" / "maps"
+        for name in ("s9__s0.csv", "s0__s0.csv", "notes.csv", "s1__s0.txt", "s1__s0.csv.bak"):
+            (maps_dir / name).write_text("not a map\n")
+        coll = load_collection(manifest)
+        assert sorted(coll.maps) == sorted(l4_swap.maps)
+        for key, m in dict(coll.maps).items():
+            assert np.array_equal(m.indices, l4_swap.maps[key].indices)
+        assert len(map_reads) == 12

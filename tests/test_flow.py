@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrsync.errors import PathBudgetError
+from corrsync.errors import InvalidValueError, PathBudgetError
 from corrsync.flow import (
     brute_force_paths,
     directed_flow_matrix,
@@ -101,6 +101,14 @@ class TestEnumeratePaths:
         with pytest.raises(PathBudgetError):
             enumerate_paths(flow, lam=0.0, max_paths=2)
 
+    @pytest.mark.parametrize("budget", [0, -5, 2.5, "10"])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        flow = directed_flow_matrix(line_distances([0.0, 1.0, 2.0, 3.0]), 0, 3)
+        named = f"max_paths must be an integer >= 1, got {budget!r}"
+        with pytest.raises(InvalidValueError, match=named):
+            enumerate_paths(flow, max_paths=budget)
+        assert len(enumerate_paths(flow, max_paths=4)) == 4
+
     @pytest.mark.parametrize("strict", [False, True])
     def test_rescued_direct_chain_keeps_its_lexicographic_position(self, strict):
         # pair (0, 2) of five points on a line: lam drops the direct chain
@@ -139,10 +147,11 @@ class TestEnumeratePaths:
         strict = bool(rng.integers(0, 2))
         count = len(brute_force_paths(D, i, j, lam=lam, strict=strict))
         flow = directed_flow_matrix(D, i, j)
-        assert len(enumerate_paths(flow, lam=lam, max_paths=count, strict=strict)) == count
-        if count:
-            with pytest.raises(PathBudgetError):
-                enumerate_paths(flow, lam=lam, max_paths=count - 1, strict=strict)
+        # a budget below 1 is out of range, whatever the chain count
+        budget = max(count, 1)
+        assert len(enumerate_paths(flow, lam=lam, max_paths=budget, strict=strict)) == count
+        with pytest.raises(PathBudgetError if count > 1 else InvalidValueError):
+            enumerate_paths(flow, lam=lam, max_paths=count - 1, strict=strict)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
