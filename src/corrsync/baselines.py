@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collection import CorrespondenceMap, ShapeCollection, _clean_soft
-from .errors import DisconnectedGraphError
+from .errors import DisconnectedGraphError, InvalidValueError
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,11 @@ def kruskal_mst(D: np.ndarray) -> TreeStructure:
 
 
 def compose_along(collection: ShapeCollection, route) -> CorrespondenceMap:
-    """Compose stored maps along a route of shape ids (or indices).
+    """Compose stored maps along a route of shape ids.
 
     Every source vertex is pushed along the route as propagate_soft pushes a
     query block along a chain. A soft result is pruned and renormalized once.
     """
-    ids = collection.ids
-    route = [v if isinstance(v, str) else ids[int(v)] for v in route]
     source, target = route[0], route[-1]
     image = np.arange(collection.shape(source).n)
     for a, b in zip(route, route[1:]):
@@ -144,12 +142,15 @@ def shortest_path_propagate(
     """Compose along the minimum sum-of-squared-distance route after pruning.
 
     Edges longer than epsilon are dropped first; epsilon defaults to the
-    smallest value keeping the graph connected. Among equal-cost routes the
+    smallest value keeping the graph connected, and a given one must be a
+    number >= 0 (inf keeps every edge). Among equal-cost routes the
     lexicographically smallest vertex sequence wins.
     """
     D = collection.D
     if epsilon is None:
         epsilon = min_connecting_epsilon(D)
+    elif not epsilon >= 0:
+        raise InvalidValueError(f"epsilon must be a number >= 0, got {epsilon!r}")
     i = collection.index(source_id)
     j = collection.index(target_id)
     path = _lexicographic_dijkstra(D, i, j, epsilon)

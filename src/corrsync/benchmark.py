@@ -91,20 +91,6 @@ def geodesic_errors(
     return rows[[at[t] for _, t in gt_pairs], preds] / scale
 
 
-def error_cdf(
-    predicted,
-    gt_pairs: list[tuple[int, int]],
-    oracle: GeodesicOracle,
-    grid: np.ndarray | None = None,
-    normalize: bool = True,
-    method: str = "",
-    lam: float | None = None,
-) -> ErrorCurve:
-    """Cumulative error curve of a predicted map against ground-truth pairs."""
-    errors = geodesic_errors(predicted, gt_pairs, oracle, normalize=normalize)
-    return curve_from_errors(errors, grid, method=method, lam=lam, normalized=normalize)
-
-
 def curve_from_errors(
     errors: np.ndarray,
     grid: np.ndarray | None = None,
@@ -272,19 +258,24 @@ def synth_collection(
     """Deformed-sphere collection with shared indexing and labeled landmarks.
 
     Every shape deforms one deterministic base sampling radially by six
-    Gaussian bumps, so the ground-truth correspondence is the identity on
-    indices. Landmark labels sit
-    on farthest-point vertices of the base cloud. Stored maps and inter-shape
-    distances come from rigid alignment ("align") or are the exact identity
-    maps ("truth"); distances are symmetrized by averaging both directions.
+    Gaussian bumps of relative height at most deform_amplitude, a finite number
+    in [0, 1], so the ground-truth correspondence is the identity on indices.
+    Landmark labels sit on farthest-point vertices of the base cloud. Stored
+    maps and inter-shape distances come from rigid alignment ("align") or are
+    the exact identity maps ("truth"); distances are symmetrized by averaging
+    both directions.
     """
     if map_source not in ("align", "truth"):
         raise ValueError("map_source must be 'align' or 'truth'")
     if n_shapes < 1:
         raise InvalidValueError(f"shape count must be at least 1, got {n_shapes}")
+    if not (math.isfinite(deform_amplitude) and 0 <= deform_amplitude <= 1):
+        raise InvalidValueError(
+            f"deform amplitude must be a finite number in [0, 1], got {deform_amplitude!r}"
+        )
     base = fibonacci_sphere(n_points)
     base_shape = Shape(id="base", points=base)
-    fps = fps_landmarks(base_shape, landmark_count, 0, intra_metric(base_shape))
+    fps = fps_landmarks(base_shape, landmark_count, intra_metric(base_shape))
     labels = {f"L{m:02d}": int(v) for m, v in enumerate(fps.indices)}
 
     shapes = []
@@ -322,17 +313,7 @@ def synth_collection(
     D = 0.5 * (D + D.T)
 
     return ShapeCollection(
-        shapes=shapes,
-        D=D,
-        maps=maps,
-        beta=1.0,
-        allow_duplicates=allow_duplicates,
-        provenance={
-            "generator": "synth_collection",
-            "seed": seed,
-            "deform_amplitude": deform_amplitude,
-            "map_source": map_source,
-        },
+        shapes=shapes, D=D, maps=maps, beta=1.0, allow_duplicates=allow_duplicates
     )
 
 
@@ -373,17 +354,7 @@ def corrupt_maps(
         if rev is not None:
             new_maps[(b, a)] = replace(rev, indices=rev.indices[inv])
 
-    provenance = dict(collection.provenance)
-    provenance["corrupted_pairs"] = corrupted
-    provenance["corruption_seed"] = seed
-    return ShapeCollection(
-        shapes=collection.shapes,
-        D=collection.D.copy(),
-        maps=new_maps,
-        beta=collection.beta,
-        allow_duplicates=collection.allow_duplicates,
-        provenance=provenance,
-    )
+    return replace(collection, D=collection.D.copy(), maps=new_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +403,7 @@ def add_far_shape(collection: ShapeCollection, factor: float = 10.0) -> ShapeCol
     for sid in collection.ids:
         maps[(far_id, sid)] = replace(collection.map(first.id, sid), source_id=far_id)
         maps[(sid, far_id)] = replace(collection.map(sid, first.id), target_id=far_id)
-    return ShapeCollection(
-        shapes=collection.shapes + [far],
-        D=D,
-        maps=maps,
-        beta=collection.beta,
-        allow_duplicates=collection.allow_duplicates,
-        provenance=dict(collection.provenance, far_shape=far_id),
-    )
+    return replace(collection, shapes=collection.shapes + [far], D=D, maps=maps)
 
 
 def remove_shape(collection: ShapeCollection, shape_id: str) -> ShapeCollection:
@@ -453,14 +417,7 @@ def remove_shape(collection: ShapeCollection, shape_id: str) -> ShapeCollection:
         for (a, b), m in collection.maps.items()
         if a != shape_id and b != shape_id
     }
-    return ShapeCollection(
-        shapes=shapes,
-        D=D,
-        maps=maps,
-        beta=collection.beta,
-        allow_duplicates=collection.allow_duplicates,
-        provenance=dict(collection.provenance, removed=shape_id),
-    )
+    return replace(collection, shapes=shapes, D=D, maps=maps)
 
 
 def _mst_id_edges(collection: ShapeCollection) -> tuple[tuple[str, str], ...]:

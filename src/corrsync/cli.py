@@ -30,7 +30,7 @@ from .benchmark import (
     synth_collection,
 )
 from .collection import KNN_DEFAULT, _fmt, atomic_write, load_collection, map_csv, save_collection
-from .errors import CorrsyncError
+from .errors import CorrsyncError, InvalidValueError
 from .flow import MAX_PATHS_DEFAULT, directed_flow_matrix
 from .geometry import (
     GeodesicLegPath,
@@ -207,7 +207,7 @@ def _cmd_match(args) -> int:
     lm_a, lm_b = (
         LandmarkSet(shape.id, shape.landmark_indices)
         if shape.landmark_indices
-        else fps_landmarks(shape, args.landmarks, 0, oracle)
+        else fps_landmarks(shape, args.landmarks, oracle)
         for shape, oracle in ((shape_a, oracle_a), (shape_b, oracle_b))
     )
 
@@ -355,6 +355,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_holonomy(args) -> int:
+    if args.trials < 1:
+        raise InvalidValueError(f"trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     lines = [
         _provenance_header("holonomy", args.seed, dict(trials=args.trials)),

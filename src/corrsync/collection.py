@@ -22,7 +22,7 @@ import tempfile
 import threading
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .errors import (
     MissingMapError,
     SoftRowError,
 )
-from .flow import gibbs_weights
 
 # neighbors per vertex in the k-NN graph of a geodesic oracle
 KNN_DEFAULT = 8
@@ -233,12 +232,12 @@ class GeodesicOracle:
     """Geodesic distances within one shape via a symmetrized k-NN graph.
 
     Edges carry Euclidean length; queries are shortest-path distances. Rows are
-    cached per source vertex; the cache is safe under concurrent reads.
+    cached per source vertex, under a lock, so callers may share an oracle
+    across threads.
     """
 
     def __init__(self, shape: Shape, k: int = KNN_DEFAULT):
         self.shape = shape
-        self.k = k
         self._rows: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
         self._diameter: float | None = None
@@ -290,9 +289,6 @@ class GeodesicOracle:
 
     def distances_from(self, v: int) -> np.ndarray:
         return self.distance_rows([int(v)])[0]
-
-    def distance(self, u: int, v: int) -> float:
-        return float(self.distances_from(u)[int(v)])
 
     def diameter(self) -> float:
         """Geodesic diameter by a deterministic double sweep from vertex 0."""
@@ -361,10 +357,10 @@ def intra_metric(shape: Shape, k: int = KNN_DEFAULT) -> GeodesicOracle:
 class ShapeCollection:
     """Shapes plus the symmetric inter-shape distance matrix D and pairwise maps.
 
-    W = gibbs_weights(D, beta). Treated as immutable after construction;
-    derived structures (oracles, dijkstra rows) are cached. ``maps`` is checked
-    here as a whole, unless it is a MapFiles table made for these shapes, which
-    checks each map as it reads it.
+    Treated as immutable after construction; derived structures (oracles,
+    dijkstra rows) are cached under locks, so callers may share a collection
+    across threads. ``maps`` is checked here as a whole, unless it is a
+    MapFiles table made for these shapes, which checks each map as it reads it.
     """
 
     shapes: list[Shape]
@@ -372,7 +368,6 @@ class ShapeCollection:
     maps: Mapping[tuple[str, str], CorrespondenceMap]
     beta: float = 1.0
     allow_duplicates: bool = False
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.D = np.asarray(self.D, dtype=float)
@@ -404,7 +399,6 @@ class ShapeCollection:
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be finite and positive, got {self.beta!r}")
         self._index = {sid: i for i, sid in enumerate(ids)}
-        self.W = gibbs_weights(self.D, self.beta)
         self._oracles: dict[tuple[str, int], GeodesicOracle] = {}
         self._oracle_lock = threading.Lock()
         sizes = {s.id: s.n for s in self.shapes}
@@ -487,10 +481,10 @@ class MapFiles(Mapping):
     """The map table of a loaded collection, keyed ``(source_id, target_id)``.
 
     Its keys are the pairs whose map file exists. A file is read when its map
-    is first accessed, once, under a lock (pairs may be propagated on several
-    threads), and the map is checked as ShapeCollection checks an in-memory
-    table: its labels and sizes, and, once both directions of a pair have been
-    read, that two discrete bijections are mutual inverses. A file that fails
+    is first accessed, once, under a lock (callers may share a collection
+    across threads), and the map is checked as ShapeCollection checks an
+    in-memory table: its labels and sizes, and, once both directions of a pair
+    have been read, that two discrete bijections are mutual inverses. A file that fails
     is not kept, so every access to it raises. ``values()`` and ``items()``
     read every file.
     """

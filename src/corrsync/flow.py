@@ -203,7 +203,6 @@ def brute_force_paths(
     *,
     beta: float = 1.0,
     strict: bool = False,
-    max_n: int = ORACLE_MAX_N,
 ) -> list[PathRecord]:
     """Independent oracle: exhaustively test every vertex sequence from i to j.
 
@@ -212,8 +211,8 @@ def brute_force_paths(
     """
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
-    if n > max_n:
-        raise OracleBoundError(f"oracle limited to n <= {max_n}, got n = {n}")
+    if n > ORACLE_MAX_N:
+        raise OracleBoundError(f"oracle limited to n <= {ORACLE_MAX_N}, got n = {n}")
     i, j = int(i), int(j)
     di, dj = D[i], D[j]
     others = [v for v in range(n) if v not in (i, j)]
@@ -262,20 +261,3 @@ def sample_walk(flow: FlowMatrix, seed) -> WalkResult:
     if v == flow.target:
         return WalkResult(tuple(trajectory), "reached")
     raise MaxStepsError(f"walk did not terminate within {budget} steps")
-
-
-def topological_order(F: np.ndarray) -> list[int] | None:
-    """Kahn's algorithm; returns None when the graph has a cycle."""
-    F = np.asarray(F, dtype=bool)
-    n = F.shape[0]
-    indeg = F.sum(axis=0).astype(int)
-    ready = [v for v in range(n) if indeg[v] == 0]
-    order: list[int] = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for u in np.flatnonzero(F[v]):
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                ready.append(int(u))
-    return order if len(order) == n else None

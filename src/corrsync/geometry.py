@@ -81,9 +81,6 @@ def lattice_flow(
 @dataclass
 class LatticeWalkReport:
     mode: str
-    source: int
-    target: int
-    seed: int
     walks: list[tuple[int, ...]]
     discarded: int
     deviations: list[float]
@@ -143,12 +140,15 @@ def lattice_walks(
     excludes the previous vertex, "eop" follows the directed flow graph and
     resamples any walk that strands at a sink before the target, reporting the
     discard count. Each attempt draws from its own (seed, attempt) stream, so
-    results do not depend on scheduling.
+    results do not depend on scheduling. max_steps bounds each uniform walk;
+    it must be at least 1 in every mode.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise InvalidValueError(f"beta must be finite and positive, got {beta!r}")
     if count < 1:
         raise InvalidValueError(f"walks must be at least 1, got {count}")
+    if max_steps < 1:
+        raise InvalidValueError(f"max_steps must be at least 1, got {max_steps}")
     source = 0 if source is None else int(source)
     target = lattice.n - 1 if target is None else int(target)
     for name, v in (("source", source), ("target", target)):
@@ -185,15 +185,7 @@ def lattice_walks(
     deviations = [
         _segment_deviation(lattice.coords, w, source, target) for w in walks
     ]
-    return LatticeWalkReport(
-        mode=mode,
-        source=source,
-        target=target,
-        seed=seed,
-        walks=walks,
-        discarded=discarded,
-        deviations=deviations,
-    )
+    return LatticeWalkReport(mode=mode, walks=walks, discarded=discarded, deviations=deviations)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +354,6 @@ class HolonomyResult:
     bound: float
     bound_satisfied: bool
     two_leg: np.ndarray
-    direct: np.ndarray
 
 
 def holonomy_deficit(tri: SphereTriangle, tv: TangentVector) -> HolonomyResult:
@@ -384,7 +375,6 @@ def holonomy_deficit(tri: SphereTriangle, tv: TangentVector) -> HolonomyResult:
         bound=bound,
         bound_satisfied=deficit <= bound + 1e-12,
         two_leg=two,
-        direct=direct,
     )
 
 

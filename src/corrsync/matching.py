@@ -9,6 +9,7 @@ ICP-style aligner rounds out the module.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -55,10 +56,8 @@ class MatchList:
             raise ValueError("a vertex appears in two matches")
 
 
-def fps_landmarks(
-    shape: Shape, count: int, start: int, oracle: GeodesicOracle
-) -> LandmarkSet:
-    """Farthest-point sampling under the geodesic metric.
+def fps_landmarks(shape: Shape, count: int, oracle: GeodesicOracle) -> LandmarkSet:
+    """Farthest-point sampling under the geodesic metric, from vertex 0.
 
     Greedily adds the vertex farthest from everything chosen so far; distance
     ties resolve to the lowest vertex index.
@@ -68,13 +67,18 @@ def fps_landmarks(
             f"shape {shape.id!r} has {shape.n} points, so its landmark count must be in "
             f"[1, {shape.n}], got {count}"
         )
-    chosen = [int(start)]
-    mindist = oracle.distances_from(start).copy()
+    chosen = [0]
+    mindist = oracle.distances_from(0).copy()
     while len(chosen) < count:
         nxt = int(np.argmax(mindist))
         chosen.append(nxt)
         np.minimum(mindist, oracle.distances_from(nxt), out=mindist)
     return LandmarkSet(shape_id=shape.id, indices=tuple(chosen))
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def check_ball_disjoint(indices, radius: float, oracle: GeodesicOracle) -> None:
@@ -104,8 +108,9 @@ def gp_partial_match(
     around the candidate target landmark and the reverse row does the same
     around the source landmark. Each source takes the first qualifying target
     in landmark order; a target is never reused. Unmatched landmarks get one
-    sentinel entry each.
+    sentinel entry each. radius must be a finite number > 0.
     """
+    _check_positive("radius", radius)
     check_ball_disjoint(landmarks_a.indices, radius, oracle_a)
     check_ball_disjoint(landmarks_b.indices, radius, oracle_b)
     taken: set[int] = set()
@@ -199,8 +204,10 @@ def stable_curvature_match(
 
     Candidate pairs must project within geodesic delta of each other in both
     directions. Source extrema propose in ascending projected-distance order;
-    the result admits no blocking pair among candidates.
+    the result admits no blocking pair among candidates. delta must be a
+    finite number > 0.
     """
+    _check_positive("delta", delta)
     ea = [int(v) for v in extrema_a]
     eb = [int(v) for v in extrema_b]
     entries: list[Match] = []
@@ -209,12 +216,8 @@ def stable_curvature_match(
 
     proj_a = project_vertices(shape_a.points, shape_b.points, ea)  # images on B
     proj_b = project_vertices(shape_b.points, shape_a.points, eb)  # images on A
-    fwd = np.array(
-        [[oracle_b.distance(int(proj_a[m]), vb) for vb in eb] for m in range(len(ea))]
-    )
-    rev = np.array(
-        [[oracle_a.distance(int(proj_b[m]), va) for va in ea] for m in range(len(eb))]
-    )
+    fwd = oracle_b.distance_rows(proj_a)[:, eb]
+    rev = oracle_a.distance_rows(proj_b)[:, ea]
     admissible = (fwd < delta) & (rev.T < delta)
 
     # proposer preference lists, ascending distance then index
@@ -314,11 +317,10 @@ def interpolate_dense(
     shape_a: Shape,
     shape_b: Shape,
     oracle_a: GeodesicOracle,
-    k: int = 4,
 ) -> CorrespondenceMap:
     """Extend sparse matches to a full discrete map by inverse-distance blending.
 
-    Every unmatched source vertex takes the weighted average position of its k
+    Every unmatched source vertex takes the weighted average position of its 4
     geodesically nearest matched landmarks' targets (weights 1/d), snapped to
     the nearest target vertex. Matched vertices keep their exact targets.
     """
@@ -329,7 +331,7 @@ def interpolate_dense(
         raise ValueError("cannot interpolate from an empty match set")
     srcs = [p[0] for p in pairs]
     tgts = [p[1] for p in pairs]
-    k_eff = min(k, len(pairs))
+    nearest = min(4, len(pairs))
     rows = oracle_a.distance_rows(srcs)  # (L, n_a)
     exact = {s: t for s, t in pairs}
     tree_b = cKDTree(shape_b.points)
@@ -339,7 +341,7 @@ def interpolate_dense(
             indices[v] = exact[v]
             continue
         d = rows[:, v]
-        order = np.lexsort((np.arange(len(pairs)), d))[:k_eff]
+        order = np.lexsort((np.arange(len(pairs)), d))[:nearest]
         if d[order[0]] == 0.0:
             indices[v] = tgts[int(order[0])]
             continue

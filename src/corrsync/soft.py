@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, pairwise
 
@@ -370,40 +369,23 @@ def all_pairs_soft(
     collection: ShapeCollection,
     lam: float = LAMBDA_DEFAULT,
     queries: dict[str, list[int]] | None = None,
-    *,
-    max_paths: int = MAX_PATHS_DEFAULT,
-    threads: int = 1,
 ) -> AllPairsResult:
-    """Soft correspondences and both hard extractions for every ordered pair.
+    """Soft correspondences and both hard extractions for every ordered pair,
+    one pair after another.
 
-    Failures are re-raised with the offending pair named. Worker threads only
-    affect scheduling; pair results are keyed and deterministic.
+    Failures are re-raised with the offending pair named.
     """
-    ids = collection.ids
-    pairs = [(a, b) for a in ids for b in ids if a != b]
 
-    def run(pair: tuple[str, str]):
-        a, b = pair
+    def run(a: str, b: str):
         pts = queries.get(a) if queries else None
         try:
-            soft = propagate_soft(
-                collection, a, b, lam=lam, source_points=pts, max_paths=max_paths
-            )
-            hard = mle(soft)
-            mean = frechet_mean(soft, collection.oracle(b))
+            soft = propagate_soft(collection, a, b, lam=lam, source_points=pts)
+            return soft, mle(soft), frechet_mean(soft, collection.oracle(b))
         except Exception as exc:
             raise type(exc)(f"pair ({a!r} -> {b!r}): {exc}") from exc
-        return soft, hard, mean
 
-    results: dict[tuple[str, str], tuple] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for pair, res in zip(pairs, pool.map(run, pairs)):
-                results[pair] = res
-    else:
-        for pair in pairs:
-            results[pair] = run(pair)
-
+    ids = collection.ids
+    results = {(a, b): run(a, b) for a in ids for b in ids if a != b}
     return AllPairsResult(
         soft={p: r[0] for p, r in results.items()},
         mle={p: r[1] for p, r in results.items()},

@@ -11,7 +11,6 @@ from corrsync.benchmark import (
     corrupt_maps,
     curve_from_errors,
     default_grid,
-    error_cdf,
     fibonacci_sphere,
     geodesic_errors,
     remove_shape,
@@ -20,8 +19,19 @@ from corrsync.benchmark import (
     stability_report,
     synth_collection,
 )
-from corrsync.collection import CorrespondenceMap, GeodesicOracle, Shape
+from corrsync.collection import CorrespondenceMap, GeodesicOracle, Shape, ShapeCollection
 from corrsync.errors import CorrsyncError, IndexRangeError, ManifestError
+
+
+def corrupted_pairs(before, after):
+    """The unordered pairs (a before b in id order) whose stored a -> b map changed."""
+    ids = before.ids
+    return [
+        (a, b)
+        for i, a in enumerate(ids)
+        for b in ids[i + 1 :]
+        if not np.array_equal(after.maps[(a, b)].indices, before.maps[(a, b)].indices)
+    ]
 
 
 def line_oracle(xs):
@@ -36,7 +46,8 @@ class TestErrorCdf:
         oracle = line_oracle([0.0, 1.0, 2.0, 3.0])
         predicted = {0: 0, 1: 1, 2: 3, 3: 1}
         gt = [(0, 0), (1, 1), (2, 2), (3, 3)]
-        curve = error_cdf(predicted, gt, oracle, grid=[0.0, 1.0, 2.0], normalize=False)
+        errors = geodesic_errors(predicted, gt, oracle, normalize=False)
+        curve = curve_from_errors(errors, grid=[0.0, 1.0, 2.0], normalized=False)
         assert list(curve.fractions) == [0.5, 0.75, 1.0]
 
     def test_normalized_by_diameter(self):
@@ -77,7 +88,7 @@ class TestGeodesicErrorsFromTruthRows:
         )
         gt = [(int(rng.integers(0, n)), int(t)) for t in truths]
         errs = geodesic_errors(predicted, gt, oracle, normalize=True)
-        want = [reference.distance(int(guesses[s]), t) / reference.diameter() for s, t in gt]
+        want = [reference.distances_from(int(guesses[s]))[t] / reference.diameter() for s, t in gt]
         np.testing.assert_allclose(errs, want, rtol=1e-12, atol=0)
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -211,13 +222,13 @@ class TestCorruptMaps:
     def test_full_fraction_corrupts_all_pairs(self):
         coll = synth_collection(4, 50, 0.05, seed=2, map_source="truth")
         out = corrupt_maps(coll, 1.0, seed=0)
-        assert len(out.provenance["corrupted_pairs"]) == 6
+        assert len(corrupted_pairs(coll, out)) == 6
 
     def test_mutual_inverse_preserved(self):
         coll = synth_collection(4, 50, 0.05, seed=2, map_source="truth")
         out = corrupt_maps(coll, 1.0, seed=0)
         n = 50
-        for (a, b) in out.provenance["corrupted_pairs"]:
+        for (a, b) in corrupted_pairs(coll, out):
             fwd = out.maps[(a, b)]
             rev = out.maps[(b, a)]
             assert list(rev.push(fwd.indices)) == list(range(n))
@@ -235,7 +246,7 @@ class TestCorruptMaps:
         coll = synth_collection(4, 50, 0.05, seed=2, map_source="truth")
         a = corrupt_maps(coll, 0.5, seed=3)
         b = corrupt_maps(coll, 0.5, seed=3)
-        assert a.provenance["corrupted_pairs"] == b.provenance["corrupted_pairs"]
+        assert corrupted_pairs(coll, a) == corrupted_pairs(coll, b)
         for k in a.maps:
             assert np.array_equal(a.maps[k].indices, b.maps[k].indices)
 
@@ -257,6 +268,23 @@ class TestCollectionEdits:
         assert len(out.shapes) == 3
         keep = [coll.index(i) for i in out.ids]
         assert np.array_equal(out.D, coll.D[np.ix_(keep, keep)])
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: corrupt_maps(c, 0.5, seed=1),
+            lambda c: add_far_shape(c),
+            lambda c: remove_shape(c, "s01"),
+        ],
+        ids=["corrupt", "add-far", "remove"],
+    )
+    def test_edits_keep_beta_and_allow_duplicates(self, edit):
+        coll = synth_collection(3, 50, 0.05, seed=2, map_source="truth")
+        coll = ShapeCollection(
+            shapes=coll.shapes, D=coll.D, maps=coll.maps, beta=2.5, allow_duplicates=True
+        )
+        out = edit(coll)
+        assert (out.beta, out.allow_duplicates) == (2.5, True)
 
     def test_remove_unknown_rejected(self):
         coll = synth_collection(3, 50, 0.05, seed=2, map_source="truth")

@@ -139,6 +139,19 @@ class TestBadInputValues:
             ("propagate --max-paths -5", "max_paths must be an integer >= 1, got -5"),
             ("benchmark --methods mle --max-paths 0", "max_paths must be an integer >= 1, got 0"),
             ("benchmark --methods mle --max-paths -5", "max_paths must be an integer >= 1, got -5"),
+            ("synth --amplitude nan", "amplitude must be a finite number in [0, 1], got nan"),
+            ("synth --amplitude inf", "amplitude must be a finite number in [0, 1], got inf"),
+            ("synth --amplitude 1e308", "amplitude must be a finite number in [0, 1], got 1e+308"),
+            ("synth --amplitude -0.5", "amplitude must be a finite number in [0, 1], got -0.5"),
+            ("baseline --method shortest --epsilon nan", "epsilon must be a number >= 0, got nan"),
+            ("baseline --method shortest --epsilon -1", "epsilon must be a number >= 0, got -1.0"),
+            ("benchmark --methods shortest --epsilon nan", "epsilon must be a number >= 0, got nan"),
+            ("match --pair s00,s01 --radius nan", "radius must be a finite number > 0, got nan"),
+            ("match --pair s00,s01 --radius -1", "radius must be a finite number > 0, got -1.0"),
+            ("match --pair s00,s01 --delta nan", "delta must be a finite number > 0, got nan"),
+            ("holonomy --trials 0", "trials must be at least 1, got 0"),
+            ("holonomy --trials -3", "trials must be at least 1, got -3"),
+            ("lattice --mode eop --max-steps -1", "max_steps must be at least 1, got -1"),
         ],
         ids=["max-matches", "hops", "knn", "pair", "methods", "synth-landmarks", "synth-points",
              "lattice-source", "lattice-equal-ends", "lattice-target", "synth-shapes-0",
@@ -146,19 +159,25 @@ class TestBadInputValues:
              "grid-count-negative", "add-far-half", "add-far-one", "add-far-0",
              "add-far-negative", "add-far-nan", "add-far-inf", "propagate-max-paths-0",
              "propagate-max-paths-negative", "benchmark-max-paths-0",
-             "benchmark-max-paths-negative"],
+             "benchmark-max-paths-negative", "amplitude-nan", "amplitude-inf", "amplitude-huge",
+             "amplitude-negative", "baseline-epsilon-nan", "baseline-epsilon-negative",
+             "benchmark-epsilon-nan", "radius-nan", "radius-negative", "delta-nan",
+             "holonomy-trials-0", "holonomy-trials-negative", "lattice-eop-max-steps"],
     )
     def test_clean_error_without_traceback(self, seeded_manifest, tmp_path, command, named):
-        argv = command.split()
-        argv += {
+        command, *options = command.split()
+        # the case's own options come last, so they override these defaults
+        defaults = {
             "match": ["--manifest", seeded_manifest, "--radius", "0.2", "--delta", "0.6"],
             "propagate": ["--manifest", seeded_manifest, "--source", "s00", "--target", "s01"],
+            "baseline": ["--manifest", seeded_manifest, "--source", "s00", "--target", "s01"],
             "benchmark": ["--manifest", seeded_manifest],
             "stability": ["--manifest", seeded_manifest],
             "synth": ["--out-dir", str(tmp_path / "c")],
             "lattice": [],
-        }[argv[0]]
-        proc = _run(argv + ["--quiet"])
+            "holonomy": [],
+        }[command]
+        proc = _run([command, *defaults, *options, "--quiet"])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert named in proc.stderr

@@ -29,7 +29,8 @@ from corrsync.collection import (
 from corrsync.baselines import compose_along
 from corrsync.benchmark import synth_collection
 from corrsync.collection import _build_neighbor_graph
-from corrsync.soft import all_pairs_soft
+from corrsync.flow import gibbs_weights
+from corrsync.soft import all_pairs_soft, frechet_mean, mle, propagate_soft
 from corrsync.errors import (
     DisconnectedGraphError,
     DuplicateShapeError,
@@ -195,8 +196,8 @@ class TestGeodesicOracle:
     def test_chain_distances(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.5, 0, 0]])
         o = GeodesicOracle(Shape(id="chain", points=pts), k=1)
-        assert o.distance(0, 3) == pytest.approx(3.5)
-        assert o.distance(0, 2) == pytest.approx(2.0)
+        assert o.distances_from(0)[3] == pytest.approx(3.5)
+        assert o.distances_from(0)[2] == pytest.approx(2.0)
 
     def test_knn_tie_breaks_to_lowest_index(self):
         # vertex 1 sees 0 and 2 at distance 1; k=1 must pick index 0
@@ -450,7 +451,7 @@ class TestShapeCollection:
         with pytest.raises(DuplicateShapeError):
             ShapeCollection(shapes=shapes, D=D, maps={})
         coll = ShapeCollection(shapes=shapes, D=D, maps={}, allow_duplicates=True)
-        assert coll.W[0, 1] == 1.0
+        assert gibbs_weights(coll.D, coll.beta)[0, 1] == 1.0
 
     def test_identity_for_same_shape_missing_otherwise(self, l4_identity):
         same = l4_identity.map("s0", "s0")
@@ -474,8 +475,9 @@ class TestShapeCollection:
             )
 
     def test_weight_matrix(self, l4_identity):
-        assert l4_identity.W[0, 3] == pytest.approx(np.exp(-9.0))
-        assert l4_identity.W[0, 0] == 1.0
+        W = gibbs_weights(l4_identity.D, l4_identity.beta)
+        assert W[0, 3] == pytest.approx(np.exp(-9.0))
+        assert W[0, 0] == 1.0
 
 
 class TestManifestRoundTrip:
@@ -698,18 +700,25 @@ class TestMapFiles:
             return real(*args)
 
         coll = load_collection(manifest)
+
+        def run(pair):
+            soft = propagate_soft(coll, *pair)
+            return soft, mle(soft), frechet_mean(soft, coll.oracle(pair[1]))
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with mock.patch.object(collection_mod, "_read_map", side_effect=slow) as read:
-                threaded = all_pairs_soft(coll, threads=4)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    threaded = dict(zip(serial.soft, pool.map(run, serial.soft)))
         finally:
             sys.setswitchinterval(interval)
         keys = sorted((c.args[1], c.args[2]) for c in read.call_args_list)
         assert keys == sorted(coll.maps)
-        assert threaded.mle == serial.mle and threaded.frechet == serial.frechet
+        assert {p: r[1] for p, r in threaded.items()} == serial.mle
+        assert {p: r[2] for p, r in threaded.items()} == serial.frechet
         for pair, soft in serial.soft.items():
-            other = threaded.soft[pair]
+            other = threaded[pair][0]
             for name in ("queries", "indptr", "indices", "data"):
                 assert np.array_equal(getattr(other, name), getattr(soft, name))
 

@@ -9,7 +9,6 @@ from corrsync.flow import (
     directed_flow_matrix,
     enumerate_paths,
     sample_walk,
-    topological_order,
 )
 
 from conftest import line_distances, random_euclidean_distances
@@ -58,7 +57,9 @@ class TestDirectedFlowMatrix:
         assert not (F & F.T).any(), "antisymmetry"
         rev = directed_flow_matrix(D, int(j), int(i))
         assert np.array_equal(rev.F, F.T), "transpose-reversal"
-        order = topological_order(F)
+        # a certificate of acyclicity: ordered by distance from i, every edge
+        # points forward
+        order = np.argsort(D[i], kind="stable").tolist()
         assert sorted(order) == list(range(n))
         pos = {v: k for k, v in enumerate(order)}
         for a in range(n):

@@ -31,26 +31,21 @@ class TestFps:
     def test_collinear_fixture(self):
         sh = line_shape("line", [0.0, 1.0, 2.0, 3.0])
         oracle = GeodesicOracle(sh, k=2)
-        lm = fps_landmarks(sh, 3, 0, oracle)
+        lm = fps_landmarks(sh, 3, oracle)
         assert lm.indices == (0, 3, 1)
-
-    def test_start_vertex_always_first(self):
-        sh = line_shape("line", [0.0, 1.0, 2.0, 3.0])
-        oracle = GeodesicOracle(sh, k=2)
-        assert fps_landmarks(sh, 2, 2, oracle).indices[0] == 2
 
     def test_count_capped_by_vertices(self):
         sh = line_shape("line", [0.0, 1.0])
         oracle = GeodesicOracle(sh, k=1)
         with pytest.raises(ValueError):
-            fps_landmarks(sh, 3, 0, oracle)
+            fps_landmarks(sh, 3, oracle)
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         sh = Shape(id="blob", points=rng.normal(size=(40, 3)))
         oracle = GeodesicOracle(sh, k=6)
-        a = fps_landmarks(sh, 8, 0, oracle)
-        b = fps_landmarks(sh, 8, 0, oracle)
+        a = fps_landmarks(sh, 8, oracle)
+        b = fps_landmarks(sh, 8, oracle)
         assert a.indices == b.indices
 
 
@@ -267,7 +262,7 @@ class TestInterpolateDense:
         b = line_shape("b", [0.0, 1.0, 2.0, 3.0])
         oa = GeodesicOracle(a, k=1)
         matches = MatchList("a", "b", [Match(0, 0, "m"), Match(3, 3, "m")])
-        dense = interpolate_dense(matches, a, b, oa, k=2)
+        dense = interpolate_dense(matches, a, b, oa)
         assert dense.indices[0] == 0 and dense.indices[3] == 3
 
     def test_interior_snaps_to_nearest_vertex(self):
@@ -275,7 +270,7 @@ class TestInterpolateDense:
         b = line_shape("b", [0.0, 1.0, 2.0, 3.0])
         oa = GeodesicOracle(a, k=1)
         matches = MatchList("a", "b", [Match(0, 0, "m"), Match(3, 3, "m")])
-        dense = interpolate_dense(matches, a, b, oa, k=2)
+        dense = interpolate_dense(matches, a, b, oa)
         assert list(dense.indices) in ([0, 1, 2, 3], [0, 1, 1, 3], [0, 2, 2, 3])
 
     def test_empty_matches_rejected(self):
