@@ -16,6 +16,10 @@ import numpy as np
 from .collection import CorrespondenceMap, ShapeCollection, _clean_soft
 from .errors import DisconnectedGraphError, InvalidValueError
 
+# the methods a benchmark compares: the three single routes of this module,
+# then the two hard extractions of corrsync.soft's propagated rows
+METHODS = ("direct", "mst", "shortest", "frechet", "mle")
+
 
 @dataclass(frozen=True)
 class TreeStructure:

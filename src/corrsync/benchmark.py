@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import (
+    METHODS,
     direct_propagate,
     kruskal_mst,
     mst_propagate,
@@ -28,7 +29,6 @@ from .flow import MAX_PATHS_DEFAULT, directed_flow_matrix
 from .matching import baseline_pairwise_align, fps_landmarks
 from .soft import LAMBDA_DEFAULT, frechet_mean, mle, propagate_soft, tv_distance
 
-METHODS = ("direct", "mst", "shortest", "frechet", "mle")
 SOFT_METHODS = ("frechet", "mle")
 
 

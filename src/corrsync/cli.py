@@ -19,41 +19,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baselines import direct_propagate, mst_propagate, shortest_path_propagate
-from .benchmark import (
-    METHODS,
-    add_far_shape,
-    default_grid,
-    remove_shape,
-    run_benchmark,
-    stability_report,
-    synth_collection,
-)
+# benchmark, geometry and matching are imported by the handlers that use
+# them, so a command loads and compiles only the modules it runs
+from .baselines import METHODS, direct_propagate, mst_propagate, shortest_path_propagate
 from .collection import KNN_DEFAULT, _fmt, atomic_write, load_collection, map_csv, save_collection
 from .errors import CorrsyncError, InvalidValueError
 from .flow import MAX_PATHS_DEFAULT, directed_flow_matrix
-from .geometry import (
-    GeodesicLegPath,
-    TangentVector,
-    build_lattice,
-    holonomy_deficit,
-    lattice_walks,
-    random_triangle,
-    tangent_toward,
-    transport_along_path,
-)
-from .matching import (
-    LandmarkSet,
-    MatchList,
-    Shape,
-    baseline_pairwise_align,
-    detect_extrema,
-    fps_landmarks,
-    gp_partial_match,
-    interpolate_dense,
-    joint_fps_refine,
-    stable_curvature_match,
-)
 from .soft import LAMBDA_DEFAULT, propagate_soft
 
 
@@ -192,12 +163,29 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    from .matching import (
+        LandmarkSet,
+        MatchList,
+        Shape,
+        _check_positive,
+        baseline_pairwise_align,
+        detect_extrema,
+        fps_landmarks,
+        gp_partial_match,
+        interpolate_dense,
+        joint_fps_refine,
+        stable_curvature_match,
+    )
+
     collection = _collection(args)
     ids = args.pair.split(",")
     if len(ids) != 2 or ids[0] == ids[1]:
         raise CorrsyncError(
             f"--pair expects two different comma-separated shape ids, got {args.pair!r}"
         )
+    # stable_curvature_match checks delta too, but it runs only when both
+    # shapes carry a scalar field
+    _check_positive("delta", args.delta)
     a_id, b_id = ids
     shape_a = collection.shape(a_id)
     shape_b = collection.shape(b_id)
@@ -294,6 +282,8 @@ def _curves_svg(curves) -> str:
 
 
 def _cmd_benchmark(args) -> int:
+    from .benchmark import default_grid, run_benchmark
+
     collection = _collection(args)
     methods = tuple(args.methods.split(",")) if args.methods else METHODS
     result = run_benchmark(
@@ -322,6 +312,8 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    from .geometry import build_lattice, lattice_walks
+
     lattice = build_lattice(args.side)
     report = lattice_walks(
         lattice,
@@ -355,6 +347,15 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_holonomy(args) -> int:
+    from .geometry import (
+        GeodesicLegPath,
+        TangentVector,
+        holonomy_deficit,
+        random_triangle,
+        tangent_toward,
+        transport_along_path,
+    )
+
     if args.trials < 1:
         raise InvalidValueError(f"trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
@@ -381,6 +382,8 @@ def _cmd_holonomy(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .benchmark import synth_collection
+
     collection = synth_collection(
         n_shapes=args.shapes,
         n_points=args.points,
@@ -396,6 +399,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from .benchmark import add_far_shape, remove_shape, stability_report
+
     collection = _collection(args)
     if args.add_far is not None:
         after = add_far_shape(collection, factor=args.add_far)

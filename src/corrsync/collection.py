@@ -6,10 +6,10 @@ Maps are stored per ordered pair and never inverted implicitly: the file
 ``<target>__<source>.csv`` holds the map from ``source`` to ``target``, and the
 in-memory table is keyed ``(source_id, target_id)``.
 
-A collection built in memory holds its maps in a dict and checks them all when
-it is constructed. A loaded one holds a ``MapFiles`` table, which reads and
-checks each map file when its map is first accessed, so a command reads only
-the files of the maps it uses.
+A collection built in memory holds its arrays and maps as given and checks them
+all when it is constructed. A loaded one parses a file when it is first used:
+each Shape holds ``ShapeFile``s for its points and scalar field, and the maps
+are a ``MapFiles`` table, so a command parses only the files it uses.
 """
 
 from __future__ import annotations
@@ -65,19 +65,69 @@ def _scipy(name: str):
     return scope[name] if name in scope else __getattr__(name)
 
 
+@dataclass(frozen=True)
+class ShapeFile:
+    """A loaded shape's points or scalar-field file. ``rows`` is a points
+    file's data-row count, counted at load."""
+
+    path: str
+    rows: int | None = None
+
+    def read(self, ndmin: int) -> np.ndarray:
+        return _load_table(self.path, ndmin=ndmin)
+
+
+class _ReadOnFirstAccess:
+    """A Shape array field that may hold a ShapeFile instead of an array.
+
+    The field's first read parses the file, once, under the shape's lock (a
+    collection may be shared across threads), and checks the array as one
+    given directly is checked. A file that fails raises ManifestError naming
+    it and is not kept, so the next read parses it again.
+    """
+
+    def __init__(self, ndmin: int, optional: bool = False):
+        self.ndmin = ndmin
+        self.optional = optional
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, shape, owner=None):
+        if shape is None:
+            # the dataclass default: None, or no default for a required field
+            if self.optional:
+                return None
+            raise AttributeError(self.name)
+        value = vars(shape)[self.name]
+        if isinstance(value, ShapeFile):
+            with shape._lock:
+                value = vars(shape)[self.name]
+                if isinstance(value, ShapeFile):
+                    value = shape._checked(self.name, value.read(self.ndmin))
+                    vars(shape)[self.name] = value
+        return value
+
+    def __set__(self, shape, value) -> None:
+        vars(shape)[self.name] = value
+
+
 @dataclass
 class Shape:
     """One shape: an (n, 3) point cloud plus optional annotations.
 
     landmark_indices are distinguished vertices, ground_truth maps string labels
-    to vertex indices, scalar_field holds one value per vertex.
+    to vertex indices, scalar_field holds one value per vertex. points and
+    scalar_field may each be given a ShapeFile instead of an array: n is then
+    the points file's counted rows, and each file is parsed when its field is
+    first read.
     """
 
     id: str
-    points: np.ndarray
+    points: np.ndarray = _ReadOnFirstAccess(ndmin=2)
     landmark_indices: tuple[int, ...] | None = None
     ground_truth: dict[str, int] | None = None
-    scalar_field: np.ndarray | None = None
+    scalar_field: np.ndarray | None = _ReadOnFirstAccess(ndmin=1, optional=True)
 
     def __post_init__(self) -> None:
         # ids become file names (<id>.xyz, <target>__<source>.csv); an id
@@ -92,28 +142,46 @@ class Shape:
                 f"invalid shape id {self.id!r}: ids must be non-empty, contain no "
                 "path separator, '..' or '__', and not start or end with '_'"
             )
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise ManifestError(f"shape {self.id!r}: points must be (n, 3)")
+        self._lock = threading.Lock()
+        points = vars(self)["points"]
+        if isinstance(points, ShapeFile):
+            self._n = points.rows
+        else:
+            points = np.asarray(points, dtype=float)
+            self._n = points.shape[0] if points.ndim else 0
+            self.points = self._checked("points", points)
         if self.n < 2:
-            raise ManifestError(f"shape {self.id!r}: needs at least 2 points")
+            raise ManifestError(f"{self._where('points')}: needs at least 2 points")
         if self.landmark_indices is not None:
             self.landmark_indices = tuple(int(i) for i in self.landmark_indices)
         for idx in self.landmark_indices or ():
             self._check_index(idx, "landmark")
         for label, idx in (self.ground_truth or {}).items():
             self._check_index(idx, f"ground truth {label!r}")
-        if self.scalar_field is not None:
-            self.scalar_field = np.asarray(self.scalar_field, dtype=float)
-            if self.scalar_field.shape != (self.n,):
-                raise ManifestError(
-                    f"shape {self.id!r}: scalar field length "
-                    f"{self.scalar_field.shape} != point count {self.n}"
-                )
+        field = vars(self)["scalar_field"]
+        if field is not None and not isinstance(field, ShapeFile):
+            self.scalar_field = self._checked("scalar_field", field)
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return self._n
+
+    def _where(self, name: str) -> str:
+        held = vars(self)[name]
+        if isinstance(held, ShapeFile):
+            return f"file {held.path}: shape {self.id!r}"
+        return f"shape {self.id!r}"
+
+    def _checked(self, name: str, value) -> np.ndarray:
+        """value as a float array, checked as field ``name`` of this shape:
+        points (n, 3), a scalar field one value per point."""
+        value = np.asarray(value, dtype=float)
+        want = (self.n, 3) if name == "points" else (self.n,)
+        if value.shape != want:
+            raise ManifestError(
+                f"{self._where(name)}: {name} must have shape {want}, got {value.shape}"
+            )
+        return value
 
     def _check_index(self, idx: int, what: str) -> None:
         if not 0 <= int(idx) < self.n:
@@ -281,7 +349,8 @@ class GeodesicOracle:
         wanted = self.check_vertices(vertices)
         missing = sorted({v for v in wanted if v not in self._rows})
         if missing:
-            block = _scipy("csgraph").dijkstra(self.graph, directed=False, indices=missing)
+            # the graph stores each edge in both directions with one length
+            block = _scipy("csgraph").dijkstra(self.graph, directed=True, indices=missing)
             with self._lock:
                 for v, row in zip(missing, block):
                     self._rows.setdefault(v, row.copy())
@@ -558,6 +627,22 @@ def _load_table(path: str, **kwargs) -> np.ndarray:
         raise ManifestError(f"file {path}: {exc}") from None
 
 
+def _count_rows(path: str) -> int:
+    """The number of rows np.loadtxt(path) reads, counted without parsing a
+    number: a line, split at universal newlines, is a row when it has a
+    non-whitespace character before any ``#``."""
+    try:
+        # np.loadtxt opens a file name in text mode with the default encoding
+        with open(path) as fh:
+            text = fh.read()
+    except ValueError as exc:
+        raise ManifestError(f"file {path}: {exc}") from None
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return sum(map(bool, map(str.strip, lines)))
+
+
 def load_collection(manifest_path: str, allow_duplicates: bool = False) -> ShapeCollection:
     """Load a collection from a manifest JSON file.
 
@@ -566,11 +651,16 @@ def load_collection(manifest_path: str, allow_duplicates: bool = False) -> Shape
     field that is missing or cannot be read raises ManifestError naming it, and
     the shape it belongs to.
 
-    The map directory is only listed here: its ``<target>__<source>.csv`` files
-    for two distinct shape ids of the manifest become the keys of a MapFiles
-    table, and every other file in it is ignored. Each map file is read and
-    checked when its map is first accessed, so a malformed file raises from
-    the access that reads it, and one that is never accessed raises nothing.
+    Shape files are only counted here: a points file's data rows give the
+    shape's point count, and fewer than 2 raise ManifestError naming the file.
+    A points or scalar-field file is parsed and checked when its Shape field
+    is first read, so a malformed file raises from that read, and one that is
+    never read raises nothing.
+
+    The map directory is only listed here: its ``<target>__<source>.csv``
+    files for two distinct shape ids of the manifest become the keys of a
+    MapFiles table, and every other file in it is ignored. Each map file is
+    read and checked when its map is first accessed, in the same way.
     """
     manifest_path = os.path.abspath(manifest_path)
     if not os.path.exists(manifest_path):
@@ -601,11 +691,10 @@ def load_collection(manifest_path: str, allow_duplicates: bool = False) -> Shape
         where = f"shape {entry['id']!r}"
         if "points_file" not in entry:
             raise ManifestError(f"{where}: missing 'points_file'")
-        points = _load_table(resolve(entry["points_file"], where, "points_file"), ndmin=2)
-        field_vals = None
+        points_path = resolve(entry["points_file"], where, "points_file")
+        field_file = None
         if entry.get("scalar_field_file"):
-            field_path = resolve(entry["scalar_field_file"], where, "scalar_field_file")
-            field_vals = _load_table(field_path, ndmin=1)
+            field_file = ShapeFile(resolve(entry["scalar_field_file"], where, "scalar_field_file"))
         landmarks = entry.get("landmarks")
         if landmarks is not None:
             landmarks = _field(landmarks, lambda v: [_index(i) for i in v], where, "landmarks")
@@ -617,10 +706,10 @@ def load_collection(manifest_path: str, allow_duplicates: bool = False) -> Shape
         shapes.append(
             Shape(
                 id=str(entry["id"]),
-                points=points,
+                points=ShapeFile(points_path, _count_rows(points_path)),
                 landmark_indices=landmarks,
                 ground_truth=truth,
-                scalar_field=field_vals,
+                scalar_field=field_file,
             )
         )
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -129,4 +131,18 @@ def map_reads(monkeypatch):
         return real(path, src, tgt, n_src, n_tgt)
 
     monkeypatch.setattr(collection_mod, "_read_map", counted)
+    return calls
+
+
+@pytest.fixture
+def shape_reads(monkeypatch):
+    """The file name of every shape points or scalar-field file parsed, in parse order."""
+    calls = []
+    real = collection_mod.ShapeFile.read
+
+    def counted(self, ndmin):
+        calls.append(os.path.basename(self.path))
+        return real(self, ndmin)
+
+    monkeypatch.setattr(collection_mod.ShapeFile, "read", counted)
     return calls

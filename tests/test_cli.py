@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import pairwise
 
 import pytest
@@ -101,11 +102,12 @@ class TestExitCodes:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from corrsync.cli import main; rc = main(sys.argv[1:]); "
-             "print(rc, 'scipy.sparse' in sys.modules, file=sys.stderr)", *argv],
+             "print(rc, *(m in sys.modules for m in ('scipy.sparse', 'corrsync.benchmark', "
+             "'corrsync.matching', 'corrsync.geometry')), file=sys.stderr)", *argv],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.strip() == "0 False"
+        assert proc.stderr.strip() == "0 False False False False"
         assert proc.stdout
 
 
@@ -181,6 +183,21 @@ class TestBadInputValues:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert named in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.fixture(scope="class")
+    def fieldless_manifest(self, tmp_path_factory):
+        coll = synth_collection(3, 80, 0.08, seed=1, map_source="truth")
+        coll = replace(coll, shapes=[replace(s, scalar_field=None) for s in coll.shapes])
+        return str(save_collection(coll, tmp_path_factory.mktemp("fieldless")))
+
+    @pytest.mark.parametrize("delta", ["nan", "-5"])
+    def test_match_delta_checked_without_scalar_fields(self, fieldless_manifest, delta):
+        proc = _run(["match", "--manifest", fieldless_manifest, "--pair", "s00,s01",
+                     "--radius", "0.2", "--delta", delta, "--quiet"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"delta must be a finite number > 0, got {float(delta)!r}" in proc.stderr
         assert proc.stdout == ""
 
 
@@ -314,6 +331,38 @@ class TestMapFilesReadOnUse:
         assert "s01__s00.csv" in captured.err and "could not convert" in captured.err
         assert "Traceback" not in captured.err
         assert not (tmp_path / "o").exists()
+
+
+class TestShapeFilesReadOnUse:
+    """A command parses the points and scalar-field files of the shapes whose
+    coordinates or field it uses, and only those."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["flow"], ["propagate"], ["baseline", "--method", "direct"],
+         ["baseline", "--method", "mst"], ["baseline", "--method", "shortest"]],
+        ids=["flow", "propagate", "direct", "mst", "shortest"],
+    )
+    def test_pair_commands_parse_no_shape_file(self, synth_manifest, tmp_path, shape_reads,
+                                               command):
+        rc = main(command + ["--manifest", synth_manifest, "--source", "s00", "--target",
+                             "s03", "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 0
+        assert shape_reads == []
+
+    def test_match_parses_only_its_pair(self, synth_manifest, tmp_path, shape_reads):
+        rc = main(["match", "--manifest", synth_manifest, "--pair", "s02,s01", "--radius",
+                   "0.2", "--delta", "0.6", "--out", str(tmp_path / "m.csv"), "--quiet"])
+        assert rc == 0
+        assert sorted(shape_reads) == ["s01.field", "s01.xyz", "s02.field", "s02.xyz"]
+
+    def test_unparsed_malformed_points_do_not_fail(self, tmp_path):
+        manifest = save_collection(build_l4(swapped_pair=(1, 3)), tmp_path / "c")
+        (tmp_path / "c" / "s1.xyz").write_text("0 0 0\n1 x 0\n")
+        out = tmp_path / "p.json"
+        assert main(["propagate", "--manifest", str(manifest), "--source", "s0", "--target",
+                     "s3", "--out", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text())["rows"]
 
 
 class TestBadPoints:

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import time
 import types
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -334,6 +335,18 @@ class TestDistanceRows:
         for r, rows in zip(requests, results):
             assert np.array_equal(rows, reference[r])
         assert sorted(oracle._rows) == sorted(set(np.concatenate(requests).tolist()))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_directed_rows_on_the_stored_symmetric_graph(self, seed):
+        # distance_rows runs Dijkstra with directed=True: exact because the
+        # graph stores each edge in both directions with one length
+        shape = synth_collection(2, 500, 0.08, seed=seed, map_source="truth").shapes[1]
+        oracle = GeodesicOracle(shape)
+        graph = oracle.graph
+        assert (graph != graph.T).nnz == 0
+        vertices = np.arange(0, shape.n, 7)
+        undirected = sparse.csgraph.dijkstra(graph, directed=False, indices=vertices)
+        assert np.array_equal(oracle.distance_rows(vertices), undirected)
 
     def test_empty(self, dijkstra_calls):
         oracle = _cloud_oracle(0)
@@ -732,3 +745,133 @@ class TestMapFiles:
         for key, m in dict(coll.maps).items():
             assert np.array_equal(m.indices, l4_swap.maps[key].indices)
         assert len(map_reads) == 12
+
+
+# text np.loadtxt reads as rows or skips: a data row, possibly padded and
+# followed by a comment, a comment line, a blank or a whitespace-only line
+_SPACE = st.text(alphabet=" \t\f\v\x1c\x85\xa0\u2028", max_size=3)
+_LINE = st.one_of(
+    st.tuples(_SPACE, st.just("1.5 -2 3e1"), _SPACE, st.sampled_from(["", "# 4 5 6", "#"])),
+    st.tuples(_SPACE, st.just("#"), st.text(alphabet="0 .#x\t", max_size=6)),
+    _SPACE.map(lambda s: (s,)),
+).map("".join)
+
+
+class TestShapeFiles:
+    @given(
+        st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_row_count_matches_loadtxt(self, lines, final_newline):
+        text = "".join(line + end for line, end in lines)
+        if lines and not final_newline:
+            text = text[: -len(lines[-1][1])]
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.xyz")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # np.loadtxt on no rows
+                want = np.loadtxt(path, ndmin=2).shape[0]
+            assert collection_mod._count_rows(path) == want
+
+    def test_files_parsed_on_first_access_only(self, tmp_path, shape_reads):
+        shapes = [
+            Shape("a", points=np.arange(9.0).reshape(3, 3), scalar_field=np.array([0.5, 1, 2])),
+            Shape("b", points=np.ones((3, 3))),
+        ]
+        coll = ShapeCollection(shapes=shapes, D=1.0 - np.eye(2), maps={})
+        loaded = load_collection(save_collection(coll, tmp_path / "c"))
+        a, b = loaded.shapes
+        assert (a.n, b.n) == (3, 3) and b.scalar_field is None
+        assert shape_reads == []
+        assert a.points is a.points
+        assert np.array_equal(a.points, shapes[0].points)
+        assert shape_reads == ["a.xyz"]
+        assert np.array_equal(a.scalar_field, shapes[0].scalar_field)
+        assert shape_reads == ["a.xyz", "a.field"]
+
+    @pytest.mark.parametrize(
+        "name, text, named",
+        [
+            ("s1.xyz", "0 0 0\n1 x 1\n", "could not convert"),
+            ("s1.xyz", "0 0\n1 1\n", r"points must have shape \(2, 3\), got \(2, 2\)"),
+        ],
+        ids=["text", "two-columns"],
+    )
+    def test_malformed_points_fail_only_when_read(self, tmp_path, l4_swap, name, text, named):
+        manifest = save_collection(l4_swap, tmp_path / "c")
+        (tmp_path / "c" / name).write_text(text)
+        coll = load_collection(manifest)
+        assert coll.shape("s1").n == 2
+        assert coll.shape("s0").points.shape == (2, 3)
+        # a failed parse is not kept: the next read parses the file again
+        for _ in range(2):
+            with pytest.raises(ManifestError, match=re.escape(name)) as exc:
+                coll.shape("s1").points
+            assert re.search(named, str(exc.value))
+
+    def test_points_changed_after_load_fail_when_read(self, tmp_path, l4_swap):
+        manifest = save_collection(l4_swap, tmp_path / "c")
+        coll = load_collection(manifest)
+        (tmp_path / "c" / "s2.xyz").write_text("0 0 0\n1 0 0\n2 0 0\n")
+        named = r"s2\.xyz: shape 's2': points must have shape \(2, 3\), got \(3, 3\)"
+        with pytest.raises(ManifestError, match=named):
+            coll.shape("s2").points
+
+    def test_field_length_checked_when_read(self, tmp_path):
+        shape = Shape("a", points=np.zeros((3, 3)) + np.arange(3)[:, None],
+                      scalar_field=np.array([1.0, 2.0, 3.0]))
+        coll = ShapeCollection(shapes=[shape, two_point_shape("b")], D=1.0 - np.eye(2), maps={})
+        manifest = save_collection(coll, tmp_path / "c")
+        (tmp_path / "c" / "a.field").write_text("1\n2\n")
+        loaded = load_collection(manifest)
+        named = r"a\.field: shape 'a': scalar_field must have shape \(3,\), got \(2,\)"
+        with pytest.raises(ManifestError, match=named):
+            loaded.shape("a").scalar_field
+
+    @pytest.mark.parametrize("text", ["0 0 0\n", "# header\n\n  \n0 0 0 # one row\n", ""])
+    def test_fewer_than_two_rows_rejected_at_load(self, tmp_path, l4_swap, text):
+        manifest = save_collection(l4_swap, tmp_path / "c")
+        (tmp_path / "c" / "s3.xyz").write_text(text)
+        with pytest.raises(ManifestError, match=r"s3\.xyz: shape 's3': needs at least 2 points"):
+            load_collection(manifest)
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [("landmarks", [0, 2], "landmark index 2 out of range"),
+         ("ground_truth", {"tip": -1}, "ground truth 'tip' index -1 out of range")],
+    )
+    def test_annotations_range_checked_at_load(self, tmp_path, l4_swap, shape_reads, key,
+                                               value, named):
+        manifest = save_collection(l4_swap, tmp_path / "c")
+        doc = json.loads((tmp_path / "c" / "manifest.json").read_text())
+        doc["shapes"][1][key] = value
+        (tmp_path / "c" / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(IndexRangeError, match=re.escape(f"shape 's1': {named}")):
+            load_collection(manifest)
+        assert shape_reads == []
+
+    def test_threaded_first_access_parses_once(self, tmp_path, l4_swap):
+        shape = load_collection(save_collection(l4_swap, tmp_path / "c")).shape("s1")
+        real = collection_mod.ShapeFile.read
+
+        def slow(self, ndmin):
+            time.sleep(0.002)  # widens the window in which two threads could parse the file
+            return real(self, ndmin)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(
+                collection_mod.ShapeFile, "read", autospec=True, side_effect=slow
+            ) as read:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(lambda: shape.points) for _ in range(16)]
+                    got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert read.call_count == 1
+        assert all(points is got[0] for points in got)
+        assert np.array_equal(got[0], l4_swap.shape("s1").points)
