@@ -330,7 +330,7 @@ def corrupt_maps(
     Returns a new collection; the input is untouched.
     """
     if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
+        raise InvalidValueError(f"fraction must lie in [0, 1], got {fraction!r}")
     ids = collection.ids
     unordered = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
     rng = np.random.default_rng(seed)
@@ -343,7 +343,7 @@ def corrupt_maps(
         fwd = new_maps[(a, b)]
         rev = new_maps.get((b, a))
         if fwd.kind != "discrete" or (rev is not None and rev.kind != "discrete"):
-            raise ValueError("corruption supports discrete maps only")
+            raise InvalidValueError(f"corruption supports discrete maps only, not {a!r}<->{b!r}")
         n_b = fwd.n_target
         m = max(2, int(round(0.5 * n_b)))
         subset = rng.choice(n_b, size=min(m, n_b), replace=False)

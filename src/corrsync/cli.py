@@ -53,16 +53,20 @@ def _info(args, message: str) -> None:
 def _load_config(path: str) -> dict[str, str]:
     if not os.path.exists(path):
         raise CorrsyncError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CorrsyncError(f"config file {path} is not UTF-8 text: {exc}") from None
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CorrsyncError(f"config line {lineno}: expected KEY=VALUE")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CorrsyncError(f"config line {lineno}: expected KEY=VALUE")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -167,6 +171,7 @@ def _cmd_match(args) -> int:
         LandmarkSet,
         MatchList,
         Shape,
+        _check_hops,
         _check_positive,
         baseline_pairwise_align,
         detect_extrema,
@@ -183,9 +188,10 @@ def _cmd_match(args) -> int:
         raise CorrsyncError(
             f"--pair expects two different comma-separated shape ids, got {args.pair!r}"
         )
-    # stable_curvature_match checks delta too, but it runs only when both
-    # shapes carry a scalar field
+    # stable_curvature_match checks delta and detect_extrema hops too, but
+    # they run only when both shapes carry a scalar field
     _check_positive("delta", args.delta)
+    _check_hops(args.hops)
     a_id, b_id = ids
     shape_a = collection.shape(a_id)
     shape_b = collection.shape(b_id)
@@ -217,6 +223,8 @@ def _cmd_match(args) -> int:
     else:
         seeds = MatchList(a_id, b_id, [])
     refined = joint_fps_refine(seeds, partial, args.max_matches, oracle_a, oracle_b)
+    # the dense map is built before any output, so a command that fails writes nothing
+    dense = interpolate_dense(refined, shape_a, shape_b, oracle_a) if args.interpolated else None
 
     lines = [
         _provenance_header(
@@ -232,8 +240,7 @@ def _cmd_match(args) -> int:
         lines.append(f"{m.source},{m.target},{m.provenance}\n")
     _emit(args.out, "".join(lines))
     unmatched = len(refined.entries) - len(refined.matched())
-    if args.interpolated:
-        dense = interpolate_dense(refined, shape_a, shape_b, oracle_a)
+    if dense is not None:
         atomic_write(args.interpolated, map_csv(dense))
     _info(args, f"{len(refined.matched())} matches ({unmatched} unmatched entries)")
     return 0
@@ -590,7 +597,8 @@ def main(argv: list[str] | None = None) -> int:
     except CorrsyncError as exc:
         print(f"corrsync: error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a path that is missing, a directory, or otherwise unreadable or unwritable
         print(f"corrsync: error: {exc}", file=sys.stderr)
         return 1
 

@@ -77,13 +77,33 @@ class ShapeFile:
         return _load_table(self.path, ndmin=ndmin)
 
 
+class _ReadOnce:
+    """Values made on first use, one per key, safe to share across threads.
+
+    The first ``get`` of a key calls ``make()`` under this cache's own lock
+    and keeps its value; a ``make`` that raises keeps nothing. Building an
+    oracle reads its shape's points through the shape's cache, so no two
+    caches share a lock.
+    """
+
+    def __init__(self):
+        self.made: dict = {}
+        self._lock = threading.Lock()
+
+    def get(self, key, make):
+        if key not in self.made:
+            with self._lock:
+                if key not in self.made:
+                    self.made[key] = make()
+        return self.made[key]
+
+
 class _ReadOnFirstAccess:
     """A Shape array field that may hold a ShapeFile instead of an array.
 
-    The field's first read parses the file, once, under the shape's lock (a
-    collection may be shared across threads), and checks the array as one
-    given directly is checked. A file that fails raises ManifestError naming
-    it and is not kept, so the next read parses it again.
+    The field's first read parses the file, once, through the shape's
+    read-once cache, and checks the array as one given directly is checked.
+    A file that fails raises ManifestError naming it.
     """
 
     def __init__(self, ndmin: int, optional: bool = False):
@@ -100,13 +120,9 @@ class _ReadOnFirstAccess:
                 return None
             raise AttributeError(self.name)
         value = vars(shape)[self.name]
-        if isinstance(value, ShapeFile):
-            with shape._lock:
-                value = vars(shape)[self.name]
-                if isinstance(value, ShapeFile):
-                    value = shape._checked(self.name, value.read(self.ndmin))
-                    vars(shape)[self.name] = value
-        return value
+        if not isinstance(value, ShapeFile):
+            return value
+        return shape._parsed.get(self.name, lambda: shape._checked(self.name, value.read(self.ndmin)))
 
     def __set__(self, shape, value) -> None:
         vars(shape)[self.name] = value
@@ -142,7 +158,7 @@ class Shape:
                 f"invalid shape id {self.id!r}: ids must be non-empty, contain no "
                 "path separator, '..' or '__', and not start or end with '_'"
             )
-        self._lock = threading.Lock()
+        self._parsed = _ReadOnce()
         points = vars(self)["points"]
         if isinstance(points, ShapeFile):
             self._n = points.rows
@@ -428,8 +444,8 @@ class ShapeCollection:
 
     Treated as immutable after construction; derived structures (oracles,
     dijkstra rows) are cached under locks, so callers may share a collection
-    across threads. ``maps`` is checked here as a whole, unless it is a
-    MapFiles table made for these shapes, which checks each map as it reads it.
+    across threads. ``maps`` is admitted here map by map, unless it is a
+    MapFiles table made for these shapes, which admits each map on reading it.
     """
 
     shapes: list[Shape]
@@ -466,15 +482,14 @@ class ShapeCollection:
                 "two shapes at distance zero; pass allow_duplicates/--allow-duplicates"
             )
         if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and positive, got {self.beta!r}")
+            raise InvalidValueError(f"beta must be finite and positive, got {self.beta!r}")
         self._index = {sid: i for i, sid in enumerate(ids)}
-        self._oracles: dict[tuple[str, int], GeodesicOracle] = {}
-        self._oracle_lock = threading.Lock()
+        self._oracles = _ReadOnce()
         sizes = {s.id: s.n for s in self.shapes}
         if not (isinstance(self.maps, MapFiles) and self.maps.sizes == sizes):
+            admitted: dict[tuple[str, str], CorrespondenceMap] = {}
             for key, m in self.maps.items():
-                _check_map(key, m, sizes)
-            _check_declared_inverses(self.maps)
+                admitted[key] = _admit(key, m, sizes, admitted)
 
     @property
     def n(self) -> int:
@@ -504,12 +519,7 @@ class ShapeCollection:
             ) from None
 
     def oracle(self, shape_id: str, k: int = KNN_DEFAULT) -> GeodesicOracle:
-        key = (shape_id, k)
-        if key not in self._oracles:
-            built = intra_metric(self.shape(shape_id), k=k)
-            with self._oracle_lock:
-                self._oracles.setdefault(key, built)
-        return self._oracles[key]
+        return self._oracles.get((shape_id, k), lambda: intra_metric(self.shape(shape_id), k=k))
 
 
 def _check_map(key: tuple[str, str], m: CorrespondenceMap, sizes: dict[str, int]) -> None:
@@ -527,57 +537,44 @@ def _check_map(key: tuple[str, str], m: CorrespondenceMap, sizes: dict[str, int]
         )
 
 
-def _check_inverse(fwd: CorrespondenceMap, rev: CorrespondenceMap) -> None:
-    # binds only pairs where both stored directions are discrete bijections
-    if fwd.is_bijection() and rev.is_bijection():
-        if not np.array_equal(rev.indices[fwd.indices], np.arange(fwd.n_source)):
+def _admit(key: tuple[str, str], m: CorrespondenceMap, sizes: dict[str, int],
+           admitted: Mapping) -> CorrespondenceMap:
+    """m, checked as the map of ``key`` by _check_map and, if the reverse direction
+    is in ``admitted`` and both are discrete bijections, as its mutual inverse."""
+    _check_map(key, m, sizes)
+    rev = admitted.get(key[::-1])
+    if rev is not None and rev.is_bijection() and m.is_bijection():
+        if not np.array_equal(m.indices[rev.indices], np.arange(rev.n_source)):
             raise InverseViolationError(
-                f"maps {fwd.source_id!r}<->{fwd.target_id!r} are bijections "
+                f"maps {rev.source_id!r}<->{rev.target_id!r} are bijections "
                 "but not mutual inverses"
             )
-
-
-def _check_declared_inverses(maps: Mapping) -> None:
-    """Check each pair stored in both directions once, the direction met first as fwd."""
-    seen = set()
-    for (src, tgt), fwd in maps.items():
-        if (tgt, src) in maps and (tgt, src) not in seen:
-            _check_inverse(fwd, maps[(tgt, src)])
-        seen.add((src, tgt))
+    return m
 
 
 class MapFiles(Mapping):
     """The map table of a loaded collection, keyed ``(source_id, target_id)``.
 
     Its keys are the pairs whose map file exists. A file is read when its map
-    is first accessed, once, under a lock (callers may share a collection
-    across threads), and the map is checked as ShapeCollection checks an
-    in-memory table: its labels and sizes, and, once both directions of a pair
-    have been read, that two discrete bijections are mutual inverses. A file that fails
-    is not kept, so every access to it raises. ``values()`` and ``items()``
-    read every file.
+    is first accessed, once, through a read-once cache, and the map is
+    admitted as ShapeCollection admits each map of an in-memory table. A file
+    that fails is not kept, so every access to it raises. ``values()`` and
+    ``items()`` read every file.
     """
 
     def __init__(self, paths: dict[tuple[str, str], str], sizes: dict[str, int]):
         self._paths = paths
         self.sizes = sizes
-        self._read: dict[tuple[str, str], CorrespondenceMap] = {}
-        self._lock = threading.Lock()
+        self._read = _ReadOnce()
 
     def __getitem__(self, key: tuple[str, str]) -> CorrespondenceMap:
-        m = self._read.get(key)
-        if m is None:
-            path = self._paths[key]
-            with self._lock:
-                m = self._read.get(key)
-                if m is None:
-                    src, tgt = key
-                    m = _read_map(path, src, tgt, self.sizes[src], self.sizes[tgt])
-                    _check_map(key, m, self.sizes)
-                    if (tgt, src) in self._read:
-                        _check_inverse(self._read[(tgt, src)], m)
-                    self._read[key] = m
-        return m
+        return self._read.get(key, lambda: self._admit_file(key))
+
+    def _admit_file(self, key: tuple[str, str]) -> CorrespondenceMap:
+        path = self._paths[key]
+        src, tgt = key
+        m = _read_map(path, src, tgt, self.sizes[src], self.sizes[tgt])
+        return _admit(key, m, self.sizes, self._read.made)
 
     def __contains__(self, key) -> bool:
         return key in self._paths
@@ -669,7 +666,8 @@ def load_collection(manifest_path: str, allow_duplicates: bool = False) -> Shape
     with open(manifest_path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # JSON text is UTF-8, so undecodable bytes are invalid JSON too
             raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
 
     def resolve(rel, where: str, name: str) -> str:

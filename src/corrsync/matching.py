@@ -81,6 +81,11 @@ def _check_positive(name: str, value: float) -> None:
         raise InvalidValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
+def _check_hops(hops: int) -> None:
+    if hops < 1:
+        raise InvalidValueError(f"hops must be at least 1, got {hops}")
+
+
 def check_ball_disjoint(indices, radius: float, oracle: GeodesicOracle) -> None:
     idx = list(indices)
     for a in range(len(idx)):
@@ -157,8 +162,7 @@ def strict_extrema(field: np.ndarray, neighbor_lists, hops: int = 1) -> tuple[in
 
     A vertex with no neighbors in range qualifies vacuously.
     """
-    if hops < 1:
-        raise InvalidValueError(f"hops must be at least 1, got {hops}")
+    _check_hops(hops)
     hoods = _hop_neighborhoods(neighbor_lists, hops)
     return tuple(
         v
@@ -328,7 +332,10 @@ def interpolate_dense(
 
     pairs = matches.pairs()
     if not pairs:
-        raise ValueError("cannot interpolate from an empty match set")
+        raise InvalidValueError(
+            f"cannot interpolate {matches.source_id!r} -> {matches.target_id!r} "
+            "from an empty match set"
+        )
     srcs = [p[0] for p in pairs]
     tgts = [p[1] for p in pairs]
     nearest = min(4, len(pairs))

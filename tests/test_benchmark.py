@@ -20,7 +20,7 @@ from corrsync.benchmark import (
     synth_collection,
 )
 from corrsync.collection import CorrespondenceMap, GeodesicOracle, Shape, ShapeCollection
-from corrsync.errors import CorrsyncError, IndexRangeError, ManifestError
+from corrsync.errors import CorrsyncError, IndexRangeError, InvalidValueError, ManifestError
 
 
 def corrupted_pairs(before, after):
@@ -210,8 +210,16 @@ class TestRunBenchmark:
 class TestCorruptMaps:
     def test_fraction_validated(self):
         coll = synth_collection(3, 50, 0.05, seed=2, map_source="truth")
-        with pytest.raises(ValueError):
-            corrupt_maps(coll, 1.5, seed=0)
+        for fraction in (-0.1, 1.5, float("nan")):
+            with pytest.raises(InvalidValueError, match=r"fraction must lie in \[0, 1\], got"):
+                corrupt_maps(coll, fraction, seed=0)
+
+    def test_soft_map_is_a_domain_error(self):
+        coll = synth_collection(2, 50, 0.05, seed=2, map_source="truth")
+        soft = coll.maps[("s01", "s00")].to_soft()
+        coll.maps[("s01", "s00")] = CorrespondenceMap("s01", "s00", "soft", matrix=soft)
+        with pytest.raises(InvalidValueError, match="discrete maps only, not 's00'<->'s01'"):
+            corrupt_maps(coll, 1.0, seed=0)
 
     def test_zero_fraction_is_identity(self):
         coll = synth_collection(3, 50, 0.05, seed=2, map_source="truth")

@@ -200,6 +200,73 @@ class TestBadInputValues:
         assert f"delta must be a finite number > 0, got {float(delta)!r}" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("hops", ["0", "-1"])
+    def test_match_hops_checked_without_scalar_fields(self, fieldless_manifest, hops):
+        proc = _run(["match", "--manifest", fieldless_manifest, "--pair", "s00,s01",
+                     "--radius", "0.2", "--delta", "0.6", "--hops", hops, "--quiet"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"hops must be at least 1, got {hops}" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_match_empty_interpolation_writes_nothing(self, fieldless_manifest, tmp_path,
+                                                      to_file):
+        # no scalar fields, so no seed matches, and --max-matches 0 adds none
+        out, dense = tmp_path / "match.csv", tmp_path / "dense.csv"
+        proc = _run(["match", "--manifest", fieldless_manifest, "--pair", "s00,s01",
+                     "--radius", "0.05", "--delta", "0.1", "--max-matches", "0",
+                     "--interpolated", str(dense), "--quiet",
+                     *(["--out", str(out)] if to_file else [])])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "cannot interpolate 's00' -> 's01' from an empty match set" in proc.stderr
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestUnreadablePaths:
+    def _propagate(self, manifest, *options):
+        return _run(["propagate", "--manifest", str(manifest), "--source", "s0",
+                     "--target", "s3", "--quiet", *options])
+
+    @pytest.mark.parametrize("which", ["manifest", "out", "config", "distances_file"])
+    def test_directory_is_a_clean_error(self, l4_manifest, tmp_path, which):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        manifest, options = l4_manifest, []
+        if which == "manifest":
+            manifest = folder
+        elif which == "distances_file":
+            manifest = save_collection(build_l4(swapped_pair=(1, 3)), tmp_path / "c")
+            doc = json.loads((tmp_path / "c" / "manifest.json").read_text())
+            doc["distances_file"] = "maps"
+            (tmp_path / "c" / "manifest.json").write_text(json.dumps(doc))
+        else:
+            options = [f"--{which}", str(folder)]
+        proc = self._propagate(manifest, *options)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Is a directory" in proc.stderr
+        assert proc.stdout == ""
+        assert list(folder.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "which, named",
+        [("manifest", "manifest is not valid JSON"), ("config", "is not UTF-8 text")],
+    )
+    def test_undecodable_text_is_a_clean_error(self, l4_manifest, tmp_path, which, named):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        if which == "manifest":
+            proc = self._propagate(bad)
+        else:
+            proc = self._propagate(l4_manifest, "--config", str(bad))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr and "can't decode byte 0xff" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestBadCollectionFiles:
     def _propagate(self, manifest, source="s0"):

@@ -37,6 +37,7 @@ from corrsync.errors import (
     DuplicateShapeError,
     IndexRangeError,
     InverseViolationError,
+    InvalidValueError,
     ManifestError,
     MetricAsymmetryError,
     MissingMapError,
@@ -455,7 +456,8 @@ class TestShapeCollection:
     @pytest.mark.parametrize("beta", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_beta_must_be_finite_and_positive(self, beta):
         shapes = [two_point_shape("a"), two_point_shape("b")]
-        with pytest.raises(ValueError, match="beta must be finite and positive"):
+        # InvalidValueError: a CorrsyncError and a ValueError
+        with pytest.raises(InvalidValueError, match="beta must be finite and positive"):
             ShapeCollection(shapes=shapes, D=np.array([[0.0, 1.0], [1.0, 0.0]]), maps={}, beta=beta)
 
     def test_zero_offdiagonal_needs_flag(self):
@@ -486,6 +488,21 @@ class TestShapeCollection:
             ShapeCollection(
                 shapes=shapes, D=D, maps={("a", "b"): fwd, ("b", "a"): bad_rev}
             )
+
+    def test_inverse_checked_before_a_later_size_error(self):
+        # each map is admitted in table order: the inverse test of b -> a runs
+        # before a -> c is sized
+        shapes = [two_point_shape("a"), two_point_shape("b"), two_point_shape("c")]
+        maps = {
+            ("a", "b"): CorrespondenceMap("a", "b", "discrete", indices=np.array([1, 0]),
+                                          target_size=2),
+            ("b", "a"): CorrespondenceMap("b", "a", "discrete", indices=np.array([0, 1]),
+                                          target_size=2),
+            ("a", "c"): CorrespondenceMap("a", "c", "discrete", indices=np.array([0, 2]),
+                                          target_size=3),
+        }
+        with pytest.raises(InverseViolationError):
+            ShapeCollection(shapes=shapes, D=1.0 - np.eye(3), maps=maps)
 
     def test_weight_matrix(self, l4_identity):
         W = gibbs_weights(l4_identity.D, l4_identity.beta)
@@ -701,6 +718,26 @@ class TestMapFiles:
             dict(loaded.maps)
         loaded.map(*first)
 
+    @pytest.mark.parametrize("first, second", [(("a", "b"), ("b", "a")), (("b", "a"), ("a", "b"))])
+    def test_inverse_message_matches_in_memory_table(self, tmp_path, first, second):
+        shapes = [two_point_shape("a"), two_point_shape("b")]
+        D = 1.0 - np.eye(2)
+        swap = {key: CorrespondenceMap(*key, "discrete", indices=np.array([1, 0]), target_size=2)
+                for key in (first, second)}
+        manifest = save_collection(ShapeCollection(shapes=shapes, D=D, maps=swap), tmp_path / "c")
+        # the second direction becomes the identity in memory and on disk
+        bad = dict(swap)
+        bad[second] = identity_map(second[0], 2, target_id=second[1])
+        with pytest.raises(InverseViolationError) as in_memory:
+            ShapeCollection(shapes=shapes, D=D, maps=bad)
+        (tmp_path / "c" / "maps" / f"{second[1]}__{second[0]}.csv").write_text("0,0\n1,1\n")
+        loaded = load_collection(manifest)
+        loaded.map(*first)
+        with pytest.raises(InverseViolationError) as from_files:
+            loaded.map(*second)
+        assert str(from_files.value) == str(in_memory.value)
+        assert f"maps {first[0]!r}<->{first[1]!r}" in str(in_memory.value)
+
     def test_threaded_pairs_read_each_file_once(self, tmp_path):
         manifest = save_collection(
             synth_collection(5, 40, 0.05, seed=2, map_source="truth"), tmp_path / "c"
@@ -875,3 +912,48 @@ class TestShapeFiles:
         assert read.call_count == 1
         assert all(points is got[0] for points in got)
         assert np.array_equal(got[0], l4_swap.shape("s1").points)
+
+
+class TestReadOnce:
+    def test_failed_make_keeps_nothing(self):
+        cache = collection_mod._ReadOnce()
+
+        def fail():
+            raise ManifestError("unreadable")
+
+        for _ in range(2):
+            with pytest.raises(ManifestError, match="unreadable"):
+                cache.get("k", fail)
+            assert cache.made == {}
+        assert cache.get("k", lambda: 3) == 3
+        assert cache.get("k", fail) == 3
+
+    def test_failed_oracle_build_is_not_kept(self, l4_identity):
+        real = collection_mod.intra_metric
+        with mock.patch.object(
+            collection_mod, "intra_metric", side_effect=[DisconnectedGraphError("split"), real]
+        ):
+            with pytest.raises(DisconnectedGraphError, match="split"):
+                l4_identity.oracle("s0")
+        oracle = l4_identity.oracle("s0")
+        assert l4_identity.oracle("s0") is oracle and oracle.n == 2
+
+    def test_threaded_oracle_built_once(self):
+        coll = synth_collection(2, 200, 0.05, seed=4, map_source="truth")
+        real = collection_mod.intra_metric
+
+        def slow(*args, **kwargs):
+            time.sleep(0.002)  # widens the window in which two threads could build the oracle
+            return real(*args, **kwargs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(collection_mod, "intra_metric", side_effect=slow) as build:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(coll.oracle, "s01") for _ in range(8)]
+                    got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert build.call_count == 1
+        assert all(oracle is got[0] for oracle in got)
