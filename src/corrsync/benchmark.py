@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import pairwise
 
 import numpy as np
 
@@ -136,7 +137,10 @@ def run_benchmark(
 
     Pairs are all ordered pairs, or only pairs into the distance-centered hub
     shape when to_mean is set. Path-based methods produce one curve per lam;
-    the route-based methods ignore lam and produce a single curve.
+    the route-based methods ignore lam and produce a single curve. Pairs are
+    scored one at a time, in order: a pair runs its route methods, then
+    propagates once per lam and extracts each soft method from those rows, so
+    an error comes from the first failing pair.
     """
     for m in methods:
         if m not in METHODS:
@@ -155,68 +159,55 @@ def run_benchmark(
         if not got:
             raise ManifestError(f"shapes {a!r} and {b!r} share no landmark labels")
         gt[(a, b)] = got
+    oracles = {b: collection.oracle(b) for _, b in pairs}
 
-    oracles = {sid: collection.oracle(sid) for sid in {b for _, b in pairs}}
-    errors: dict[tuple[str, float | None], list[float]] = {}
-
-    for m in methods:
-        if m in SOFT_METHODS:
-            continue
-        built: dict[tuple[str, str], CorrespondenceMap] = {}
-        for a, b in pairs:
+    # each method's curve keys (method, lam), with lam None for a route method
+    keys = {
+        m: [(m, None)] if m not in SOFT_METHODS else [(m, lam) for lam in lams]
+        for m in methods
+    }
+    errors: dict[tuple[str, float | None], list[float]] = {
+        key: [] for method_keys in keys.values() for key in method_keys
+    }
+    routes = [m for m in keys if m not in SOFT_METHODS]
+    soft_methods = [m for m in keys if m in SOFT_METHODS]
+    for a, b in pairs:
+        truth, oracle = gt[(a, b)], oracles[b]
+        for m in routes:
             if m == "direct":
-                built[(a, b)], route = direct_propagate(collection, a, b), (a, b)
+                cmap, route = direct_propagate(collection, a, b), (a, b)
             elif m == "mst":
-                built[(a, b)], route = mst_propagate(collection, a, b)
+                cmap, route = mst_propagate(collection, a, b)
             else:
-                built[(a, b)], route = shortest_path_propagate(collection, a, b, epsilon=epsilon)
-            for u, v in zip(route, route[1:]):
-                if collection.map(u, v).kind != "discrete":
-                    raise CorrsyncError(
-                        f"map {u!r} -> {v!r} is soft; the {m} route {a!r} -> {b!r} "
-                        f"composes discrete maps only"
-                    )
-        errs: list[float] = []
-        for a, b in pairs:
-            errs.extend(
-                geodesic_errors(built[(a, b)], gt[(a, b)], oracles[b], normalize=normalize)
-            )
-        errors[(m, None)] = errs
-
-    soft_requested = [m for m in methods if m in SOFT_METHODS]
-    if soft_requested:
-        for lam in lams:
-            per_method: dict[str, list[float]] = {m: [] for m in soft_requested}
-            for a, b in pairs:
-                sources = sorted({s for s, _ in gt[(a, b)]})
-                soft = propagate_soft(
-                    collection, a, b, lam=lam, source_points=sources, max_paths=max_paths
+                cmap, route = shortest_path_propagate(collection, a, b, epsilon=epsilon)
+            if cmap.kind != "discrete":
+                # name the first soft stored map on the route
+                hops = pairwise(route)
+                u, v = next(hop for hop in hops if collection.map(*hop).kind != "discrete")
+                raise CorrsyncError(
+                    f"map {u!r} -> {v!r} is soft; the {m} route {a!r} -> {b!r} "
+                    f"composes discrete maps only"
                 )
-                if "mle" in per_method:
-                    per_method["mle"].extend(
-                        geodesic_errors(mle(soft), gt[(a, b)], oracles[b], normalize=normalize)
-                    )
-                if "frechet" in per_method:
-                    per_method["frechet"].extend(
-                        geodesic_errors(
-                            frechet_mean(soft, oracles[b]), gt[(a, b)], oracles[b],
-                            normalize=normalize,
-                        )
-                    )
-            for m in soft_requested:
-                errors[(m, lam)] = per_method[m]
-
-    curves = []
-    final_errors: dict[tuple[str, float | None], np.ndarray] = {}
-    for m in methods:
-        keys = [(m, None)] if m not in SOFT_METHODS else [(m, lam) for lam in lams]
-        for key in keys:
-            arr = np.asarray(errors[key], dtype=float)
-            final_errors[key] = arr
-            curves.append(
-                curve_from_errors(arr, grid, method=m, lam=key[1], normalized=normalize)
+            errors[(m, None)].extend(geodesic_errors(cmap, truth, oracle, normalize=normalize))
+        if not soft_methods:
+            continue
+        sources = sorted({s for s, _ in truth})
+        # a repeated lam is propagated once: its curves share one key
+        for lam in dict.fromkeys(lams):
+            soft = propagate_soft(
+                collection, a, b, lam=lam, source_points=sources, max_paths=max_paths
             )
-    return BenchmarkResult(curves=curves, errors=final_errors, pairs=pairs)
+            for m in soft_methods:
+                hard = mle(soft) if m == "mle" else frechet_mean(soft, oracle)
+                errors[(m, lam)].extend(geodesic_errors(hard, truth, oracle, normalize=normalize))
+
+    arrays = {key: np.asarray(errs, dtype=float) for key, errs in errors.items()}
+    curves = [
+        curve_from_errors(arrays[key], grid, method=m, lam=key[1], normalized=normalize)
+        for m in methods
+        for key in keys[m]
+    ]
+    return BenchmarkResult(curves=curves, errors=arrays, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------

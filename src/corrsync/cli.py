@@ -38,10 +38,11 @@ def _provenance_header(command: str, seed, config: dict) -> str:
     )
 
 
-def _emit(out_path: str | None, text: str) -> None:
-    if out_path:
-        atomic_write(out_path, text)
-    else:
+def _emit(out_path: str | None, text: str, files: tuple[tuple[str, str], ...] = ()) -> None:
+    """Write text to out_path, or to stdout when there is none, and each
+    (path, text) of files: the files are written all or none, before stdout."""
+    atomic_write(((out_path, text), *files) if out_path else files)
+    if not out_path:
         sys.stdout.write(text)
 
 
@@ -224,7 +225,10 @@ def _cmd_match(args) -> int:
         seeds = MatchList(a_id, b_id, [])
     refined = joint_fps_refine(seeds, partial, args.max_matches, oracle_a, oracle_b)
     # the dense map is built before any output, so a command that fails writes nothing
-    dense = interpolate_dense(refined, shape_a, shape_b, oracle_a) if args.interpolated else None
+    dense = ()
+    if args.interpolated:
+        dense_map = interpolate_dense(refined, shape_a, shape_b, oracle_a)
+        dense = ((args.interpolated, map_csv(dense_map)),)
 
     lines = [
         _provenance_header(
@@ -238,10 +242,8 @@ def _cmd_match(args) -> int:
     ]
     for m in refined.matched():
         lines.append(f"{m.source},{m.target},{m.provenance}\n")
-    _emit(args.out, "".join(lines))
+    _emit(args.out, "".join(lines), dense)
     unmatched = len(refined.entries) - len(refined.matched())
-    if dense is not None:
-        atomic_write(args.interpolated, map_csv(dense))
     _info(args, f"{len(refined.matched())} matches ({unmatched} unmatched entries)")
     return 0
 
@@ -311,9 +313,9 @@ def _cmd_benchmark(args) -> int:
             normalized=not args.unnormalized,
         ),
     )
-    _emit(args.out, header + "method,lambda,threshold,fraction\n" + "".join(_curve_rows(result.curves)))
-    if args.svg:
-        atomic_write(args.svg, _curves_svg(result.curves))
+    rows = "".join(_curve_rows(result.curves))
+    svg = ((args.svg, _curves_svg(result.curves)),) if args.svg else ()
+    _emit(args.out, header + "method,lambda,threshold,fraction\n" + rows, svg)
     _info(args, f"{len(result.curves)} curves over {len(result.pairs)} pairs")
     return 0
 

@@ -14,14 +14,14 @@ are a ``MapFiles`` table, so a command parses only the files it uses.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
 import os
-import tempfile
 import threading
 import warnings
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -790,18 +790,33 @@ def _read_map(path: str, src: str, tgt: str, n_src: int, n_tgt: int) -> Correspo
     return CorrespondenceMap(source_id=src, target_id=tgt, kind="soft", matrix=mat)
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write text to path via a temp file and rename, never leaving partial output."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+def atomic_write(outputs: Sequence[tuple[str, str]]) -> None:
+    """Write each (path, text) of outputs through a temp file and a rename, all
+    or none: every text is written, and every path checked not to be a
+    directory, before the first rename, so a failure leaves no partial output
+    and no file of the set. Files get mode 0o666 & ~umask, as open(path, "w")
+    gives a new file, and an OSError names the requested path."""
+    staged: list[str] = []
+    path = None
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for path, text in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            # a random name and O_EXCL in place of mkstemp, which makes the file 0600
+            directory = os.path.dirname(os.path.abspath(path))
+            tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append(tmp)
+            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for (path, _), tmp in zip(outputs, staged):
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def map_csv(m: CorrespondenceMap) -> str:
@@ -824,13 +839,14 @@ def save_collection(collection: ShapeCollection, out_dir: str) -> str:
     load(save(c)) reproduces every array bit for bit.
     """
     os.makedirs(os.path.join(out_dir, "maps"), exist_ok=True)
+
+    def put(name: str, text: str) -> None:
+        atomic_write([(os.path.join(out_dir, name), text)])
+
     entries = []
     for s in collection.shapes:
         points_file = f"{s.id}.xyz"
-        atomic_write(
-            os.path.join(out_dir, points_file),
-            "".join(" ".join(_fmt(c) for c in p) + "\n" for p in s.points),
-        )
+        put(points_file, "".join(" ".join(_fmt(c) for c in p) + "\n" for p in s.points))
         entry: dict = {"id": s.id, "points_file": points_file}
         if s.landmark_indices is not None:
             entry["landmarks"] = [int(i) for i in s.landmark_indices]
@@ -838,19 +854,13 @@ def save_collection(collection: ShapeCollection, out_dir: str) -> str:
             entry["ground_truth"] = {k: int(v) for k, v in sorted(s.ground_truth.items())}
         if s.scalar_field is not None:
             field_file = f"{s.id}.field"
-            atomic_write(
-                os.path.join(out_dir, field_file),
-                "".join(_fmt(v) + "\n" for v in s.scalar_field),
-            )
+            put(field_file, "".join(_fmt(v) + "\n" for v in s.scalar_field))
             entry["scalar_field_file"] = field_file
         entries.append(entry)
 
-    atomic_write(
-        os.path.join(out_dir, "distances.csv"),
-        "".join(",".join(_fmt(v) for v in row) + "\n" for row in collection.D),
-    )
+    put("distances.csv", "".join(",".join(_fmt(v) for v in row) + "\n" for row in collection.D))
     for (src, tgt), m in sorted(collection.maps.items()):
-        atomic_write(os.path.join(out_dir, "maps", f"{tgt}__{src}.csv"), map_csv(m))
+        put(os.path.join("maps", f"{tgt}__{src}.csv"), map_csv(m))
 
     manifest = {
         "shapes": entries,
@@ -858,6 +868,5 @@ def save_collection(collection: ShapeCollection, out_dir: str) -> str:
         "maps_dir": "maps",
         "beta": collection.beta,
     }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
-    return manifest_path
+    put("manifest.json", json.dumps(manifest, indent=2) + "\n")
+    return os.path.join(out_dir, "manifest.json")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .collection import CorrespondenceMap, GeodesicOracle, ShapeCollection
 from .errors import EmptyPathSetError, IndexRangeError, MissingMapError
-from .flow import MAX_PATHS_DEFAULT, ChainTrie, FlowMatrix, directed_flow_matrix, enumerate_paths
+from .flow import MAX_PATHS_DEFAULT, ChainTrie, directed_flow_matrix, enumerate_paths
 
 # the chain-weight threshold lambda used when a caller sets none
 LAMBDA_DEFAULT = 0.978
@@ -28,17 +28,6 @@ LAMBDA_DEFAULT = 0.978
 
 # one soft row: its target vertices, ascending, and their masses
 Row = tuple[np.ndarray, np.ndarray]
-
-
-@dataclass(frozen=True)
-class PathDistribution:
-    """Retained paths with normalized probabilities (threshold applied pre-normalization)."""
-
-    records: ChainTrie
-    probabilities: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 @dataclass(eq=False)
@@ -93,27 +82,6 @@ class _RowsView(Mapping):
         return dict(zip(targets.tolist(), masses.tolist()))
 
 
-def path_distribution(
-    flow: FlowMatrix,
-    lam: float = 0.0,
-    max_paths: int = MAX_PATHS_DEFAULT,
-    strict: bool = False,
-) -> PathDistribution:
-    records = enumerate_paths(flow, lam=lam, max_paths=max_paths, strict=strict)
-    if not records:
-        raise EmptyPathSetError(
-            f"no admissible path from {flow.source} to {flow.target} survives "
-            f"threshold {lam} in strict mode"
-        )
-    total = sum(records.weights)
-    if not total > 0:
-        raise EmptyPathSetError(
-            f"every admissible path from {flow.source} to {flow.target} has "
-            f"Gibbs weight 0 (exp(-beta * E) underflows); lower beta"
-        )
-    return PathDistribution(records, tuple(w / total for w in records.weights))
-
-
 def _edge_maps(
     collection: ShapeCollection, trie: ChainTrie
 ) -> dict[tuple[int, int], CorrespondenceMap]:
@@ -140,12 +108,14 @@ _CHUNK_CELLS = 1 << 14
 
 def _push_block(
     queries: np.ndarray,
-    dist: PathDistribution,
+    trie: ChainTrie,
+    probs: np.ndarray,
     maps: dict[tuple[int, int], CorrespondenceMap],
     n_tgt: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Soft rows of a block of distinct query vertices: per query its support
     size, then the targets and masses of all rows, by query then target.
+    probs[c] is the probability of the trie's chain c.
 
     The block walks the chain trie once: stack[d] holds the queries' images at
     depth d of the current chain, so a prefix shared by consecutive chains is
@@ -158,11 +128,10 @@ def _push_block(
     """
     b = queries.size
     acc = np.zeros(b * n_tgt)
-    first = np.full(b * n_tgt, len(dist), dtype=np.int64)
+    first = np.full(b * n_tgt, probs.size, dtype=np.int64)
     offsets = np.arange(b, dtype=np.int64) * n_tgt
     chunk = max(1, _CHUNK_CELLS // b)
     images = np.empty((chunk, b), dtype=np.int64)
-    probs = np.asarray(dist.probabilities)
 
     def flush(start: int, stop: int) -> None:
         keys = (images[: stop - start] + offsets).ravel()
@@ -171,7 +140,7 @@ def _push_block(
 
     stack = [queries]
     start = 0  # images[k] holds the discrete image of chain start + k
-    for c, (keep, tail) in enumerate(zip(dist.records.shared, dist.records.tails)):
+    for c, (keep, tail) in enumerate(zip(trie.shared, trie.tails)):
         del stack[keep:]
         image = stack[-1]
         for edge in pairwise(tail):
@@ -188,9 +157,9 @@ def _push_block(
             keys = np.repeat(offsets, np.diff(image.indptr)) + image.indices
             np.add.at(acc, keys, probs[c] * image.data)
             np.minimum.at(first, keys, c)
-    flush(start, len(dist))
+    flush(start, probs.size)
 
-    cells = np.flatnonzero(first < len(dist))  # by query, then target
+    cells = np.flatnonzero(first < probs.size)  # by query, then target
     owner = cells // n_tgt
     counts = np.bincount(owner, minlength=b)
     # each row's masses in first-reached order, left-aligned in a zero-padded
@@ -236,13 +205,26 @@ def propagate_soft(
         )
 
     flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta)
-    dist = path_distribution(flow, lam=lam, max_paths=max_paths, strict=strict)
+    trie = enumerate_paths(flow, lam=lam, max_paths=max_paths, strict=strict)
+    if not trie:
+        raise EmptyPathSetError(
+            f"no admissible path from {i} to {j} survives threshold {lam} in strict mode"
+        )
+    # the threshold was applied to the raw weights; the retained ones are
+    # normalized by their sum, added left to right
+    total = sum(trie.weights)
+    if not total > 0:
+        raise EmptyPathSetError(
+            f"every admissible path from {i} to {j} has Gibbs weight 0 "
+            f"(exp(-beta * E) underflows); lower beta"
+        )
+    probs = np.asarray(trie.weights) / total
 
-    maps = _edge_maps(collection, dist.records)
+    maps = _edge_maps(collection, trie)
     n_tgt = collection.shape(target_id).n
     block = max(1, _ACC_CELLS // n_tgt)
     blocks = [
-        _push_block(queries[start : start + block], dist, maps, n_tgt)
+        _push_block(queries[start : start + block], trie, probs, maps, n_tgt)
         for start in range(0, queries.size, block)
     ]
     # indptr's leading 0, and empty arrays that also serve an empty query set
@@ -256,7 +238,7 @@ def propagate_soft(
         indptr=np.cumsum(counts),
         indices=indices,
         data=data,
-        path_count=len(dist),
+        path_count=len(trie),
     )
 
 

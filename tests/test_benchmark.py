@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +210,49 @@ class TestRunBenchmark:
         assert run_benchmark(coll, methods=("direct",), to_mean=True).pairs[1] == ("s02", "s01")
         with pytest.raises(CorrsyncError, match="map 's02' -> 's00' is soft"):
             run_benchmark(coll, methods=(method,), to_mean=True)
+
+    def test_all_methods_in_one_pass_match_each_method_alone(self):
+        coll = corrupt_maps(synth_collection(5, 80, 0.08, seed=4), 0.3, seed=1)
+        lams = (0.9, 0.978)
+        together = run_benchmark(coll, METHODS, lams=lams)
+        assert list(together.errors) == [
+            ("direct", None), ("mst", None), ("shortest", None),
+            ("frechet", 0.9), ("frechet", 0.978), ("mle", 0.9), ("mle", 0.978),
+        ]
+        for m in METHODS:
+            alone = run_benchmark(coll, (m,), lams=lams)
+            assert list(alone.errors) == [key for key in together.errors if key[0] == m]
+            for key, errs in alone.errors.items():
+                assert errs.tobytes() == together.errors[key].tobytes()
+
+    def test_disconnected_targets_name_the_first_in_pair_order(self):
+        # s1 and s2 split into two far clusters, so neither has a connected
+        # k-NN graph; the pairs run (s0, s1), (s0, s2), ..., so s1 is named
+        # whatever order the interpreter's string hashing gives a set of ids
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from corrsync.benchmark import run_benchmark
+            from corrsync.collection import Shape, ShapeCollection, identity_map
+
+            line = np.c_[np.arange(20.0), np.zeros(20), np.zeros(20)]
+            split = line + np.c_[np.repeat([0.0, 100.0], 10), np.zeros(20), np.zeros(20)]
+            shapes = [
+                Shape(id=sid, points=pts, ground_truth={"a": 0, "b": 19})
+                for sid, pts in (("s0", line), ("s1", split), ("s2", split))
+            ]
+            maps = {(a, b): identity_map(a, 20, b)
+                    for a in ("s0", "s1", "s2") for b in ("s0", "s1", "s2") if a != b}
+            coll = ShapeCollection(shapes=shapes, D=1.0 - np.eye(3), maps=maps)
+            run_benchmark(coll, methods=("direct",))
+            """
+        )
+        for hash_seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            )
+            assert "DisconnectedGraphError: shape 's1': k=8 graph has 2 components" in proc.stderr
 
 
 class TestCorruptMaps:

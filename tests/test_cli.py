@@ -230,11 +230,13 @@ class TestUnreadablePaths:
         return _run(["propagate", "--manifest", str(manifest), "--source", "s0",
                      "--target", "s3", "--quiet", *options])
 
-    @pytest.mark.parametrize("which", ["manifest", "out", "config", "distances_file"])
+    @pytest.mark.parametrize(
+        "which", ["manifest", "out", "config", "distances_file", "out_in_missing_directory"]
+    )
     def test_directory_is_a_clean_error(self, l4_manifest, tmp_path, which):
         folder = tmp_path / "folder"
         folder.mkdir()
-        manifest, options = l4_manifest, []
+        manifest, options, message = l4_manifest, [], "Is a directory"
         if which == "manifest":
             manifest = folder
         elif which == "distances_file":
@@ -242,13 +244,40 @@ class TestUnreadablePaths:
             doc = json.loads((tmp_path / "c" / "manifest.json").read_text())
             doc["distances_file"] = "maps"
             (tmp_path / "c" / "manifest.json").write_text(json.dumps(doc))
+        elif which == "out_in_missing_directory":
+            missing = folder / "missing" / "x.csv"
+            options = ["--out", str(missing)]
+            message = f"No such file or directory: {str(missing)!r}"
         else:
             options = [f"--{which}", str(folder)]
+            if which == "out":
+                # the requested path, not the temp file written beside it
+                message = f"Is a directory: {str(folder)!r}"
         proc = self._propagate(manifest, *options)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "Is a directory" in proc.stderr
+        assert message in proc.stderr
+        assert ".tmp-" not in proc.stderr
         assert proc.stdout == ""
+        assert list(folder.iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")] == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [["match", "--pair", "s00,s01", "--radius", "0.2", "--delta", "0.6", "--interpolated"],
+         ["benchmark", "--methods", "direct", "--svg"]],
+        ids=["match-interpolated", "benchmark-svg"],
+    )
+    def test_second_output_failing_writes_neither(self, seeded_manifest, tmp_path, command):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = tmp_path / "first.csv"
+        proc = _run([command[0], "--manifest", seeded_manifest, *command[1:], str(folder),
+                     "--out", str(out), "--quiet"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"Is a directory: {str(folder)!r}" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
         assert list(folder.iterdir()) == []
 
     @pytest.mark.parametrize(

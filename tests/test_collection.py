@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -23,6 +24,7 @@ from corrsync.collection import (
     GeodesicOracle,
     Shape,
     ShapeCollection,
+    atomic_write,
     identity_map,
     load_collection,
     save_collection,
@@ -530,6 +532,24 @@ class TestManifestRoundTrip:
         assert (tmp_path / "one" / "distances.csv").read_bytes() == (
             tmp_path / "two" / "distances.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_written_files_take_mode_from_umask(self, tmp_path, l4_swap, umask, mode):
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+        os.link(out, tmp_path / "old.csv")
+        previous = os.umask(umask)
+        try:
+            save_collection(l4_swap, tmp_path / "c")
+            atomic_write([(str(out), "new\n")])
+        finally:
+            os.umask(previous)
+        written = [out, *(p for p in (tmp_path / "c").rglob("*") if p.is_file())]
+        assert {oct(stat.S_IMODE(p.stat().st_mode)) for p in written} == {oct(mode)}
+        # a new file renamed over the old one: a link to the old file keeps it
+        assert out.read_text() == "new\n"
+        assert (tmp_path / "old.csv").read_text() == "old\n"
+        assert not [p for p in tmp_path.rglob(".tmp-*")]
 
     def test_annotations_survive(self, tmp_path):
         shapes = [

@@ -12,13 +12,12 @@ import corrsync.soft as soft_mod
 from corrsync.benchmark import corrupt_maps, synth_collection
 from corrsync.collection import CorrespondenceMap, GeodesicOracle, Shape, ShapeCollection
 from corrsync.errors import CorrsyncError, EmptyPathSetError, IndexRangeError, MissingMapError
-from corrsync.flow import directed_flow_matrix, gibbs_weights
+from corrsync.flow import directed_flow_matrix, enumerate_paths, gibbs_weights
 from corrsync.soft import (
     all_pairs_soft,
     ball_mass,
     frechet_mean,
     mle,
-    path_distribution,
     propagate_soft,
     tv_distance,
 )
@@ -36,21 +35,24 @@ from conftest import (
 
 def per_chain_rows(collection, source_id, target_id, lam, source_points, max_paths=10**6):
     """Reference rows: every queried vertex pushed through every chain separately
-    with push_row, accumulated per target in chain order."""
+    with push_row, accumulated per target in chain order, each chain weighted by
+    its Gibbs weight over the retained chains' total."""
     i = collection.index(source_id)
     j = collection.index(target_id)
     flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta)
-    dist = path_distribution(flow, lam=lam, max_paths=max_paths)
+    records = list(enumerate_paths(flow, lam=lam, max_paths=max_paths))
+    weight_total = sum(rec.weight for rec in records)
     ids = collection.ids
     edge_maps = {
         rec.vertices: [collection.map(ids[a], ids[b]) for a, b in zip(rec.vertices, rec.vertices[1:])]
-        for rec in dist.records
+        for rec in records
     }
     rows: dict[int, dict[int, float]] = {}
     for p in source_points:
         p = int(p)
         acc: dict[int, float] = {}
-        for rec, prob in zip(dist.records, dist.probabilities):
+        for rec in records:
+            prob = rec.weight / weight_total
             row: dict[int, float] = {p: 1.0}
             for m in edge_maps[rec.vertices]:
                 row = push_row(m, row)
@@ -107,22 +109,43 @@ def random_queries(rng, n_points):
     return [int(v) for v in rng.integers(0, n_points, size=int(rng.integers(0, 13)))]
 
 
+def chain_marking_l4() -> ShapeCollection:
+    """L4 distances on four 4-point shapes, with maps that send s0's vertex 0 to
+    a different s3 vertex along each s0 -> s3 chain: 0 along (0, 3), 1 along
+    (0, 1, 3), 2 along (0, 2, 3) and 3 along (0, 1, 2, 3)."""
+    shapes = [
+        Shape(id=f"s{k}", points=np.c_[np.arange(4.0), np.zeros(4), np.zeros(4)])
+        for k in range(4)
+    ]
+    lookups = {(0, 1): [1] * 4, (0, 2): [2] * 4, (1, 2): [0, 3, 0, 0], (1, 3): [0, 1, 2, 3],
+               (2, 3): [0, 1, 2, 3]}
+    maps = {
+        (f"s{a}", f"s{b}"): CorrespondenceMap(
+            f"s{a}", f"s{b}", "discrete", indices=np.array(lookups.get((a, b), [0] * 4)),
+            target_size=4,
+        )
+        for a in range(4) for b in range(4) if a != b
+    }
+    return ShapeCollection(shapes=shapes, D=line_distances([0.0, 1.0, 2.0, 3.0]), maps=maps)
+
+
 class TestPathDistribution:
     def test_l4_probabilities(self):
-        D = line_distances([0.0, 1.0, 2.0, 3.0])
-        flow = directed_flow_matrix(D, 0, 3)
-        dist = path_distribution(flow, lam=0.0, max_paths=100)
+        # each chain lands vertex 0 on its own target vertex, so the row holds
+        # the chain probabilities: Gibbs weights over their total
+        soft = propagate_soft(chain_marking_l4(), "s0", "s3", lam=0.0, source_points=[0])
         Z = np.exp(-9) + 2 * np.exp(-5) + np.exp(-3)
-        by_path = dict(zip((r.vertices for r in dist.records), dist.probabilities))
-        assert by_path[(0, 3)] == pytest.approx(np.exp(-9) / Z)
-        assert by_path[(0, 1, 2, 3)] == pytest.approx(np.exp(-3) / Z)
-        assert sum(dist.probabilities) == pytest.approx(1.0)
+        row = soft.rows[0]
+        assert soft.path_count == 4
+        assert row[0] == pytest.approx(np.exp(-9) / Z)
+        assert row[1] == pytest.approx(np.exp(-5) / Z)
+        assert row[2] == pytest.approx(np.exp(-5) / Z)
+        assert row[3] == pytest.approx(np.exp(-3) / Z)
+        assert sum(row.values()) == pytest.approx(1.0)
 
-    def test_strict_empty_raises(self):
-        D = line_distances([0.0, 1.0, 2.0, 3.0])
-        flow = directed_flow_matrix(D, 0, 3)
-        with pytest.raises(EmptyPathSetError):
-            path_distribution(flow, lam=0.9999, max_paths=100, strict=True)
+    def test_strict_empty_raises(self, l4_identity):
+        with pytest.raises(EmptyPathSetError, match="survives threshold 0.9999 in strict mode"):
+            propagate_soft(l4_identity, "s0", "s3", lam=0.9999, max_paths=100, strict=True)
 
 
 class TestPropagateSoft:
