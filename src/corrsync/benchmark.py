@@ -26,7 +26,7 @@ from .collection import (
     intra_metric,
 )
 from .errors import CorrsyncError, IndexRangeError, InvalidValueError, ManifestError
-from .flow import MAX_PATHS_DEFAULT, directed_flow_matrix
+from .flow import MAX_PATHS_DEFAULT, check_path_limits, directed_flow_matrix
 from .matching import baseline_pairwise_align, fps_landmarks
 from .soft import LAMBDA_DEFAULT, frechet_mean, mle, propagate_soft, tv_distance
 
@@ -140,11 +140,13 @@ def run_benchmark(
     the route-based methods ignore lam and produce a single curve. Pairs are
     scored one at a time, in order: a pair runs its route methods, then
     propagates once per lam and extracts each soft method from those rows, so
-    an error comes from the first failing pair.
+    an error comes from the first failing pair; every lam and max_paths are checked first.
     """
     for m in methods:
         if m not in METHODS:
             raise InvalidValueError(f"unknown method {m!r}; choose from {METHODS}")
+    for lam in lams:
+        check_path_limits(lam, max_paths)
     ids = collection.ids
     if to_mean:
         hub = int(np.argmin((collection.D**2).sum(axis=1)))

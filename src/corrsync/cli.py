@@ -28,27 +28,31 @@ from .flow import MAX_PATHS_DEFAULT, directed_flow_matrix
 from .soft import LAMBDA_DEFAULT, propagate_soft
 
 
-def _provenance_header(command: str, seed, config: dict) -> str:
-    cfg = json.dumps(config, sort_keys=True, default=str)
-    return (
-        f"# corrsync {__version__}\n"
-        f"# command: {command}\n"
-        f"# seed: {seed}\n"
-        f"# config: {cfg}\n"
-    )
-
-
-def _emit(out_path: str | None, text: str, files: tuple[tuple[str, str], ...] = ()) -> None:
-    """Write text to out_path, or to stdout when there is none, and each
-    (path, text) of files: the files are written all or none, before stdout."""
-    atomic_write(((out_path, text), *files) if out_path else files)
-    if not out_path:
+def _write(args, config: dict, body, info: str,
+           files: tuple[tuple[str, str], ...] = ()) -> int:
+    """Write a command's output, body with its provenance (version, command,
+    seed, config), and return 0. A text body follows a four-line comment header;
+    a dict body is dumped as JSON with a "provenance" field. The output goes to
+    --out, or to stdout when there is none; --out and each (path, text) of files
+    are written all or none, before stdout. info goes to stderr unless --quiet."""
+    provenance = {"version": __version__, "command": args.command, "seed": args.seed,
+                  "config": config}
+    if isinstance(body, dict):
+        text = json.dumps({**body, "provenance": provenance}, indent=2, sort_keys=True) + "\n"
+    else:
+        cfg = json.dumps(config, sort_keys=True, default=str)
+        text = (
+            f"# corrsync {__version__}\n"
+            f"# command: {args.command}\n"
+            f"# seed: {args.seed}\n"
+            f"# config: {cfg}\n"
+        ) + body
+    atomic_write(((args.out, text), *files) if args.out else files)
+    if not args.out:
         sys.stdout.write(text)
-
-
-def _info(args, message: str) -> None:
     if not args.quiet:
-        print(message, file=sys.stderr)
+        print(info, file=sys.stderr)
+    return 0
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -84,13 +88,7 @@ def _cmd_flow(args) -> int:
     i = collection.index(args.source)
     j = collection.index(args.target)
     flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta)
-    lines = [
-        _provenance_header(
-            "flow", args.seed,
-            dict(manifest=args.manifest, source=args.source, target=args.target),
-        )
-    ]
-    lines.append("# section: matrix\n")
+    lines = ["# section: matrix\n"]
     for row in flow.F.astype(int):
         lines.append(",".join(str(v) for v in row) + "\n")
     lines.append("# section: edges\n")
@@ -98,9 +96,9 @@ def _cmd_flow(args) -> int:
     for a in range(flow.n):
         for b in np.flatnonzero(flow.F[a]):
             lines.append(f"{a},{int(b)},{_fmt(flow.WF[a, b])}\n")
-    _emit(args.out, "".join(lines))
-    _info(args, f"flow {args.source}->{args.target}: {int(flow.F.sum())} edges")
-    return 0
+    config = dict(manifest=args.manifest, source=args.source, target=args.target)
+    info = f"flow {args.source}->{args.target}: {int(flow.F.sum())} edges"
+    return _write(args, config, "".join(lines), info)
 
 
 def _cmd_propagate(args) -> int:
@@ -129,19 +127,13 @@ def _cmd_propagate(args) -> int:
         "target": args.target,
         "lambda": args.lam,
         "rows": rows,
-        "provenance": {
-            "version": __version__,
-            "command": "propagate",
-            "seed": args.seed,
-            "config": dict(
-                manifest=args.manifest, beta=collection.beta,
-                strict=args.strict, path_count=soft.path_count,
-            ),
-        },
     }
-    _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _info(args, f"propagated {soft.queries.size} rows over {soft.path_count} paths")
-    return 0
+    config = dict(
+        manifest=args.manifest, beta=collection.beta,
+        strict=args.strict, path_count=soft.path_count,
+    )
+    info = f"propagated {soft.queries.size} rows over {soft.path_count} paths"
+    return _write(args, config, payload, info)
 
 
 def _cmd_baseline(args) -> int:
@@ -154,17 +146,12 @@ def _cmd_baseline(args) -> int:
         cmap, route = shortest_path_propagate(
             collection, args.source, args.target, epsilon=args.epsilon
         )
-    header = _provenance_header(
-        "baseline", args.seed,
-        dict(
-            manifest=args.manifest, method=args.method,
-            source=args.source, target=args.target,
-            route=route if route is None else list(route),
-        ),
+    config = dict(
+        manifest=args.manifest, method=args.method,
+        source=args.source, target=args.target,
+        route=route if route is None else list(route),
     )
-    _emit(args.out, header + map_csv(cmap))
-    _info(args, f"{args.method} route: {route}")
-    return 0
+    return _write(args, config, map_csv(cmap), f"{args.method} route: {route}")
 
 
 def _cmd_match(args) -> int:
@@ -230,31 +217,17 @@ def _cmd_match(args) -> int:
         dense_map = interpolate_dense(refined, shape_a, shape_b, oracle_a)
         dense = ((args.interpolated, map_csv(dense_map)),)
 
-    lines = [
-        _provenance_header(
-            "match", args.seed,
-            dict(
-                manifest=args.manifest, pair=args.pair, radius=args.radius,
-                delta=args.delta, max_matches=args.max_matches, lam=args.lam,
-            ),
-        ),
-        "source_index,target_index,provenance\n",
-    ]
+    lines = ["source_index,target_index,provenance\n"]
     for m in refined.matched():
         lines.append(f"{m.source},{m.target},{m.provenance}\n")
-    _emit(args.out, "".join(lines), dense)
-    unmatched = len(refined.entries) - len(refined.matched())
-    _info(args, f"{len(refined.matched())} matches ({unmatched} unmatched entries)")
-    return 0
-
-
-def _curve_rows(curves) -> list[str]:
-    rows = []
-    for curve in curves:
-        lam_repr = "" if curve.lam is None else _fmt(curve.lam)
-        for t, f in zip(curve.thresholds, curve.fractions):
-            rows.append(f"{curve.method},{lam_repr},{_fmt(t)},{_fmt(f)}\n")
-    return rows
+    # joint_fps_refine keeps matches only: the unmatched landmarks are the partial match's
+    unmatched = len(partial.entries) - len(partial.matched())
+    config = dict(
+        manifest=args.manifest, pair=args.pair, radius=args.radius,
+        delta=args.delta, max_matches=args.max_matches, lam=args.lam,
+    )
+    info = f"{len(refined.matched())} matches ({unmatched} unmatched landmarks)"
+    return _write(args, config, "".join(lines), info, dense)
 
 
 def _curves_svg(curves) -> str:
@@ -305,19 +278,19 @@ def _cmd_benchmark(args) -> int:
         epsilon=args.epsilon,
         max_paths=args.max_paths,
     )
-    header = _provenance_header(
-        "benchmark", args.seed,
-        dict(
-            manifest=args.manifest, methods=",".join(methods),
-            lams=list(args.lam), to_mean=args.to_mean,
-            normalized=not args.unnormalized,
-        ),
+    lines = ["method,lambda,threshold,fraction\n"]
+    for curve in result.curves:
+        lam_repr = "" if curve.lam is None else _fmt(curve.lam)
+        for t, f in zip(curve.thresholds, curve.fractions):
+            lines.append(f"{curve.method},{lam_repr},{_fmt(t)},{_fmt(f)}\n")
+    config = dict(
+        manifest=args.manifest, methods=",".join(methods),
+        lams=list(args.lam), to_mean=args.to_mean,
+        normalized=not args.unnormalized,
     )
-    rows = "".join(_curve_rows(result.curves))
+    info = f"{len(result.curves)} curves over {len(result.pairs)} pairs"
     svg = ((args.svg, _curves_svg(result.curves)),) if args.svg else ()
-    _emit(args.out, header + "method,lambda,threshold,fraction\n" + rows, svg)
-    _info(args, f"{len(result.curves)} curves over {len(result.pairs)} pairs")
-    return 0
+    return _write(args, config, "".join(lines), info, svg)
 
 
 def _cmd_lattice(args) -> int:
@@ -334,25 +307,18 @@ def _cmd_lattice(args) -> int:
         beta=args.beta,
         max_steps=args.max_steps,
     )
-    lines = [
-        _provenance_header(
-            "lattice", args.seed,
-            dict(side=args.side, mode=args.mode, walks=len(report.walks),
-                 discarded=report.discarded),
-        ),
-        "walk_id,step,x,y\n",
-    ]
+    lines = ["walk_id,step,x,y\n"]
     for wid, walk in enumerate(report.walks):
         for step, v in enumerate(walk):
             x, y = lattice.coords[v]
             lines.append(f"{wid},{step},{_fmt(x)},{_fmt(y)}\n")
-    _emit(args.out, "".join(lines))
-    _info(
-        args,
+    config = dict(side=args.side, mode=args.mode, walks=len(report.walks),
+                  discarded=report.discarded)
+    info = (
         f"{len(report.walks)} {report.mode} walks, {report.discarded} discarded, "
-        f"max deviation {max(report.deviations):.4f}",
+        f"max deviation {max(report.deviations):.4f}"
     )
-    return 0
+    return _write(args, config, "".join(lines), info)
 
 
 def _cmd_holonomy(args) -> int:
@@ -368,10 +334,7 @@ def _cmd_holonomy(args) -> int:
     if args.trials < 1:
         raise InvalidValueError(f"trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
-    lines = [
-        _provenance_header("holonomy", args.seed, dict(trials=args.trials)),
-        "trial,area,deficit,bound,bound_satisfied,integration_gap\n",
-    ]
+    lines = ["trial,area,deficit,bound,bound_satisfied,integration_gap\n"]
     worst_gap = 0.0
     for trial in range(args.trials):
         tri = random_triangle(rng)
@@ -385,9 +348,8 @@ def _cmd_holonomy(args) -> int:
             f"{trial},{_fmt(res.area)},{_fmt(res.deficit)},{_fmt(res.bound)},"
             f"{int(res.bound_satisfied)},{_fmt(gap)}\n"
         )
-    _emit(args.out, "".join(lines))
-    _info(args, f"{args.trials} trials, worst closed-vs-integrated gap {worst_gap:.3e}")
-    return 0
+    info = f"{args.trials} trials, worst closed-vs-integrated gap {worst_gap:.3e}"
+    return _write(args, dict(trials=args.trials), "".join(lines), info)
 
 
 def _cmd_synth(args) -> int:
@@ -426,16 +388,9 @@ def _cmd_stability(args) -> int:
         "mst_changed": report.mst_changed,
         "flow_edge_diff": {f"{a}->{b}": v for (a, b), v in sorted(report.flow_edge_diff.items())},
         "tv": {f"{a}->{b}": v for (a, b), v in sorted(report.tv.items())},
-        "provenance": {
-            "version": __version__,
-            "command": "stability",
-            "seed": args.seed,
-            "config": dict(manifest=args.manifest, lam=args.lam, **edit),
-        },
     }
-    _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _info(args, f"mst_changed={report.mst_changed}")
-    return 0
+    config = dict(manifest=args.manifest, lam=args.lam, **edit)
+    return _write(args, config, payload, f"mst_changed={report.mst_changed}")
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +406,15 @@ def _float_list(text: str) -> tuple[float, ...]:
         ) from None
 
 
-def _add_common(p: argparse.ArgumentParser, manifest: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, manifest: bool = True, out: bool = True) -> None:
     if manifest:
         p.add_argument("--manifest", required=True, help="collection manifest JSON")
         p.add_argument("--allow-duplicates", action="store_true")
     p.add_argument("--config", help="KEY=VALUE defaults file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    p.add_argument("--out", help="output path (stdout when omitted)")
+    if out:
+        p.add_argument("--out", help="output path (stdout when omitted)")
 
 
 # Dests a config file cannot set: outputs, edits and the method and source
@@ -549,8 +505,9 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p.add_argument("--trials", type=int, default=50)
     p.set_defaults(func=_cmd_holonomy)
 
-    p = sub.add_parser("synth", help="generate a synthetic collection")
-    _add_common(p, manifest=False)
+    # synth takes no --out, and with abbreviations off --out is not read as --out-dir
+    p = sub.add_parser("synth", help="generate a synthetic collection", allow_abbrev=False)
+    _add_common(p, manifest=False, out=False)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--shapes", type=int, default=8)
     p.add_argument("--points", type=int, default=300)
@@ -596,11 +553,9 @@ def main(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
                 raise
         return args.func(args)
-    except CorrsyncError as exc:
-        print(f"corrsync: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        # a path that is missing, a directory, or otherwise unreadable or unwritable
+    except (CorrsyncError, OSError) as exc:
+        # an OSError: a path that is missing, a directory, or otherwise
+        # unreadable or unwritable
         print(f"corrsync: error: {exc}", file=sys.stderr)
         return 1
 

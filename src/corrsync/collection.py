@@ -190,13 +190,16 @@ class Shape:
 
     def _checked(self, name: str, value) -> np.ndarray:
         """value as a float array, checked as field ``name`` of this shape:
-        points (n, 3), a scalar field one value per point."""
+        points (n, 3), a scalar field one value per point, all finite."""
         value = np.asarray(value, dtype=float)
         want = (self.n, 3) if name == "points" else (self.n,)
         if value.shape != want:
             raise ManifestError(
                 f"{self._where(name)}: {name} must have shape {want}, got {value.shape}"
             )
+        if not np.isfinite(value).all():
+            r = int(np.argwhere(~np.isfinite(value))[0, 0])
+            raise ManifestError(f"{self._where(name)}: {name} row {r} is not finite: {value[r]}")
         return value
 
     def _check_index(self, idx: int, what: str) -> None:
@@ -792,12 +795,20 @@ def _read_map(path: str, src: str, tgt: str, n_src: int, n_tgt: int) -> Correspo
 
 def atomic_write(outputs: Sequence[tuple[str, str]]) -> None:
     """Write each (path, text) of outputs through a temp file and a rename, all
-    or none: every text is written, and every path checked not to be a
-    directory, before the first rename, so a failure leaves no partial output
-    and no file of the set. Files get mode 0o666 & ~umask, as open(path, "w")
-    gives a new file, and an OSError names the requested path."""
+    or none: two paths naming one file once their directories are resolved (a
+    rename replaces a symlink, not its target) raise InvalidValueError, and every
+    text is written, and every path checked not to be a directory, before the first
+    rename, so a failure leaves no partial output and no file of the set. Files get
+    mode 0o666 & ~umask, as open(path, "w") gives a new file, and an OSError names
+    the requested path."""
+    resolved: set[str] = set()
+    for path, _ in outputs:
+        directory = os.path.realpath(os.path.dirname(os.path.abspath(path)))
+        entry = os.path.join(directory, os.path.basename(path))
+        if entry in resolved:
+            raise InvalidValueError(f"two outputs name one file: {path!r}")
+        resolved.add(entry)
     staged: list[str] = []
-    path = None
     try:
         for path, text in outputs:
             if os.path.isdir(path):
@@ -836,17 +847,15 @@ def save_collection(collection: ShapeCollection, out_dir: str) -> str:
     """Write a collection in the manifest layout; returns the path of its manifest.json.
 
     Float serialization uses shortest round-trip representation, so
-    load(save(c)) reproduces every array bit for bit.
+    load(save(c)) reproduces every array bit for bit. The files are written
+    all or none, manifest.json last.
     """
     os.makedirs(os.path.join(out_dir, "maps"), exist_ok=True)
-
-    def put(name: str, text: str) -> None:
-        atomic_write([(os.path.join(out_dir, name), text)])
-
+    files: list[tuple[str, str]] = []
     entries = []
     for s in collection.shapes:
         points_file = f"{s.id}.xyz"
-        put(points_file, "".join(" ".join(_fmt(c) for c in p) + "\n" for p in s.points))
+        files.append((points_file, "".join(" ".join(_fmt(c) for c in p) + "\n" for p in s.points)))
         entry: dict = {"id": s.id, "points_file": points_file}
         if s.landmark_indices is not None:
             entry["landmarks"] = [int(i) for i in s.landmark_indices]
@@ -854,13 +863,14 @@ def save_collection(collection: ShapeCollection, out_dir: str) -> str:
             entry["ground_truth"] = {k: int(v) for k, v in sorted(s.ground_truth.items())}
         if s.scalar_field is not None:
             field_file = f"{s.id}.field"
-            put(field_file, "".join(_fmt(v) + "\n" for v in s.scalar_field))
+            files.append((field_file, "".join(_fmt(v) + "\n" for v in s.scalar_field)))
             entry["scalar_field_file"] = field_file
         entries.append(entry)
 
-    put("distances.csv", "".join(",".join(_fmt(v) for v in row) + "\n" for row in collection.D))
+    distances = "".join(",".join(_fmt(v) for v in row) + "\n" for row in collection.D)
+    files.append(("distances.csv", distances))
     for (src, tgt), m in sorted(collection.maps.items()):
-        put(os.path.join("maps", f"{tgt}__{src}.csv"), map_csv(m))
+        files.append((os.path.join("maps", f"{tgt}__{src}.csv"), map_csv(m)))
 
     manifest = {
         "shapes": entries,
@@ -868,5 +878,6 @@ def save_collection(collection: ShapeCollection, out_dir: str) -> str:
         "maps_dir": "maps",
         "beta": collection.beta,
     }
-    put("manifest.json", json.dumps(manifest, indent=2) + "\n")
+    files.append(("manifest.json", json.dumps(manifest, indent=2) + "\n"))
+    atomic_write([(os.path.join(out_dir, name), text) for name, text in files])
     return os.path.join(out_dir, "manifest.json")

@@ -123,6 +123,15 @@ def directed_flow_matrix(
     return FlowMatrix(source=i, target=j, F=F, WF=WF, D=D)
 
 
+def check_path_limits(lam: float, max_paths: int) -> None:
+    """Raise InvalidValueError unless the weight threshold lam is finite and in
+    [0, 1] and the chain budget max_paths is an integer of at least 1."""
+    if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
+        raise InvalidValueError(f"lambda must be a finite number in [0, 1], got {lam!r}")
+    if not (isinstance(max_paths, numbers.Integral) and max_paths >= 1):
+        raise InvalidValueError(f"max_paths must be an integer >= 1, got {max_paths!r}")
+
+
 def enumerate_paths(
     flow: FlowMatrix,
     lam: float = 0.0,
@@ -136,13 +145,10 @@ def enumerate_paths(
     Weights only shrink along a path, so pruning a partial path below lam is
     exact; so is skipping vertices from which the target cannot be reached.
     The direct two-vertex path is kept regardless of lam unless strict is set.
-    Exceeding max_paths raises rather than truncating. lam must be finite and
-    in [0, 1], and max_paths an integer of at least 1.
+    Exceeding max_paths raises rather than truncating. lam and max_paths are
+    checked by check_path_limits.
     """
-    if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
-        raise InvalidValueError(f"lambda must be a finite number in [0, 1], got {lam!r}")
-    if not (isinstance(max_paths, numbers.Integral) and max_paths >= 1):
-        raise InvalidValueError(f"max_paths must be an integer >= 1, got {max_paths!r}")
+    check_path_limits(lam, max_paths)
     i, j = flow.source, flow.target
     with np.errstate(over="ignore"):  # an overflowing square is an infinite energy
         D2 = flow.D * flow.D

@@ -9,7 +9,7 @@ import pytest
 from corrsync.baselines import kruskal_mst
 from corrsync.cli import main
 from corrsync.collection import CorrespondenceMap, save_collection
-from corrsync.benchmark import synth_collection
+from corrsync.benchmark import corrupt_maps, synth_collection
 from corrsync.flow import directed_flow_matrix, enumerate_paths
 from corrsync.soft import LAMBDA_DEFAULT
 
@@ -154,6 +154,9 @@ class TestBadInputValues:
             ("holonomy --trials 0", "trials must be at least 1, got 0"),
             ("holonomy --trials -3", "trials must be at least 1, got -3"),
             ("lattice --mode eop --max-steps -1", "max_steps must be at least 1, got -1"),
+            ("benchmark --methods direct --lambda nan",
+             "lambda must be a finite number in [0, 1], got nan"),
+            ("benchmark --methods mst --max-paths 0", "max_paths must be an integer >= 1, got 0"),
         ],
         ids=["max-matches", "hops", "knn", "pair", "methods", "synth-landmarks", "synth-points",
              "lattice-source", "lattice-equal-ends", "lattice-target", "synth-shapes-0",
@@ -164,7 +167,8 @@ class TestBadInputValues:
              "benchmark-max-paths-negative", "amplitude-nan", "amplitude-inf", "amplitude-huge",
              "amplitude-negative", "baseline-epsilon-nan", "baseline-epsilon-negative",
              "benchmark-epsilon-nan", "radius-nan", "radius-negative", "delta-nan",
-             "holonomy-trials-0", "holonomy-trials-negative", "lattice-eop-max-steps"],
+             "holonomy-trials-0", "holonomy-trials-negative", "lattice-eop-max-steps",
+             "route-benchmark-lambda-nan", "route-benchmark-max-paths-0"],
     )
     def test_clean_error_without_traceback(self, seeded_manifest, tmp_path, command, named):
         command, *options = command.split()
@@ -279,6 +283,24 @@ class TestUnreadablePaths:
         assert f"Is a directory: {str(folder)!r}" in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
         assert list(folder.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [["match", "--pair", "s00,s01", "--radius", "0.2", "--delta", "0.6", "--interpolated"],
+         ["benchmark", "--methods", "direct", "--svg"]],
+        ids=["match-interpolated", "benchmark-svg"],
+    )
+    def test_two_outputs_naming_one_path_write_neither(self, seeded_manifest, tmp_path,
+                                                        command):
+        out = tmp_path / "out.csv"
+        # the same file under two spellings
+        proc = _run([command[0], "--manifest", seeded_manifest, *command[1:],
+                     str(tmp_path / "." / "out.csv"), "--out", str(out), "--quiet"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"two outputs name one file: {str(out)!r}" in proc.stderr
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "which, named",
@@ -487,6 +509,33 @@ class TestBadPoints:
 
 
 class TestProvenanceHeaders:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "flow --manifest {m} --source s00 --target s03",
+            "propagate --manifest {m} --source s00 --target s03",
+            "baseline --manifest {m} --method mst --source s00 --target s03",
+            "match --manifest {m} --pair s00,s01 --radius 0.2 --delta 0.6 --max-matches 6 "
+            "--landmarks 5",
+            "benchmark --manifest {m} --methods direct,mle --lambda 0.9",
+            "lattice --mode eop --walks 4 --side 7",
+            "holonomy --trials 3",
+            "stability --manifest {m} --remove s03",
+        ],
+        ids=lambda argv: argv.split()[0],
+    )
+    def test_out_file_matches_stdout(self, synth_manifest, tmp_path, capsysbinary, argv):
+        command, *options = argv.format(m=synth_manifest).split()
+        out = tmp_path / "out"
+        assert main([command, *options, "--quiet", "--out", str(out)]) == 0
+        assert main([command, *options, "--quiet"]) == 0
+        printed = capsysbinary.readouterr().out
+        assert printed == out.read_bytes()
+        if command in ("propagate", "stability"):
+            assert json.loads(printed)["provenance"]["command"] == command
+        else:
+            assert printed.splitlines()[1] == f"# command: {command}".encode()
+
     def test_header_fields(self, l4_manifest, tmp_path):
         out = tmp_path / "f.csv"
         main(["flow", "--manifest", l4_manifest, "--source", "s0",
@@ -653,6 +702,15 @@ class TestUsage:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "argument --lambda" in proc.stderr
+
+    def test_synth_out_is_a_usage_error(self, tmp_path):
+        # --out is neither a synth option nor read as short for --out-dir
+        proc = _run(["synth", "--out-dir", str(tmp_path / "c"), "--out", str(tmp_path / "x"),
+                     "--shapes", "3", "--points", "40", "--quiet"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "unrecognized arguments: --out" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command",
@@ -830,6 +888,15 @@ class TestMatchCommand:
             s, t, prov = row.split(",")
             int(s), int(t)
             assert prov in {"partial", "curvature", "seed"}
+
+    def test_progress_counts_unmatched_landmarks(self, tmp_path, capsys):
+        # every map corrupted, so some landmarks find no partner
+        coll = corrupt_maps(synth_collection(3, 80, 0.08, seed=1, map_source="truth"), 1.0, 0)
+        manifest = save_collection(coll, tmp_path / "c")
+        rc = main(["match", "--manifest", manifest, "--pair", "s00,s01", "--radius", "0.2",
+                   "--delta", "0.6", "--out", str(tmp_path / "m.csv")])
+        assert rc == 0
+        assert capsys.readouterr().err == "12 matches (4 unmatched landmarks)\n"
 
     def test_bad_pair_separator(self, synth_manifest, capsys):
         rc = main(["match", "--manifest", synth_manifest, "--pair", "s00:s01",

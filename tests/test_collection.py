@@ -81,6 +81,16 @@ class TestShape:
         with pytest.raises(IndexRangeError):
             Shape(id="s", points=np.zeros((3, 3)), ground_truth={"tip": 9})
 
+    @pytest.mark.parametrize(
+        "field, named",
+        [("points", r"shape 's': points row 1 is not finite: \[ 0\. nan  0\.\]"),
+         ("scalar_field", "shape 's': scalar_field row 1 is not finite: -inf")],
+    )
+    def test_non_finite_values_rejected(self, field, named):
+        values = {"points": np.zeros((3, 3)), "scalar_field": np.zeros(3)}
+        values[field][1] = [0.0, np.nan, 0.0] if field == "points" else -np.inf
+        with pytest.raises(ManifestError, match=named):
+            Shape(id="s", **values)
 
     @pytest.mark.parametrize(
         "bad", ["", "../escaped", "a/b", "a\\b", "..", "a__b", "_a", "b_"]
@@ -533,6 +543,25 @@ class TestManifestRoundTrip:
             tmp_path / "two" / "distances.csv"
         ).read_bytes()
 
+    def test_save_is_all_or_none(self, tmp_path, l4_swap):
+        # a directory where the last map file goes: no file of the collection is written
+        last = max(f"{tgt}__{src}.csv" for src, tgt in l4_swap.maps)
+        (tmp_path / "c" / "maps" / last).mkdir(parents=True)
+        with pytest.raises(IsADirectoryError, match=re.escape(last)):
+            save_collection(l4_swap, tmp_path / "c")
+        assert sorted(p.name for p in (tmp_path / "c").rglob("*")) == ["maps", last]
+
+    def test_outputs_naming_one_file_rejected(self, tmp_path):
+        (tmp_path / "alias").symlink_to(tmp_path)
+        with pytest.raises(InvalidValueError, match="two outputs name one file: .*alias/x"):
+            atomic_write([(str(tmp_path / "x"), "a\n"), (str(tmp_path / "alias" / "x"), "b\n")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["alias"]
+        # a rename replaces a symlink itself, so a link and its target are two files
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        atomic_write([(str(tmp_path / "link"), "a\n"), (str(tmp_path / "real"), "b\n")])
+        assert not (tmp_path / "link").is_symlink()
+        assert (tmp_path / "link").read_text() == "a\n" and (tmp_path / "real").read_text() == "b\n"
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_written_files_take_mode_from_umask(self, tmp_path, l4_swap, umask, mode):
         out = tmp_path / "out.csv"
@@ -854,8 +883,9 @@ class TestShapeFiles:
         [
             ("s1.xyz", "0 0 0\n1 x 1\n", "could not convert"),
             ("s1.xyz", "0 0\n1 1\n", r"points must have shape \(2, 3\), got \(2, 2\)"),
+            ("s1.xyz", "0 0 0\nnan nan nan\n", r"shape 's1': points row 1 is not finite"),
         ],
-        ids=["text", "two-columns"],
+        ids=["text", "two-columns", "nan"],
     )
     def test_malformed_points_fail_only_when_read(self, tmp_path, l4_swap, name, text, named):
         manifest = save_collection(l4_swap, tmp_path / "c")
@@ -877,14 +907,20 @@ class TestShapeFiles:
         with pytest.raises(ManifestError, match=named):
             coll.shape("s2").points
 
-    def test_field_length_checked_when_read(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, named",
+        [("1\n2\n", r"scalar_field must have shape \(3,\), got \(2,\)"),
+         ("1\n2\ninf\n", "scalar_field row 2 is not finite: inf")],
+        ids=["length", "inf"],
+    )
+    def test_field_length_checked_when_read(self, tmp_path, text, named):
         shape = Shape("a", points=np.zeros((3, 3)) + np.arange(3)[:, None],
                       scalar_field=np.array([1.0, 2.0, 3.0]))
         coll = ShapeCollection(shapes=[shape, two_point_shape("b")], D=1.0 - np.eye(2), maps={})
         manifest = save_collection(coll, tmp_path / "c")
-        (tmp_path / "c" / "a.field").write_text("1\n2\n")
+        (tmp_path / "c" / "a.field").write_text(text)
         loaded = load_collection(manifest)
-        named = r"a\.field: shape 'a': scalar_field must have shape \(3,\), got \(2,\)"
+        named = r"a\.field: shape 'a': " + named
         with pytest.raises(ManifestError, match=named):
             loaded.shape("a").scalar_field
 
