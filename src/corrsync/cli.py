@@ -104,7 +104,7 @@ def _cmd_flow(args) -> int:
 def _cmd_propagate(args) -> int:
     collection = _collection(args)
     points = None
-    if args.source_points and args.source_points != "landmarks":
+    if args.source_points != "landmarks":
         points = []
         for token in args.source_points.split(","):
             try:
@@ -155,20 +155,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    from .matching import (
-        LandmarkSet,
-        MatchList,
-        Shape,
-        _check_hops,
-        _check_positive,
-        baseline_pairwise_align,
-        detect_extrema,
-        fps_landmarks,
-        gp_partial_match,
-        interpolate_dense,
-        joint_fps_refine,
-        stable_curvature_match,
-    )
+    from .matching import interpolate_dense, match_pair
 
     collection = _collection(args)
     ids = args.pair.split(",")
@@ -176,57 +163,27 @@ def _cmd_match(args) -> int:
         raise CorrsyncError(
             f"--pair expects two different comma-separated shape ids, got {args.pair!r}"
         )
-    # stable_curvature_match checks delta and detect_extrema hops too, but
-    # they run only when both shapes carry a scalar field
-    _check_positive("delta", args.delta)
-    _check_hops(args.hops)
     a_id, b_id = ids
-    shape_a = collection.shape(a_id)
-    shape_b = collection.shape(b_id)
-    oracle_a = collection.oracle(a_id, k=args.knn)
-    oracle_b = collection.oracle(b_id, k=args.knn)
-
-    lm_a, lm_b = (
-        LandmarkSet(shape.id, shape.landmark_indices)
-        if shape.landmark_indices
-        else fps_landmarks(shape, args.landmarks, oracle)
-        for shape, oracle in ((shape_a, oracle_a), (shape_b, oracle_b))
+    refined, unmatched = match_pair(
+        collection, a_id, b_id, radius=args.radius, delta=args.delta,
+        max_matches=args.max_matches, lam=args.lam, landmarks=args.landmarks,
+        hops=args.hops, k=args.knn,
     )
-
-    soft_ab = propagate_soft(collection, a_id, b_id, lam=args.lam, source_points=list(lm_a.indices))
-    soft_ba = propagate_soft(collection, b_id, a_id, lam=args.lam, source_points=list(lm_b.indices))
-    partial = gp_partial_match(
-        soft_ab, soft_ba, lm_a, lm_b, args.radius, oracle_a, oracle_b
-    )
-
-    if shape_a.scalar_field is not None and shape_b.scalar_field is not None:
-        align = baseline_pairwise_align(shape_a, shape_b)
-        moved = Shape(id=a_id, points=shape_a.points @ align.rotation.T + align.translation)
-        extrema_a = detect_extrema(moved, oracle_a, hops=args.hops,
-                                   field=shape_a.scalar_field)
-        extrema_b = detect_extrema(shape_b, oracle_b, hops=args.hops)
-        seeds = stable_curvature_match(
-            moved, shape_b, extrema_a, extrema_b, args.delta, oracle_a, oracle_b
-        )
-    else:
-        seeds = MatchList(a_id, b_id, [])
-    refined = joint_fps_refine(seeds, partial, args.max_matches, oracle_a, oracle_b)
     # the dense map is built before any output, so a command that fails writes nothing
     dense = ()
     if args.interpolated:
-        dense_map = interpolate_dense(refined, shape_a, shape_b, oracle_a)
+        dense_map = interpolate_dense(refined, collection.shape(a_id), collection.shape(b_id),
+                                      collection.oracle(a_id, k=args.knn))
         dense = ((args.interpolated, map_csv(dense_map)),)
 
     lines = ["source_index,target_index,provenance\n"]
-    for m in refined.matched():
+    for m in refined.entries:
         lines.append(f"{m.source},{m.target},{m.provenance}\n")
-    # joint_fps_refine keeps matches only: the unmatched landmarks are the partial match's
-    unmatched = len(partial.entries) - len(partial.matched())
     config = dict(
         manifest=args.manifest, pair=args.pair, radius=args.radius,
         delta=args.delta, max_matches=args.max_matches, lam=args.lam,
     )
-    info = f"{len(refined.matched())} matches ({unmatched} unmatched landmarks)"
+    info = f"{len(refined.entries)} matches ({unmatched} unmatched landmarks)"
     return _write(args, config, "".join(lines), info, dense)
 
 
@@ -267,7 +224,7 @@ def _cmd_benchmark(args) -> int:
     from .benchmark import default_grid, run_benchmark
 
     collection = _collection(args)
-    methods = tuple(args.methods.split(",")) if args.methods else METHODS
+    methods = tuple(args.methods.split(",")) if args.methods is not None else METHODS
     result = run_benchmark(
         collection,
         methods=methods,

@@ -605,11 +605,18 @@ def _index(value) -> int:
 
 
 def _positive(value) -> float:
-    """A finite positive float read from a manifest."""
+    """A finite positive float read from a manifest; a bool is not one."""
     x = float(value)
-    if not (math.isfinite(x) and x > 0):
+    if isinstance(value, bool) or not (math.isfinite(x) and x > 0):
         raise ValueError(value)
     return x
+
+
+def _indices(value) -> list[int]:
+    """Vertex indices read from a manifest: a JSON list of _index values."""
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return [_index(i) for i in value]
 
 
 def _field(value, convert, where: str, name: str):
@@ -698,7 +705,7 @@ def load_collection(manifest_path: str, allow_duplicates: bool = False) -> Shape
             field_file = ShapeFile(resolve(entry["scalar_field_file"], where, "scalar_field_file"))
         landmarks = entry.get("landmarks")
         if landmarks is not None:
-            landmarks = _field(landmarks, lambda v: [_index(i) for i in v], where, "landmarks")
+            landmarks = _field(landmarks, _indices, where, "landmarks")
         truth = entry.get("ground_truth")
         if truth is not None:
             truth = _field(
@@ -834,7 +841,8 @@ def map_csv(m: CorrespondenceMap) -> str:
     """A map in the map-file format: one ``source,target`` line per vertex of a
     discrete map, one ``source,target,mass`` line per stored entry of a soft one."""
     if m.kind == "discrete":
-        return "".join(f"{s},{int(t)}\n" for s, t in enumerate(m.indices))
+        n = m.indices.size
+        return ("%d,%d\n" * n) % tuple(np.column_stack((np.arange(n), m.indices)).ravel().tolist())
     mat = m.matrix
     return "".join(
         f"{s},{int(mat.indices[pos])},{_fmt(mat.data[pos])}\n"

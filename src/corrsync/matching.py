@@ -3,8 +3,9 @@
 Pipeline pieces: farthest-point landmark sampling, mutual ball-mass partial
 matching from soft correspondences, scalar-field extremum detection, stable
 matching of extrema after rigid alignment, joint farthest-point refinement of
-the match set, and inverse-distance interpolation to a dense map. A rigid
-ICP-style aligner rounds out the module.
+the match set, and inverse-distance interpolation to a dense map. match_pair
+runs the pipeline up to the refined match set for one pair of a collection. A
+rigid ICP-style aligner rounds out the module.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collection import CorrespondenceMap, GeodesicOracle, Shape
+from .collection import CorrespondenceMap, GeodesicOracle, Shape, ShapeCollection
 from .errors import BallOverlapError, DegenerateGeometryError, InvalidValueError
-from .soft import SoftCorrespondence, ball_mass
+from .soft import SoftCorrespondence, ball_mass, propagate_soft
 
 
 @dataclass(frozen=True)
@@ -29,12 +30,8 @@ class LandmarkSet:
 @dataclass(frozen=True)
 class Match:
     source: int
-    target: int | None  # None marks an unmatched landmark
+    target: int
     provenance: str
-
-    @property
-    def matched(self) -> bool:
-        return self.target is not None
 
 
 @dataclass
@@ -43,15 +40,12 @@ class MatchList:
     target_id: str
     entries: list[Match]
 
-    def matched(self) -> list[Match]:
-        return [m for m in self.entries if m.matched]
-
     def pairs(self) -> list[tuple[int, int]]:
-        return [(m.source, m.target) for m in self.matched()]
+        return [(m.source, m.target) for m in self.entries]
 
     def validate_disjoint(self) -> None:
-        src = [m.source for m in self.matched()]
-        tgt = [m.target for m in self.matched()]
+        src = [m.source for m in self.entries]
+        tgt = [m.target for m in self.entries]
         if len(set(src)) != len(src) or len(set(tgt)) != len(tgt):
             raise ValueError("a vertex appears in two matches")
 
@@ -112,8 +106,9 @@ def gp_partial_match(
     A pair qualifies when the forward row puts mass >= 0.5 inside the ball
     around the candidate target landmark and the reverse row does the same
     around the source landmark. Each source takes the first qualifying target
-    in landmark order; a target is never reused. Unmatched landmarks get one
-    sentinel entry each. radius must be a finite number > 0.
+    in landmark order; a target is never reused. The result holds matches
+    only: a landmark with no qualifying target is left out. radius must be a
+    finite number > 0.
     """
     _check_positive("radius", radius)
     check_ball_disjoint(landmarks_a.indices, radius, oracle_a)
@@ -122,20 +117,15 @@ def gp_partial_match(
     entries: list[Match] = []
     for va in landmarks_a.indices:
         row_a = soft_ab.row(va)
-        hit = None
         for vb in landmarks_b.indices:
             if vb in taken:
                 continue
             if ball_mass(row_a, vb, radius, oracle_b) >= 0.5 and (
                 ball_mass(soft_ba.row(vb), va, radius, oracle_a) >= 0.5
             ):
-                hit = vb
+                taken.add(vb)
+                entries.append(Match(int(va), int(vb), "partial"))
                 break
-        if hit is None:
-            entries.append(Match(int(va), None, "partial"))
-        else:
-            taken.add(hit)
-            entries.append(Match(int(va), int(hit), "partial"))
     out = MatchList(soft_ab.source_id, soft_ab.target_id, entries)
     out.validate_disjoint()
     return out
@@ -171,15 +161,9 @@ def strict_extrema(field: np.ndarray, neighbor_lists, hops: int = 1) -> tuple[in
     )
 
 
-def detect_extrema(
-    shape: Shape,
-    oracle: GeodesicOracle,
-    hops: int = 1,
-    field: np.ndarray | None = None,
-) -> tuple[int, ...]:
+def detect_extrema(shape: Shape, oracle: GeodesicOracle, hops: int = 1) -> tuple[int, ...]:
     """Strict local maxima of the shape's scalar field, ascending vertex order."""
-    if field is None:
-        field = shape.scalar_field
+    field = shape.scalar_field
     if field is None:
         raise ValueError(f"shape {shape.id!r} has no scalar field")
     field = np.asarray(field, dtype=float)
@@ -208,15 +192,14 @@ def stable_curvature_match(
 
     Candidate pairs must project within geodesic delta of each other in both
     directions. Source extrema propose in ascending projected-distance order;
-    the result admits no blocking pair among candidates. delta must be a
-    finite number > 0.
+    the result admits no blocking pair among candidates, and holds matches
+    only, in source extremum order. delta must be a finite number > 0.
     """
     _check_positive("delta", delta)
     ea = [int(v) for v in extrema_a]
     eb = [int(v) for v in extrema_b]
-    entries: list[Match] = []
     if not ea or not eb:
-        return MatchList(shape_a.id, shape_b.id, [Match(v, None, "curvature") for v in ea])
+        return MatchList(shape_a.id, shape_b.id, [])
 
     proj_a = project_vertices(shape_a.points, shape_b.points, ea)  # images on B
     proj_b = project_vertices(shape_b.points, shape_a.points, eb)  # images on A
@@ -249,11 +232,7 @@ def stable_curvature_match(
             free.append(m)
 
     matched = {m: j for j, m in engaged.items()}
-    for m, va in enumerate(ea):
-        if m in matched:
-            entries.append(Match(va, eb[matched[m]], "curvature"))
-        else:
-            entries.append(Match(va, None, "curvature"))
+    entries = [Match(va, eb[matched[m]], "curvature") for m, va in enumerate(ea) if m in matched]
     out = MatchList(shape_a.id, shape_b.id, entries)
     out.validate_disjoint()
     return out
@@ -273,7 +252,7 @@ def joint_fps_refine(
     each side, until max_matches pairs exist or candidates run out. Ties take
     the lowest source index. Candidates reusing a chosen vertex are skipped.
     """
-    seeds = seed_matches.matched()
+    seeds = seed_matches.entries
     if max_matches < len(seeds):
         raise InvalidValueError(
             f"max_matches={max_matches} below the {len(seeds)} seed matches"
@@ -283,7 +262,7 @@ def joint_fps_refine(
     used_b = {m.target for m in chosen}
     pool = [
         m
-        for m in candidates.matched()
+        for m in candidates.entries
         if m.source not in used_a and m.target not in used_b
     ]
 
@@ -316,6 +295,57 @@ def joint_fps_refine(
     return out
 
 
+def match_pair(
+    collection: ShapeCollection,
+    source_id: str,
+    target_id: str,
+    *,
+    radius: float,
+    delta: float,
+    max_matches: int,
+    lam: float,
+    landmarks: int,
+    hops: int,
+    k: int,
+) -> tuple[MatchList, int]:
+    """One pair's sparse matches, and the number of source landmarks left unmatched.
+
+    Runs fps_landmarks for a shape without landmarks, gp_partial_match on
+    propagate_soft rows both ways, stable_curvature_match after rigid alignment
+    when both shapes carry a scalar field, and joint_fps_refine seeded by it.
+    delta and hops are checked first, whether or not the shapes carry fields.
+    """
+    _check_positive("delta", delta)
+    _check_hops(hops)
+    shape_a = collection.shape(source_id)
+    shape_b = collection.shape(target_id)
+    oracle_a = collection.oracle(source_id, k=k)
+    oracle_b = collection.oracle(target_id, k=k)
+
+    lm_a, lm_b = (
+        LandmarkSet(shape.id, shape.landmark_indices)
+        if shape.landmark_indices
+        else fps_landmarks(shape, landmarks, oracle)
+        for shape, oracle in ((shape_a, oracle_a), (shape_b, oracle_b))
+    )
+
+    soft_ab = propagate_soft(collection, source_id, target_id, lam=lam, source_points=list(lm_a.indices))
+    soft_ba = propagate_soft(collection, target_id, source_id, lam=lam, source_points=list(lm_b.indices))
+    partial = gp_partial_match(soft_ab, soft_ba, lm_a, lm_b, radius, oracle_a, oracle_b)
+
+    seeds = MatchList(source_id, target_id, [])
+    if shape_a.scalar_field is not None and shape_b.scalar_field is not None:
+        align = baseline_pairwise_align(shape_a, shape_b)
+        moved = Shape(id=source_id, points=shape_a.points @ align.rotation.T + align.translation)
+        extrema_a = detect_extrema(shape_a, oracle_a, hops)
+        extrema_b = detect_extrema(shape_b, oracle_b, hops)
+        seeds = stable_curvature_match(
+            moved, shape_b, extrema_a, extrema_b, delta, oracle_a, oracle_b
+        )
+    refined = joint_fps_refine(seeds, partial, max_matches, oracle_a, oracle_b)
+    return refined, len(lm_a.indices) - len(partial.entries)
+
+
 def interpolate_dense(
     matches: MatchList,
     shape_a: Shape,
@@ -325,8 +355,10 @@ def interpolate_dense(
     """Extend sparse matches to a full discrete map by inverse-distance blending.
 
     Every unmatched source vertex takes the weighted average position of its 4
-    geodesically nearest matched landmarks' targets (weights 1/d), snapped to
-    the nearest target vertex. Matched vertices keep their exact targets.
+    geodesically nearest matched landmarks' targets (weights 1/d; distance ties
+    take the earlier match), snapped to the nearest target vertex. Matched
+    vertices keep their exact targets. Every k-NN edge weighs more than 0, so
+    an unmatched vertex is never at distance 0 from a match.
     """
     from scipy.spatial import cKDTree
 
@@ -336,25 +368,16 @@ def interpolate_dense(
             f"cannot interpolate {matches.source_id!r} -> {matches.target_id!r} "
             "from an empty match set"
         )
-    srcs = [p[0] for p in pairs]
-    tgts = [p[1] for p in pairs]
-    nearest = min(4, len(pairs))
-    rows = oracle_a.distance_rows(srcs)  # (L, n_a)
-    exact = {s: t for s, t in pairs}
-    tree_b = cKDTree(shape_b.points)
+    srcs, tgts = np.array(pairs, dtype=np.int64).T
+    free = np.ones(shape_a.n, dtype=bool)
+    free[srcs] = False
+    d = oracle_a.distance_rows(srcs)[:, free]  # (matches, free vertices)
+    order = np.argsort(d, axis=0, kind="stable")[: min(4, len(pairs))]
+    w = 1.0 / np.take_along_axis(d, order, axis=0)
+    pos = (w[:, :, None] * shape_b.points[tgts[order]]).sum(0) / w.sum(0)[:, None]
     indices = np.empty(shape_a.n, dtype=np.int64)
-    for v in range(shape_a.n):
-        if v in exact:
-            indices[v] = exact[v]
-            continue
-        d = rows[:, v]
-        order = np.lexsort((np.arange(len(pairs)), d))[:nearest]
-        if d[order[0]] == 0.0:
-            indices[v] = tgts[int(order[0])]
-            continue
-        w = 1.0 / d[order]
-        pos = (w[:, None] * shape_b.points[[tgts[int(a)] for a in order]]).sum(0) / w.sum()
-        indices[v] = int(tree_b.query(pos)[1])
+    indices[srcs] = tgts
+    indices[free] = cKDTree(shape_b.points).query(pos)[1]
     return CorrespondenceMap(
         source_id=shape_a.id,
         target_id=shape_b.id,

@@ -8,9 +8,10 @@ import pytest
 
 from corrsync.baselines import kruskal_mst
 from corrsync.cli import main
-from corrsync.collection import CorrespondenceMap, save_collection
+from corrsync.collection import KNN_DEFAULT, CorrespondenceMap, save_collection
 from corrsync.benchmark import corrupt_maps, synth_collection
 from corrsync.flow import directed_flow_matrix, enumerate_paths
+from corrsync.matching import match_pair
 from corrsync.soft import LAMBDA_DEFAULT
 
 from conftest import build_l4
@@ -120,6 +121,7 @@ class TestBadInputValues:
             ("match --pair s00,s01 --knn 0", "k must be at least 1, got 0"),
             ("match --pair s00,s00", "'s00,s00'"),
             ("benchmark --methods foo", "unknown method 'foo'"),
+            ("benchmark --methods=", "unknown method ''"),
             ("synth --landmarks 0", "landmark count must be in [1, 300], got 0"),
             ("synth --points 2", "has 2 points"),
             ("lattice --mode standard --source 99999", "source must be a vertex in [0, 961), got 99999"),
@@ -158,7 +160,8 @@ class TestBadInputValues:
              "lambda must be a finite number in [0, 1], got nan"),
             ("benchmark --methods mst --max-paths 0", "max_paths must be an integer >= 1, got 0"),
         ],
-        ids=["max-matches", "hops", "knn", "pair", "methods", "synth-landmarks", "synth-points",
+        ids=["max-matches", "hops", "knn", "pair", "methods", "methods-empty", "synth-landmarks",
+             "synth-points",
              "lattice-source", "lattice-equal-ends", "lattice-target", "synth-shapes-0",
              "synth-shapes-negative", "grid-max-nan", "grid-max-negative", "grid-count-0",
              "grid-count-negative", "add-far-half", "add-far-one", "add-far-0",
@@ -491,6 +494,7 @@ class TestBadPoints:
             pytest.param("--points", "99999", "vertex 99999", id="99999-vertex 99999"),
             pytest.param("--points", "-1", "vertex -1", id="-1-vertex -1"),
             pytest.param("--points", "0,abc", "'abc'", id="0,abc-'abc'"),
+            pytest.param("--points", "", "or 'landmarks', got ''", id="empty"),
             ("--lambda", "nan", "lambda"),
             ("--lambda", "-5", "lambda"),
             ("--lambda", "inf", "lambda"),
@@ -897,6 +901,21 @@ class TestMatchCommand:
                    "--delta", "0.6", "--out", str(tmp_path / "m.csv")])
         assert rc == 0
         assert capsys.readouterr().err == "12 matches (4 unmatched landmarks)\n"
+
+    def test_match_pair_gives_cli_pairs(self, tmp_path):
+        coll = corrupt_maps(synth_collection(3, 80, 0.08, seed=1, map_source="truth"), 1.0, 0)
+        out = tmp_path / "m.csv"
+        rc = main(["match", "--manifest", save_collection(coll, tmp_path / "c"), "--pair",
+                   "s00,s01", "--radius", "0.2", "--delta", "0.6", "--out", str(out), "--quiet"])
+        assert rc == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[5:]]
+        refined, unmatched = match_pair(
+            coll, "s00", "s01", radius=0.2, delta=0.6, max_matches=15, lam=LAMBDA_DEFAULT,
+            landmarks=10, hops=1, k=KNN_DEFAULT,
+        )
+        assert unmatched == 4
+        assert refined.pairs() == [(int(s), int(t)) for s, t, _ in rows]
+        assert [m.provenance for m in refined.entries] == [p for _, _, p in rows]
 
     def test_bad_pair_separator(self, synth_manifest, capsys):
         rc = main(["match", "--manifest", synth_manifest, "--pair", "s00:s01",

@@ -659,9 +659,14 @@ class TestManifestRoundTrip:
             (lambda doc: doc["shapes"][0].pop("id"), "shape entry 0"),
             (lambda doc: doc.update(maps_dir=[]), "manifest: invalid 'maps_dir'"),
             (lambda doc: doc.update(distances_file=1), "manifest: invalid 'distances_file'"),
+            (lambda doc: doc.update(beta=True), "manifest: invalid 'beta': True"),
+            (lambda doc: doc["shapes"][0].update(landmarks="10"),
+             "shape 's0': invalid 'landmarks': '10'"),
+            (lambda doc: doc["shapes"][0].update(landmarks={"1": 2}),
+             "shape 's0': invalid 'landmarks': {'1': 2}"),
         ],
         ids=["beta", "shapes-not-a-list", "entry-not-an-object", "entry-without-id",
-             "maps-dir", "distances-file"],
+             "maps-dir", "distances-file", "beta-bool", "landmarks-string", "landmarks-object"],
     )
     def test_bad_manifest_field_named(self, tmp_path, l4_swap, edit, named):
         manifest = save_collection(l4_swap, tmp_path / "m")

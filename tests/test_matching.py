@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from corrsync.benchmark import synth_collection
 from corrsync.collection import GeodesicOracle, Shape
 from corrsync.errors import BallOverlapError, DegenerateGeometryError
 from corrsync.matching import (
@@ -80,7 +82,7 @@ class TestGpPartialMatch:
         out = gp_partial_match(soft_ab, soft_ba, lm_a, lm_b, 1.0, oa, ob)
         assert out.pairs() == [(0, 0), (1, 1)]
 
-    def test_unmatched_gets_sentinel(self):
+    def test_unmatched_landmark_left_out(self):
         a = line_shape("a", [0.0, 4.0])
         b = line_shape("b", [0.0, 4.0])
         oa, ob = GeodesicOracle(a, k=1), GeodesicOracle(b, k=1)
@@ -90,9 +92,7 @@ class TestGpPartialMatch:
         lm_a = LandmarkSet("a", (0, 1))
         lm_b = LandmarkSet("b", (0, 1))
         out = gp_partial_match(soft_ab, soft_ba, lm_a, lm_b, 1.0, oa, ob)
-        assert out.pairs() == [(0, 0)]
-        sentinels = [m for m in out.entries if m.target is None]
-        assert [m.source for m in sentinels] == [1]
+        assert out.entries == [Match(0, 0, "partial")]
 
     def test_taken_target_skipped(self):
         a = line_shape("a", [0.0, 4.0])
@@ -178,8 +178,7 @@ class TestStableMatch:
         b = line_shape("b", [10.0, 14.0])
         oa, ob = GeodesicOracle(a, k=1), GeodesicOracle(b, k=1)
         out = stable_curvature_match(a, b, (0,), (0,), 0.5, oa, ob)
-        assert out.pairs() == []
-        assert [m.source for m in out.entries if m.target is None] == [0]
+        assert out.entries == []
 
     def test_no_blocking_pair_on_random_instances(self):
         # preference keys restated independently: proposers rank targets by
@@ -272,6 +271,45 @@ class TestInterpolateDense:
         matches = MatchList("a", "b", [Match(0, 0, "m"), Match(3, 3, "m")])
         dense = interpolate_dense(matches, a, b, oa)
         assert list(dense.indices) in ([0, 1, 2, 3], [0, 1, 1, 3], [0, 2, 2, 3])
+
+    @staticmethod
+    def _reference(matches, shape_a, shape_b, oracle_a):
+        # one vertex at a time: its 4 nearest matches by (distance, match
+        # order), weights 1/d, the blended target position snapped to a vertex
+        tree_b = cKDTree(shape_b.points)
+        pairs = matches.pairs()
+        exact = dict(pairs)
+        rows = oracle_a.distance_rows([s for s, _ in pairs])
+        out = []
+        for v in range(shape_a.n):
+            if v in exact:
+                out.append(exact[v])
+                continue
+            d = rows[:, v]
+            order = np.lexsort((np.arange(len(pairs)), d))[:4]
+            w = 1.0 / d[order]
+            pos = (w[:, None] * shape_b.points[[pairs[a][1] for a in order]]).sum(0) / w.sum()
+            out.append(int(tree_b.query(pos)[1]))
+        return out
+
+    @pytest.mark.parametrize("count", [1, 4, 15])
+    def test_matches_per_vertex_reference(self, count):
+        coll = synth_collection(2, 200, 0.08, seed=count)
+        a, b = coll.shapes
+        oa = GeodesicOracle(a)
+        rng = np.random.default_rng(count)
+        srcs = rng.choice(a.n, count, replace=False)
+        tgts = rng.choice(b.n, count, replace=False)
+        matches = MatchList(a.id, b.id, [Match(int(s), int(t), "m") for s, t in zip(srcs, tgts)])
+        dense = interpolate_dense(matches, a, b, oa)
+        assert dense.indices.tolist() == self._reference(matches, a, b, oa)
+
+    def test_every_vertex_matched(self):
+        a = line_shape("a", [0.0, 1.0, 2.0])
+        b = line_shape("b", [0.0, 1.0, 2.0])
+        matches = MatchList("a", "b", [Match(0, 2, "m"), Match(1, 0, "m"), Match(2, 1, "m")])
+        dense = interpolate_dense(matches, a, b, GeodesicOracle(a, k=1))
+        assert dense.indices.tolist() == [2, 0, 1]
 
     def test_empty_matches_rejected(self):
         a = line_shape("a", [0.0, 1.0])
