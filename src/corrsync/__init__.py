@@ -18,7 +18,7 @@ from .collection import (
     save_collection,
 )
 from .errors import CorrsyncError
-from .flow import FlowMatrix, brute_force_paths, directed_flow_matrix, enumerate_paths, sample_walk
+from .flow import FlowMatrix, brute_force_paths, directed_flow_matrix, enumerate_paths
 from .soft import SoftCorrespondence, all_pairs_soft, frechet_mean, mle, propagate_soft
 
 __all__ = [
@@ -39,6 +39,5 @@ __all__ = [
     "load_collection",
     "mle",
     "propagate_soft",
-    "sample_walk",
     "save_collection",
 ]

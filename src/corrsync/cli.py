@@ -509,6 +509,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"corrsync: error: the value above comes from --config {args.config}",
                       file=sys.stderr)
                 raise
+        if args.seed < 0:
+            # every provenance header records the seed, so every command checks it
+            raise InvalidValueError(f"seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (CorrsyncError, OSError) as exc:
         # an OSError: a path that is missing, a directory, or otherwise

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import errno
 import functools
+import itertools
 import json
 import math
 import os
@@ -352,7 +353,11 @@ class GeodesicOracle:
 
     def check_vertices(self, vertices) -> list[int]:
         """The vertices as ints; IndexRangeError names the first outside the shape."""
-        idx = np.asarray(vertices, dtype=np.int64).ravel().tolist()
+        # Python ints, so a vertex beyond int64 is out of range rather than an overflow
+        if isinstance(vertices, np.ndarray):
+            idx = vertices.astype(np.int64, copy=False).ravel().tolist()
+        else:
+            idx = [int(v) for v in vertices]
         if idx and not (min(idx) >= 0 and max(idx) < self.n):
             bad = next(v for v in idx if not 0 <= v < self.n)
             raise IndexRangeError(f"shape {self.shape.id!r}: vertex {bad} out of range")
@@ -844,11 +849,16 @@ def map_csv(m: CorrespondenceMap) -> str:
         n = m.indices.size
         return ("%d,%d\n" * n) % tuple(np.column_stack((np.arange(n), m.indices)).ravel().tolist())
     mat = m.matrix
-    return "".join(
-        f"{s},{int(mat.indices[pos])},{_fmt(mat.data[pos])}\n"
-        for s in range(mat.shape[0])
-        for pos in range(mat.indptr[s], mat.indptr[s + 1])
-    )
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)).tolist()
+    entries = zip(rows, mat.indices.tolist(), mat.data.astype(float).tolist())
+    return ("%d,%d,%r\n" * len(rows)) % tuple(itertools.chain.from_iterable(entries))
+
+
+def _float_lines(a: np.ndarray, sep: str) -> str:
+    """A 2-D array as one line per row of sep-joined entries, each the repr of
+    its float, so every value reads back bit for bit."""
+    a = np.asarray(a, dtype=float)
+    return ((sep.join(["%r"] * a.shape[1]) + "\n") * a.shape[0]) % tuple(a.ravel().tolist())
 
 
 def save_collection(collection: ShapeCollection, out_dir: str) -> str:
@@ -863,7 +873,7 @@ def save_collection(collection: ShapeCollection, out_dir: str) -> str:
     entries = []
     for s in collection.shapes:
         points_file = f"{s.id}.xyz"
-        files.append((points_file, "".join(" ".join(_fmt(c) for c in p) + "\n" for p in s.points)))
+        files.append((points_file, _float_lines(s.points, " ")))
         entry: dict = {"id": s.id, "points_file": points_file}
         if s.landmark_indices is not None:
             entry["landmarks"] = [int(i) for i in s.landmark_indices]
@@ -871,12 +881,11 @@ def save_collection(collection: ShapeCollection, out_dir: str) -> str:
             entry["ground_truth"] = {k: int(v) for k, v in sorted(s.ground_truth.items())}
         if s.scalar_field is not None:
             field_file = f"{s.id}.field"
-            files.append((field_file, "".join(_fmt(v) + "\n" for v in s.scalar_field)))
+            files.append((field_file, _float_lines(np.reshape(s.scalar_field, (-1, 1)), "")))
             entry["scalar_field_file"] = field_file
         entries.append(entry)
 
-    distances = "".join(",".join(_fmt(v) for v in row) + "\n" for row in collection.D)
-    files.append(("distances.csv", distances))
+    files.append(("distances.csv", _float_lines(collection.D, ",")))
     for (src, tgt), m in sorted(collection.maps.items()):
         files.append((os.path.join("maps", f"{tgt}__{src}.csv"), map_csv(m)))
 

@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import InvalidValueError, MaxStepsError, OracleBoundError, PathBudgetError
+from .errors import InvalidValueError, OracleBoundError, PathBudgetError
 
 MAX_PATHS_DEFAULT = 10**6
 ORACLE_MAX_N = 9
@@ -79,12 +79,6 @@ class ChainTrie(Sequence):
         return list(self)[k]
 
 
-@dataclass(frozen=True)
-class WalkResult:
-    trajectory: tuple[int, ...]
-    status: str  # "reached" | "discarded"
-
-
 def gibbs_weights(D: np.ndarray, beta: float) -> np.ndarray:
     """Edge weights W = exp(-beta * D^2), entrywise."""
     with np.errstate(over="ignore"):  # an overflowing square weighs exp(-inf) = 0
@@ -97,13 +91,10 @@ def directed_flow_matrix(
     j: int,
     *,
     beta: float = 1.0,
-    adjacency: np.ndarray | None = None,
 ) -> FlowMatrix:
     """Build the flow graph for ordered pair (i, j), weighted by gibbs_weights(D, beta).
 
-    An optional boolean adjacency restricts edges to an underlying graph (used
-    for lattice experiments); without it the complete graph is assumed and the
-    direct edge (i, j) is always present.
+    The graph is complete, so the direct edge (i, j) is always present.
     """
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
@@ -117,8 +108,6 @@ def directed_flow_matrix(
     di = D[i]
     dj = D[j]
     F = (di[:, None] < di[None, :]) & (dj[:, None] > dj[None, :])
-    if adjacency is not None:
-        F &= np.asarray(adjacency, dtype=bool)
     WF = np.where(F, gibbs_weights(D, beta), 0.0)
     return FlowMatrix(source=i, target=j, F=F, WF=WF, D=D)
 
@@ -242,28 +231,3 @@ def brute_force_paths(
     found.sort(key=lambda p: p.vertices)
     return found
 
-
-def sample_walk(flow: FlowMatrix, seed) -> WalkResult:
-    """Random walk from source following outgoing WF weights.
-
-    Ends at the target ("reached") or at a vertex with no outgoing edge
-    ("discarded"). The budget of n + 1 steps only guards corrupted input; an
-    intact flow graph has no cycles to trap the walk.
-    """
-    rng = np.random.default_rng(seed)
-    budget = flow.n + 1
-    v = flow.source
-    trajectory = [v]
-    for _ in range(budget):
-        if v == flow.target:
-            return WalkResult(tuple(trajectory), "reached")
-        row = flow.WF[v]
-        nz = np.flatnonzero(row)
-        if nz.size == 0:
-            return WalkResult(tuple(trajectory), "discarded")
-        probs = row[nz] / row[nz].sum()
-        v = int(rng.choice(nz, p=probs))
-        trajectory.append(v)
-    if v == flow.target:
-        return WalkResult(tuple(trajectory), "reached")
-    raise MaxStepsError(f"walk did not terminate within {budget} steps")

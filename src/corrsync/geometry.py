@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AntipodalError, InvalidValueError, MaxStepsError
-from .flow import FlowMatrix, WalkResult, directed_flow_matrix, sample_walk
+from .flow import gibbs_weights
 
 UNIT_TOL = 1e-12
 
@@ -66,51 +66,12 @@ def build_lattice(side: int) -> LatticeGraph:
     return LatticeGraph(side=side, coords=coords, neighbor_lists=tuple(neighbors))
 
 
-def lattice_flow(
-    lattice: LatticeGraph, source: int, target: int, beta: float = 1.0
-) -> FlowMatrix:
-    """Flow graph restricted to lattice adjacency, Euclidean distances."""
-    diff = lattice.coords[:, None, :] - lattice.coords[None, :, :]
-    D = np.sqrt((diff**2).sum(axis=2))
-    adjacency = np.zeros((lattice.n, lattice.n), dtype=bool)
-    for v, nbrs in enumerate(lattice.neighbor_lists):
-        adjacency[v, nbrs] = True
-    return directed_flow_matrix(D, source, target, beta=beta, adjacency=adjacency)
-
-
 @dataclass
 class LatticeWalkReport:
     mode: str
     walks: list[tuple[int, ...]]
     discarded: int
     deviations: list[float]
-
-
-def _uniform_walk(
-    lattice: LatticeGraph,
-    source: int,
-    target: int,
-    rng: np.random.Generator,
-    max_steps: int,
-    nonbacktracking: bool,
-) -> tuple[int, ...]:
-    v = source
-    prev = -1
-    trajectory = [v]
-    for _ in range(max_steps):
-        if v == target:
-            return tuple(trajectory)
-        options = lattice.neighbor_lists[v]
-        if nonbacktracking and prev >= 0 and options.size > 1:
-            options = options[options != prev]
-        prev = v
-        v = int(options[rng.integers(options.size)])
-        trajectory.append(v)
-    if v == target:
-        return tuple(trajectory)
-    raise MaxStepsError(
-        f"walk from {source} to {target} did not arrive within {max_steps} steps"
-    )
 
 
 def _segment_deviation(coords: np.ndarray, trajectory, source: int, target: int) -> float:
@@ -136,12 +97,15 @@ def lattice_walks(
 ) -> LatticeWalkReport:
     """Sample corner-to-corner walks (defaults) in one of three modes.
 
-    "standard" steps uniformly over neighbors, "nonbacktracking" additionally
-    excludes the previous vertex, "eop" follows the directed flow graph and
-    resamples any walk that strands at a sink before the target, reporting the
-    discard count. Each attempt draws from its own (seed, attempt) stream, so
-    results do not depend on scheduling. max_steps bounds each uniform walk;
-    it must be at least 1 in every mode.
+    Every mode steps over lattice neighbors. "standard" steps uniformly,
+    "nonbacktracking" additionally excludes the previous vertex, and "eop"
+    steps along the directed flow graph: to a neighbor strictly farther from
+    the source and strictly closer to the target, drawn by its Gibbs weight.
+    An eop walk left with no such neighbor before the target is discarded and
+    drawn again; the report counts the discards. Each attempt draws from its
+    own (seed, attempt) stream, so results do not depend on scheduling.
+    max_steps bounds each uniform walk; an eop step always nears the target,
+    so an eop walk needs no bound. max_steps must be at least 1 in every mode.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise InvalidValueError(f"beta must be finite and positive, got {beta!r}")
@@ -156,31 +120,54 @@ def lattice_walks(
             raise InvalidValueError(f"{name} must be a vertex in [0, {lattice.n}), got {v}")
     if source == target:
         raise InvalidValueError(f"source and target must differ, got {source} for both")
-    walks: list[tuple[int, ...]] = []
-    discarded = 0
-    if mode in ("standard", "nonbacktracking"):
-        for idx in range(count):
-            rng = np.random.default_rng([seed, idx])
-            walks.append(
-                _uniform_walk(lattice, source, target, rng, max_steps, mode == "nonbacktracking")
-            )
-    elif mode == "eop":
-        flow = lattice_flow(lattice, source, target, beta=beta)
-        attempt = 0
-        limit = max(50 * count, 1000)
-        while len(walks) < count:
-            if attempt >= limit:
-                raise MaxStepsError(
-                    f"eop sampling produced {len(walks)} walks in {attempt} attempts"
-                )
-            result: WalkResult = sample_walk(flow, [seed, attempt])
-            attempt += 1
-            if result.status == "reached":
-                walks.append(result.trajectory)
-            else:
-                discarded += 1
-    else:
+    from_source = to_target = None
+    if mode == "eop":
+        from_source, to_target = (
+            np.sqrt(((lattice.coords - lattice.coords[x]) ** 2).sum(axis=1))
+            for x in (source, target)
+        )
+    elif mode not in ("standard", "nonbacktracking"):
         raise ValueError(f"unknown mode {mode!r}")
+    walks: list[tuple[int, ...]] = []
+    discarded = attempt = 0
+    # a uniform walk is never discarded, so only eop sampling can reach the limit
+    limit = max(50 * count, 1000)
+    while len(walks) < count:
+        if attempt >= limit:
+            raise MaxStepsError(f"eop sampling produced {len(walks)} walks in {attempt} attempts")
+        rng = np.random.default_rng([seed, attempt])
+        attempt += 1
+        v = source
+        prev = -1
+        trajectory = [v]
+        while v != target:
+            options = lattice.neighbor_lists[v]
+            if mode == "eop":
+                # the flow graph's edges: strictly farther from the source and
+                # strictly closer to the target, weighted by their step length
+                options = options[
+                    (from_source[options] > from_source[v]) & (to_target[options] < to_target[v])
+                ]
+                steps = np.sqrt(((lattice.coords[options] - lattice.coords[v]) ** 2).sum(axis=1))
+                weights = gibbs_weights(steps, beta)
+                options, weights = options[weights > 0], weights[weights > 0]
+                if options.size == 0:
+                    discarded += 1
+                    break
+                u = rng.choice(options, p=weights / weights.sum())
+            else:
+                if len(trajectory) > max_steps:
+                    raise MaxStepsError(
+                        f"walk from {source} to {target} did not arrive within {max_steps} steps"
+                    )
+                if mode == "nonbacktracking" and prev >= 0 and options.size > 1:
+                    options = options[options != prev]
+                u = options[rng.integers(options.size)]
+            prev = v
+            v = int(u)
+            trajectory.append(v)
+        else:  # the walk reached the target
+            walks.append(tuple(trajectory))
 
     deviations = [
         _segment_deviation(lattice.coords, w, source, target) for w in walks

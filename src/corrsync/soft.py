@@ -194,15 +194,17 @@ def propagate_soft(
     src_shape = collection.shape(source_id)
     if source_points is None:
         source_points = src_shape.landmark_indices or range(src_shape.n)
-    # distinct queries in first-seen order; a repeated vertex has one row
-    points = np.fromiter(map(int, source_points), dtype=np.int64)
-    queries = points[np.sort(np.unique(points, return_index=True)[1])]
-    outside = (queries < 0) | (queries >= src_shape.n)
-    if outside.any():
+    # checked as Python ints, so a vertex beyond int64 is out of range too
+    points = [int(v) for v in source_points]
+    outside = [v for v in points if not 0 <= v < src_shape.n]
+    if outside:
         raise IndexRangeError(
-            f"source vertex {queries[outside][0]} out of range for shape {source_id!r} "
+            f"source vertex {outside[0]} out of range for shape {source_id!r} "
             f"({src_shape.n} points)"
         )
+    # distinct queries in first-seen order; a repeated vertex has one row
+    points = np.array(points, dtype=np.int64)
+    queries = points[np.sort(np.unique(points, return_index=True)[1])]
 
     flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta)
     trie = enumerate_paths(flow, lam=lam, max_paths=max_paths, strict=strict)

@@ -159,6 +159,9 @@ class TestBadInputValues:
             ("benchmark --methods direct --lambda nan",
              "lambda must be a finite number in [0, 1], got nan"),
             ("benchmark --methods mst --max-paths 0", "max_paths must be an integer >= 1, got 0"),
+            ("synth --seed -1", "seed must be a non-negative integer, got -1"),
+            ("lattice --mode eop --seed -1", "seed must be a non-negative integer, got -1"),
+            ("holonomy --seed -1", "seed must be a non-negative integer, got -1"),
         ],
         ids=["max-matches", "hops", "knn", "pair", "methods", "methods-empty", "synth-landmarks",
              "synth-points",
@@ -171,7 +174,8 @@ class TestBadInputValues:
              "amplitude-negative", "baseline-epsilon-nan", "baseline-epsilon-negative",
              "benchmark-epsilon-nan", "radius-nan", "radius-negative", "delta-nan",
              "holonomy-trials-0", "holonomy-trials-negative", "lattice-eop-max-steps",
-             "route-benchmark-lambda-nan", "route-benchmark-max-paths-0"],
+             "route-benchmark-lambda-nan", "route-benchmark-max-paths-0", "synth-seed-negative",
+             "lattice-seed-negative", "holonomy-seed-negative"],
     )
     def test_clean_error_without_traceback(self, seeded_manifest, tmp_path, command, named):
         command, *options = command.split()
@@ -493,6 +497,8 @@ class TestBadPoints:
             # explicit ids keep the names of the --points cases stable
             pytest.param("--points", "99999", "vertex 99999", id="99999-vertex 99999"),
             pytest.param("--points", "-1", "vertex -1", id="-1-vertex -1"),
+            pytest.param("--points", "99999999999999999999", "vertex 99999999999999999999",
+                         id="beyond-int64"),
             pytest.param("--points", "0,abc", "'abc'", id="0,abc-'abc'"),
             pytest.param("--points", "", "or 'landmarks', got ''", id="empty"),
             ("--lambda", "nan", "lambda"),

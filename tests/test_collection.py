@@ -323,7 +323,7 @@ class TestDistanceRows:
         assert np.array_equal(rows[[0, 1, 3]], np.broadcast_to(rows[0], (3, oracle.n)))
         assert np.array_equal(rows[2], oracle.distances_from(2))
 
-    @pytest.mark.parametrize("bad", [-1, 60, 10**6])
+    @pytest.mark.parametrize("bad", [-1, 60, 10**6, 2**64, -2**70])
     def test_out_of_range_checked_before_any_row(self, dijkstra_calls, bad):
         oracle = _cloud_oracle(0)
         with pytest.raises(IndexRangeError, match=f"vertex {bad} out of range"):
@@ -542,6 +542,33 @@ class TestManifestRoundTrip:
         assert (tmp_path / "one" / "distances.csv").read_bytes() == (
             tmp_path / "two" / "distances.csv"
         ).read_bytes()
+
+    def test_soft_map_csv_matches_per_entry_reference(self):
+        rng = np.random.default_rng(4)
+        dense = rng.random((9, 6)) * (rng.random((9, 6)) < 0.5)
+        dense[:, 2] += 1e-3  # every row holds mass
+        m = CorrespondenceMap(
+            "a", "b", "soft", matrix=sparse.csr_matrix(dense / dense.sum(axis=1, keepdims=True))
+        )
+        mat = m.matrix
+        want = "".join(
+            f"{s},{int(mat.indices[pos])},{float(mat.data[pos])!r}\n"
+            for s in range(mat.shape[0])
+            for pos in range(mat.indptr[s], mat.indptr[s + 1])
+        )
+        assert collection_mod.map_csv(m) == want
+
+    def test_float_files_match_per_value_reference(self, tmp_path):
+        coll = synth_collection(3, 40, 0.05, seed=2)
+        out = tmp_path / "c"
+        save_collection(coll, out)
+        for s in coll.shapes:
+            want = "".join(" ".join(repr(float(c)) for c in p) + "\n" for p in s.points)
+            assert (out / f"{s.id}.xyz").read_text() == want
+            want = "".join(repr(float(v)) + "\n" for v in s.scalar_field)
+            assert (out / f"{s.id}.field").read_text() == want
+        want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in coll.D)
+        assert (out / "distances.csv").read_text() == want
 
     def test_save_is_all_or_none(self, tmp_path, l4_swap):
         # a directory where the last map file goes: no file of the collection is written

@@ -8,7 +8,6 @@ from corrsync.flow import (
     brute_force_paths,
     directed_flow_matrix,
     enumerate_paths,
-    sample_walk,
 )
 
 from conftest import line_distances, random_euclidean_distances
@@ -209,23 +208,3 @@ class TestEnumeratePaths:
         ]
         assert [r.vertices for r in pruned] == sorted(kept)
 
-
-class TestSampleWalk:
-    def test_deterministic_and_reaches_target(self):
-        D = line_distances([0.0, 1.0, 2.0, 3.0])
-        flow = directed_flow_matrix(D, 0, 3)
-        a = sample_walk(flow, seed=[9, 0])
-        b = sample_walk(flow, seed=[9, 0])
-        assert a == b
-        assert a.trajectory[0] == 0
-        if a.status == "reached":
-            assert a.trajectory[-1] == 3
-
-    def test_walk_respects_flow_edges(self):
-        rng = np.random.default_rng(3)
-        D = random_euclidean_distances(rng, 10)
-        flow = directed_flow_matrix(D, 1, 8)
-        for k in range(20):
-            res = sample_walk(flow, seed=[77, k])
-            for u, v in zip(res.trajectory, res.trajectory[1:]):
-                assert flow.F[u, v]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from corrsync.geometry import (
     build_lattice,
     holonomy_deficit,
     interior_angle,
-    lattice_flow,
     lattice_walks,
     random_triangle,
     spherical_excess,
@@ -38,16 +39,6 @@ class TestLattice:
         lat = build_lattice(5)
         assert lat.coords.min() == 0.0 and lat.coords.max() == 1.0
 
-    def test_flow_has_direct_corner_edge(self):
-        lat = build_lattice(5)
-        flow = lattice_flow(lat, 0, 24)
-        # corners are not adjacent so no direct lattice edge exists, but the
-        # diagonal neighbor toward the target is admissible
-        assert flow.F[lat.index(0, 0), lat.index(1, 1)]
-        assert not flow.F[:, 0].any()
-        assert not flow.F[24, :].any()
-
-
 class TestLatticeWalks:
     def test_standard_walks_deterministic(self):
         lat = build_lattice(7)
@@ -74,11 +65,43 @@ class TestLatticeWalks:
     def test_eop_distance_profile_strictly_monotone(self):
         lat = build_lattice(7)
         rep = lattice_walks(lat, mode="eop", count=20, seed=3)
+        src = lat.coords[lat.index(0, 0)]
         tgt = lat.coords[lat.index(6, 6)]
         for walk in rep.walks:
-            dists = [np.linalg.norm(lat.coords[v] - tgt) for v in walk]
-            diffs = np.diff(dists)
-            assert (diffs < 0).all()
+            assert (np.diff([np.linalg.norm(lat.coords[v] - tgt) for v in walk]) < 0).all()
+            assert (np.diff([np.linalg.norm(lat.coords[v] - src) for v in walk]) > 0).all()
+            for u, v in zip(walk, walk[1:]):
+                assert v in lat.neighbor_lists[u]
+
+    @pytest.mark.parametrize(
+        "source, target, beta, discarded",
+        [(40, 4, 1.0, 18), (10, 70, 50.0, 23)],
+    )
+    def test_eop_discards_stranded_walks(self, source, target, beta, discarded):
+        # off the corners, a walk can strand at a vertex with no
+        # neighbor both farther from the source and closer to the target
+        rep = lattice_walks(build_lattice(9), mode="eop", count=30, seed=0,
+                            source=source, target=target, beta=beta)
+        assert rep.discarded == discarded
+        assert len(rep.walks) == 30
+        assert all(w[0] == source and w[-1] == target for w in rep.walks)
+
+    def test_eop_attempt_limit(self):
+        # at beta 1e6 every step weight underflows to 0, so every walk strands
+        with pytest.raises(MaxStepsError, match="eop sampling produced 0 walks in 1500 attempts"):
+            lattice_walks(build_lattice(21), mode="eop", count=30, seed=0,
+                          source=220, target=3, beta=1e6)
+
+    def test_eop_memory_grows_with_vertices_not_pairs(self):
+        lat = build_lattice(40)
+        tracemalloc.start()
+        try:
+            lattice_walks(lat, mode="eop", count=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense (side^2 x side^2) float matrix alone would take 20 MB here
+        assert peak < 8 * 2**20
 
     def test_mode_rejected(self):
         lat = build_lattice(5)

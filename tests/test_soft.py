@@ -189,7 +189,7 @@ class TestPropagateSoft:
         with pytest.raises(MissingMapError, match=r"'s2' -> 's3' on admissible edge \(2, 3\)"):
             propagate_soft(coll, "s0", "s3", lam=0.0, max_paths=100)
 
-    @pytest.mark.parametrize("bad", [2, 99999, -1])
+    @pytest.mark.parametrize("bad", [2, 99999, -1, 2**64, -2**70])
     def test_out_of_range_query_names_vertex_and_shape(self, l4_swap, bad):
         with pytest.raises(IndexRangeError, match=rf"vertex {bad} .*'s0'"):
             propagate_soft(l4_swap, "s0", "s3", lam=0.0, source_points=[0, bad], max_paths=100)
