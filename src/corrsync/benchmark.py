@@ -269,7 +269,7 @@ def synth_collection(
     base = fibonacci_sphere(n_points)
     base_shape = Shape(id="base", points=base)
     fps = fps_landmarks(base_shape, landmark_count, intra_metric(base_shape))
-    labels = {f"L{m:02d}": int(v) for m, v in enumerate(fps.indices)}
+    labels = {f"L{m:02d}": int(v) for m, v in enumerate(fps)}
 
     shapes = []
     for s in range(n_shapes):
@@ -279,7 +279,7 @@ def synth_collection(
             Shape(
                 id=f"s{s:02d}",
                 points=pts,
-                landmark_indices=list(fps.indices),
+                landmark_indices=list(fps),
                 ground_truth=dict(labels),
                 scalar_field=np.linalg.norm(pts, axis=1),
             )

@@ -177,13 +177,13 @@ def _cmd_match(args) -> int:
         dense = ((args.interpolated, map_csv(dense_map)),)
 
     lines = ["source_index,target_index,provenance\n"]
-    for m in refined.entries:
+    for m in refined:
         lines.append(f"{m.source},{m.target},{m.provenance}\n")
     config = dict(
         manifest=args.manifest, pair=args.pair, radius=args.radius,
         delta=args.delta, max_matches=args.max_matches, lam=args.lam,
     )
-    info = f"{len(refined.entries)} matches ({unmatched} unmatched landmarks)"
+    info = f"{len(refined)} matches ({unmatched} unmatched landmarks)"
     return _write(args, config, "".join(lines), info, dense)
 
 

@@ -15,7 +15,6 @@ are a ``MapFiles`` table, so a command parses only the files it uses.
 from __future__ import annotations
 
 import errno
-import functools
 import itertools
 import json
 import math
@@ -345,11 +344,6 @@ class GeodesicOracle:
     @property
     def n(self) -> int:
         return self.shape.n
-
-    @functools.cached_property
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Graph neighbours of each vertex, ascending."""
-        return np.split(self.graph.indices, self.graph.indptr[1:-1])
 
     def check_vertices(self, vertices) -> list[int]:
         """The vertices as ints; IndexRangeError names the first outside the shape."""

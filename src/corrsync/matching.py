@@ -22,35 +22,13 @@ from .soft import SoftCorrespondence, ball_mass, propagate_soft
 
 
 @dataclass(frozen=True)
-class LandmarkSet:
-    shape_id: str
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Match:
     source: int
     target: int
     provenance: str
 
 
-@dataclass
-class MatchList:
-    source_id: str
-    target_id: str
-    entries: list[Match]
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(m.source, m.target) for m in self.entries]
-
-    def validate_disjoint(self) -> None:
-        src = [m.source for m in self.entries]
-        tgt = [m.target for m in self.entries]
-        if len(set(src)) != len(src) or len(set(tgt)) != len(tgt):
-            raise ValueError("a vertex appears in two matches")
-
-
-def fps_landmarks(shape: Shape, count: int, oracle: GeodesicOracle) -> LandmarkSet:
+def fps_landmarks(shape: Shape, count: int, oracle: GeodesicOracle) -> tuple[int, ...]:
     """Farthest-point sampling under the geodesic metric, from vertex 0.
 
     Greedily adds the vertex farthest from everything chosen so far; distance
@@ -67,7 +45,7 @@ def fps_landmarks(shape: Shape, count: int, oracle: GeodesicOracle) -> LandmarkS
         nxt = int(np.argmax(mindist))
         chosen.append(nxt)
         np.minimum(mindist, oracle.distances_from(nxt), out=mindist)
-    return LandmarkSet(shape_id=shape.id, indices=tuple(chosen))
+    return tuple(chosen)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -78,6 +56,15 @@ def _check_positive(name: str, value: float) -> None:
 def _check_hops(hops: int) -> None:
     if hops < 1:
         raise InvalidValueError(f"hops must be at least 1, got {hops}")
+
+
+def _distinct(vertices, what: str) -> set[int]:
+    seen: set[int] = set()
+    for v in vertices:
+        if v in seen:
+            raise InvalidValueError(f"{what} vertex {v} appears twice")
+        seen.add(v)
+    return seen
 
 
 def check_ball_disjoint(indices, radius: float, oracle: GeodesicOracle) -> None:
@@ -95,12 +82,12 @@ def check_ball_disjoint(indices, radius: float, oracle: GeodesicOracle) -> None:
 def gp_partial_match(
     soft_ab: SoftCorrespondence,
     soft_ba: SoftCorrespondence,
-    landmarks_a: LandmarkSet,
-    landmarks_b: LandmarkSet,
+    landmarks_a: tuple[int, ...],
+    landmarks_b: tuple[int, ...],
     radius: float,
     oracle_a: GeodesicOracle,
     oracle_b: GeodesicOracle,
-) -> MatchList:
+) -> list[Match]:
     """Match landmarks whose soft images concentrate in each other's balls.
 
     A pair qualifies when the forward row puts mass >= 0.5 inside the ball
@@ -111,65 +98,50 @@ def gp_partial_match(
     finite number > 0.
     """
     _check_positive("radius", radius)
-    check_ball_disjoint(landmarks_a.indices, radius, oracle_a)
-    check_ball_disjoint(landmarks_b.indices, radius, oracle_b)
+    check_ball_disjoint(landmarks_a, radius, oracle_a)
+    check_ball_disjoint(landmarks_b, radius, oracle_b)
     taken: set[int] = set()
-    entries: list[Match] = []
-    for va in landmarks_a.indices:
+    matches: list[Match] = []
+    for va in landmarks_a:
         row_a = soft_ab.row(va)
-        for vb in landmarks_b.indices:
+        for vb in landmarks_b:
             if vb in taken:
                 continue
             if ball_mass(row_a, vb, radius, oracle_b) >= 0.5 and (
                 ball_mass(soft_ba.row(vb), va, radius, oracle_a) >= 0.5
             ):
                 taken.add(vb)
-                entries.append(Match(int(va), int(vb), "partial"))
+                matches.append(Match(int(va), int(vb), "partial"))
                 break
-    out = MatchList(soft_ab.source_id, soft_ab.target_id, entries)
-    out.validate_disjoint()
-    return out
+    return matches
 
 
-def _hop_neighborhoods(neighbor_lists, hops: int) -> list[set[int]]:
-    out = []
-    for v in range(len(neighbor_lists)):
-        seen = {v}
-        frontier = {v}
-        for _ in range(hops):
-            nxt = set()
-            for u in frontier:
-                nxt.update(int(w) for w in neighbor_lists[u])
-            frontier = nxt - seen
-            seen |= nxt
-        seen.discard(v)
-        out.append(seen)
-    return out
-
-
-def strict_extrema(field: np.ndarray, neighbor_lists, hops: int = 1) -> tuple[int, ...]:
+def strict_extrema(field: np.ndarray, graph, hops: int = 1) -> tuple[int, ...]:
     """Indices whose value strictly exceeds every neighbor within the hop radius.
 
-    A vertex with no neighbors in range qualifies vacuously.
+    graph is a sparse adjacency whose row v stores v's neighbors as nonzero
+    entries. A vertex's neighborhood is every other vertex reachable in 1 to
+    hops steps; a vertex with no neighbors in range qualifies vacuously.
     """
+    from scipy import sparse
+
     _check_hops(hops)
-    hoods = _hop_neighborhoods(neighbor_lists, hops)
-    return tuple(
-        v
-        for v in range(len(field))
-        if all(field[v] > field[u] for u in hoods[v])
-    )
+    step = sparse.csr_matrix(graph, dtype=bool)
+    reach = step
+    for _ in range(hops - 1):
+        reach = reach + reach @ step
+    rows, cols = reach.nonzero()
+    other = rows != cols
+    best = np.full(len(field), -np.inf)
+    np.maximum.at(best, rows[other], field[cols[other]])
+    return tuple(np.flatnonzero(field > best).tolist())
 
 
 def detect_extrema(shape: Shape, oracle: GeodesicOracle, hops: int = 1) -> tuple[int, ...]:
-    """Strict local maxima of the shape's scalar field, ascending vertex order."""
-    field = shape.scalar_field
-    if field is None:
+    """Strict local maxima of the scalar field on the oracle's graph, ascending vertex order."""
+    if shape.scalar_field is None:
         raise ValueError(f"shape {shape.id!r} has no scalar field")
-    field = np.asarray(field, dtype=float)
-    if field.shape != (shape.n,):
-        raise ValueError("scalar field length does not match the shape")
-    return strict_extrema(field, oracle.neighbor_lists, hops)
+    return strict_extrema(shape.scalar_field, oracle.graph, hops)
 
 
 def project_vertices(points_from: np.ndarray, points_to: np.ndarray, vertices) -> np.ndarray:
@@ -180,29 +152,32 @@ def project_vertices(points_from: np.ndarray, points_to: np.ndarray, vertices) -
 
 
 def stable_curvature_match(
-    shape_a: Shape,
-    shape_b: Shape,
+    points_a: np.ndarray,
+    points_b: np.ndarray,
     extrema_a: list[int],
     extrema_b: list[int],
     delta: float,
     oracle_a: GeodesicOracle,
     oracle_b: GeodesicOracle,
-) -> MatchList:
-    """Stable matching of scalar-field extrema between two aligned shapes.
+) -> list[Match]:
+    """Stable matching of scalar-field extrema between two aligned point sets.
 
     Candidate pairs must project within geodesic delta of each other in both
     directions. Source extrema propose in ascending projected-distance order;
     the result admits no blocking pair among candidates, and holds matches
-    only, in source extremum order. delta must be a finite number > 0.
+    only, in source extremum order. delta must be a finite number > 0, and
+    neither extrema list may repeat a vertex.
     """
     _check_positive("delta", delta)
     ea = [int(v) for v in extrema_a]
     eb = [int(v) for v in extrema_b]
+    _distinct(ea, "extremum")
+    _distinct(eb, "extremum")
     if not ea or not eb:
-        return MatchList(shape_a.id, shape_b.id, [])
+        return []
 
-    proj_a = project_vertices(shape_a.points, shape_b.points, ea)  # images on B
-    proj_b = project_vertices(shape_b.points, shape_a.points, eb)  # images on A
+    proj_a = project_vertices(points_a, points_b, ea)  # images on B
+    proj_b = project_vertices(points_b, points_a, eb)  # images on A
     fwd = oracle_b.distance_rows(proj_a)[:, eb]
     rev = oracle_a.distance_rows(proj_b)[:, ea]
     admissible = (fwd < delta) & (rev.T < delta)
@@ -232,43 +207,39 @@ def stable_curvature_match(
             free.append(m)
 
     matched = {m: j for j, m in engaged.items()}
-    entries = [Match(va, eb[matched[m]], "curvature") for m, va in enumerate(ea) if m in matched]
-    out = MatchList(shape_a.id, shape_b.id, entries)
-    out.validate_disjoint()
-    return out
+    return [Match(va, eb[matched[m]], "curvature") for m, va in enumerate(ea) if m in matched]
 
 
 def joint_fps_refine(
-    seed_matches: MatchList,
-    candidates: MatchList,
+    seeds: list[Match],
+    candidates: list[Match],
     max_matches: int,
     oracle_a: GeodesicOracle,
     oracle_b: GeodesicOracle,
-) -> MatchList:
+) -> list[Match]:
     """Grow the match set by joint farthest-point coverage on both shapes.
 
     Starting from the seed matches, repeatedly adds the candidate pair
     maximizing the summed geodesic distance to the already chosen vertices on
     each side, until max_matches pairs exist or candidates run out. Ties take
-    the lowest source index. Candidates reusing a chosen vertex are skipped.
+    the lowest source index. Candidates reusing a chosen vertex are skipped;
+    two seeds sharing a source or a target are rejected.
     """
-    seeds = seed_matches.entries
     if max_matches < len(seeds):
         raise InvalidValueError(
             f"max_matches={max_matches} below the {len(seeds)} seed matches"
         )
     chosen: list[Match] = list(seeds)
-    used_a = {m.source for m in chosen}
-    used_b = {m.target for m in chosen}
+    used_a = _distinct((m.source for m in chosen), "seed source")
+    used_b = _distinct((m.target for m in chosen), "seed target")
     pool = [
         m
-        for m in candidates.entries
+        for m in candidates
         if m.source not in used_a and m.target not in used_b
     ]
 
-    inf = float("inf")
-    mind_a = np.full(oracle_a.n, inf)
-    mind_b = np.full(oracle_b.n, inf)
+    mind_a = np.full(oracle_a.n, np.inf)
+    mind_b = np.full(oracle_b.n, np.inf)
     for m in chosen:
         np.minimum(mind_a, oracle_a.distances_from(m.source), out=mind_a)
         np.minimum(mind_b, oracle_b.distances_from(m.target), out=mind_b)
@@ -289,10 +260,7 @@ def joint_fps_refine(
         pool = [
             m for m in pool if m.source not in used_a and m.target not in used_b
         ]
-
-    out = MatchList(seed_matches.source_id, seed_matches.target_id, chosen)
-    out.validate_disjoint()
-    return out
+    return chosen
 
 
 def match_pair(
@@ -307,7 +275,7 @@ def match_pair(
     landmarks: int,
     hops: int,
     k: int,
-) -> tuple[MatchList, int]:
+) -> tuple[list[Match], int]:
     """One pair's sparse matches, and the number of source landmarks left unmatched.
 
     Runs fps_landmarks for a shape without landmarks, gp_partial_match on
@@ -323,31 +291,29 @@ def match_pair(
     oracle_b = collection.oracle(target_id, k=k)
 
     lm_a, lm_b = (
-        LandmarkSet(shape.id, shape.landmark_indices)
-        if shape.landmark_indices
-        else fps_landmarks(shape, landmarks, oracle)
+        shape.landmark_indices or fps_landmarks(shape, landmarks, oracle)
         for shape, oracle in ((shape_a, oracle_a), (shape_b, oracle_b))
     )
 
-    soft_ab = propagate_soft(collection, source_id, target_id, lam=lam, source_points=list(lm_a.indices))
-    soft_ba = propagate_soft(collection, target_id, source_id, lam=lam, source_points=list(lm_b.indices))
+    soft_ab = propagate_soft(collection, source_id, target_id, lam=lam, source_points=list(lm_a))
+    soft_ba = propagate_soft(collection, target_id, source_id, lam=lam, source_points=list(lm_b))
     partial = gp_partial_match(soft_ab, soft_ba, lm_a, lm_b, radius, oracle_a, oracle_b)
 
-    seeds = MatchList(source_id, target_id, [])
+    seeds: list[Match] = []
     if shape_a.scalar_field is not None and shape_b.scalar_field is not None:
         align = baseline_pairwise_align(shape_a, shape_b)
-        moved = Shape(id=source_id, points=shape_a.points @ align.rotation.T + align.translation)
         extrema_a = detect_extrema(shape_a, oracle_a, hops)
         extrema_b = detect_extrema(shape_b, oracle_b, hops)
         seeds = stable_curvature_match(
-            moved, shape_b, extrema_a, extrema_b, delta, oracle_a, oracle_b
+            shape_a.points @ align.rotation.T + align.translation, shape_b.points,
+            extrema_a, extrema_b, delta, oracle_a, oracle_b,
         )
     refined = joint_fps_refine(seeds, partial, max_matches, oracle_a, oracle_b)
-    return refined, len(lm_a.indices) - len(partial.entries)
+    return refined, len(lm_a) - len(partial)
 
 
 def interpolate_dense(
-    matches: MatchList,
+    matches: list[Match],
     shape_a: Shape,
     shape_b: Shape,
     oracle_a: GeodesicOracle,
@@ -362,17 +328,16 @@ def interpolate_dense(
     """
     from scipy.spatial import cKDTree
 
-    pairs = matches.pairs()
-    if not pairs:
+    if not matches:
         raise InvalidValueError(
-            f"cannot interpolate {matches.source_id!r} -> {matches.target_id!r} "
+            f"cannot interpolate {shape_a.id!r} -> {shape_b.id!r} "
             "from an empty match set"
         )
-    srcs, tgts = np.array(pairs, dtype=np.int64).T
+    srcs, tgts = np.array([(m.source, m.target) for m in matches], dtype=np.int64).T
     free = np.ones(shape_a.n, dtype=bool)
     free[srcs] = False
     d = oracle_a.distance_rows(srcs)[:, free]  # (matches, free vertices)
-    order = np.argsort(d, axis=0, kind="stable")[: min(4, len(pairs))]
+    order = np.argsort(d, axis=0, kind="stable")[: min(4, len(matches))]
     w = 1.0 / np.take_along_axis(d, order, axis=0)
     pos = (w[:, :, None] * shape_b.points[tgts[order]]).sum(0) / w.sum(0)[:, None]
     indices = np.empty(shape_a.n, dtype=np.int64)

@@ -920,8 +920,35 @@ class TestMatchCommand:
             landmarks=10, hops=1, k=KNN_DEFAULT,
         )
         assert unmatched == 4
-        assert refined.pairs() == [(int(s), int(t)) for s, t, _ in rows]
-        assert [m.provenance for m in refined.entries] == [p for _, _, p in rows]
+        assert [(m.source, m.target, m.provenance) for m in refined] == [
+            (int(s), int(t), p) for s, t, p in rows
+        ]
+
+    @pytest.mark.parametrize("fields", [True, False])
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    @pytest.mark.parametrize("shapes, points, pair", [(6, 150, "s00,s03"), (12, 400, "s02,s09")])
+    def test_match_pair_vertices_distinct(self, tmp_path, shapes, points, pair, hops, fields):
+        # no vertex on either side appears in two matches, and the CLI lists
+        # the library's matches and provenances in the same order
+        coll = synth_collection(shapes, points, 0.08, seed=shapes)
+        if not fields:
+            coll = replace(coll, shapes=[replace(s, scalar_field=None) for s in coll.shapes])
+        source, target = pair.split(",")
+        matches, _ = match_pair(
+            coll, source, target, radius=0.2, delta=0.6, max_matches=15, lam=LAMBDA_DEFAULT,
+            landmarks=10, hops=hops, k=KNN_DEFAULT,
+        )
+        assert len({m.source for m in matches}) == len(matches)
+        assert len({m.target for m in matches}) == len(matches)
+        out = tmp_path / "m.csv"
+        rc = main(["match", "--manifest", save_collection(coll, tmp_path / "c"), "--pair", pair,
+                   "--radius", "0.2", "--delta", "0.6", "--hops", str(hops), "--out", str(out),
+                   "--quiet"])
+        assert rc == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert [(m.source, m.target, m.provenance) for m in matches] == [
+            (int(s), int(t), p) for s, t, p in rows[1:]
+        ]
 
     def test_bad_pair_separator(self, synth_manifest, capsys):
         rc = main(["match", "--manifest", synth_manifest, "--pair", "s00:s01",

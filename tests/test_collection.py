@@ -217,7 +217,7 @@ class TestGeodesicOracle:
         # vertex 1 sees 0 and 2 at distance 1; k=1 must pick index 0
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
         o = GeodesicOracle(Shape(id="line", points=pts), k=1)
-        assert 0 in o.neighbor_lists[1]
+        assert 0 in o.graph[1].indices
 
     def test_first_use_import_is_safe_across_threads(self):
         # eight threads build k-NN oracles at once in a process that has not

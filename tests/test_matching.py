@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 from corrsync.benchmark import synth_collection
 from corrsync.collection import GeodesicOracle, Shape
-from corrsync.errors import BallOverlapError, DegenerateGeometryError
+from corrsync.errors import BallOverlapError, DegenerateGeometryError, InvalidValueError
 from corrsync.matching import (
-    LandmarkSet,
     Match,
-    MatchList,
     baseline_pairwise_align,
     check_ball_disjoint,
     detect_extrema,
@@ -16,6 +17,7 @@ from corrsync.matching import (
     gp_partial_match,
     interpolate_dense,
     joint_fps_refine,
+    match_pair,
     project_vertices,
     stable_curvature_match,
     strict_extrema,
@@ -29,12 +31,40 @@ def line_shape(shape_id, xs):
     return Shape(id=shape_id, points=np.c_[xs, np.zeros(len(xs)), np.zeros(len(xs))])
 
 
+def match_pairs(matches):
+    return [(m.source, m.target) for m in matches]
+
+
+def adjacency(neighbors):
+    """Sparse adjacency whose row v holds the vertices of neighbors[v]."""
+    rows = [v for v, hood in enumerate(neighbors) for _ in hood]
+    cols = [u for hood in neighbors for u in hood]
+    n = len(neighbors)
+    return sparse.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n, n))
+
+
+def hop_neighborhoods(neighbors, hops):
+    # per-vertex breadth-first reference: every other vertex within hops steps
+    out = []
+    for v in range(len(neighbors)):
+        seen = {v}
+        frontier = {v}
+        for _ in range(hops):
+            nxt = set()
+            for u in frontier:
+                nxt.update(neighbors[u])
+            frontier = nxt - seen
+            seen |= nxt
+        seen.discard(v)
+        out.append(seen)
+    return out
+
+
 class TestFps:
     def test_collinear_fixture(self):
         sh = line_shape("line", [0.0, 1.0, 2.0, 3.0])
         oracle = GeodesicOracle(sh, k=2)
-        lm = fps_landmarks(sh, 3, oracle)
-        assert lm.indices == (0, 3, 1)
+        assert fps_landmarks(sh, 3, oracle) == (0, 3, 1)
 
     def test_count_capped_by_vertices(self):
         sh = line_shape("line", [0.0, 1.0])
@@ -48,7 +78,7 @@ class TestFps:
         oracle = GeodesicOracle(sh, k=6)
         a = fps_landmarks(sh, 8, oracle)
         b = fps_landmarks(sh, 8, oracle)
-        assert a.indices == b.indices
+        assert a == b
 
 
 class TestBallDisjoint:
@@ -77,10 +107,8 @@ class TestGpPartialMatch:
         oa, ob = GeodesicOracle(a, k=1), GeodesicOracle(b, k=1)
         soft_ab = self._soft("a", "b", {0: {0: 0.9, 1: 0.1}, 1: {1: 1.0}})
         soft_ba = self._soft("b", "a", {0: {0: 0.8, 1: 0.2}, 1: {1: 1.0}})
-        lm_a = LandmarkSet("a", (0, 1))
-        lm_b = LandmarkSet("b", (0, 1))
-        out = gp_partial_match(soft_ab, soft_ba, lm_a, lm_b, 1.0, oa, ob)
-        assert out.pairs() == [(0, 0), (1, 1)]
+        out = gp_partial_match(soft_ab, soft_ba, (0, 1), (0, 1), 1.0, oa, ob)
+        assert match_pairs(out) == [(0, 0), (1, 1)]
 
     def test_unmatched_landmark_left_out(self):
         a = line_shape("a", [0.0, 4.0])
@@ -89,10 +117,8 @@ class TestGpPartialMatch:
         # landmark 1's mass lands nowhere mutual
         soft_ab = self._soft("a", "b", {0: {0: 1.0}, 1: {0: 1.0}})
         soft_ba = self._soft("b", "a", {0: {0: 1.0}, 1: {1: 1.0}})
-        lm_a = LandmarkSet("a", (0, 1))
-        lm_b = LandmarkSet("b", (0, 1))
-        out = gp_partial_match(soft_ab, soft_ba, lm_a, lm_b, 1.0, oa, ob)
-        assert out.entries == [Match(0, 0, "partial")]
+        out = gp_partial_match(soft_ab, soft_ba, (0, 1), (0, 1), 1.0, oa, ob)
+        assert out == [Match(0, 0, "partial")]
 
     def test_taken_target_skipped(self):
         a = line_shape("a", [0.0, 4.0])
@@ -101,10 +127,8 @@ class TestGpPartialMatch:
         # both landmarks point at target 0; only the first claims it
         soft_ab = self._soft("a", "b", {0: {0: 1.0}, 1: {0: 1.0}})
         soft_ba = self._soft("b", "a", {0: {0: 0.5, 1: 0.5}, 1: {1: 1.0}})
-        lm_a = LandmarkSet("a", (0, 1))
-        lm_b = LandmarkSet("b", (0, 1))
-        out = gp_partial_match(soft_ab, soft_ba, lm_a, lm_b, 1.0, oa, ob)
-        assert out.pairs() == [(0, 0)]
+        out = gp_partial_match(soft_ab, soft_ba, (0, 1), (0, 1), 1.0, oa, ob)
+        assert match_pairs(out) == [(0, 0)]
 
     def test_ball_overlap_checked_on_both_shapes(self):
         a = line_shape("a", [0.0, 1.0])
@@ -114,8 +138,7 @@ class TestGpPartialMatch:
         soft_ba = self._soft("b", "a", {0: {0: 1.0}, 1: {1: 1.0}})
         with pytest.raises(BallOverlapError):
             gp_partial_match(
-                soft_ab, soft_ba, LandmarkSet("a", (0, 1)),
-                LandmarkSet("b", (0, 1)), 1.0, oa, ob
+                soft_ab, soft_ba, (0, 1), (0, 1), 1.0, oa, ob
             )
 
 
@@ -123,22 +146,57 @@ class TestExtrema:
     def test_chain_fixture(self):
         field = np.array([1.0, 3.0, 2.0, 5.0])
         nb = ((1,), (0, 2), (1, 3), (2,))
-        assert strict_extrema(field, nb, hops=1) == (1, 3)
+        assert strict_extrema(field, adjacency(nb), hops=1) == (1, 3)
 
     def test_two_hop_suppresses_smaller_peak(self):
         field = np.array([1.0, 3.0, 2.0, 5.0])
         nb = ((1,), (0, 2), (1, 3), (2,))
-        assert strict_extrema(field, nb, hops=2) == (3,)
+        assert strict_extrema(field, adjacency(nb), hops=2) == (3,)
 
     def test_plateau_is_not_strict(self):
         field = np.array([2.0, 2.0])
         nb = ((1,), (0,))
-        assert strict_extrema(field, nb, hops=1) == ()
+        assert strict_extrema(field, adjacency(nb), hops=1) == ()
 
     def test_isolated_vertex_vacuous(self):
         field = np.array([0.0, 5.0, 1.0])
         nb = ((), (2,), (1,))
-        assert strict_extrema(field, nb, hops=1) == (0, 1)
+        assert strict_extrema(field, adjacency(nb), hops=1) == (0, 1)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_breadth_first_reference(self, data):
+        # directed edges, self-loops, isolated vertices and tied values
+        n = data.draw(st.integers(1, 9))
+        vertex = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+        field = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), float)
+        hops = data.draw(st.integers(1, 4))
+        nb = tuple(tuple(sorted({u for w, u in edges if w == v})) for v in range(n))
+        hoods = hop_neighborhoods(nb, hops)
+        expected = tuple(v for v in range(n) if all(field[v] > field[u] for u in hoods[v]))
+        assert strict_extrema(field, adjacency(nb), hops) == expected
+
+    @pytest.mark.parametrize(
+        "shape_id, by_hops",
+        [
+            ("s00", [(66, 136), (66, 136), (66,), (66,)]),
+            ("s04", [(33, 71, 144), (33, 144), (33, 144), (33, 144)]),
+        ],
+    )
+    def test_synth_extrema_pinned(self, shape_id, by_hops):
+        coll = synth_collection(8, 150, 0.08, seed=3)
+        shape, oracle = coll.shape(shape_id), coll.oracle(shape_id)
+        assert [detect_extrema(shape, oracle, hops) for hops in (1, 2, 3, 4)] == by_hops
+
+    def test_two_hop_match_pinned(self):
+        coll = synth_collection(8, 150, 0.08, seed=3)
+        matches, unmatched = match_pair(
+            coll, "s04", "s06", radius=0.2, delta=1.0, hops=2, max_matches=15,
+            lam=0.978, landmarks=10, k=8,
+        )
+        assert matches[0] == Match(144, 107, "curvature")
+        assert (len(matches), unmatched) == (15, 0)
 
     def test_detect_requires_field(self):
         sh = line_shape("a", [0.0, 1.0])
@@ -170,15 +228,23 @@ class TestStableMatch:
         a = line_shape("a", [0.0, 0.4, 4.0])
         b = line_shape("b", [0.0, 1.0, 4.0])
         oa, ob = GeodesicOracle(a, k=1), GeodesicOracle(b, k=1)
-        out = stable_curvature_match(a, b, (0, 1), (0, 1), 10.0, oa, ob)
-        assert out.pairs() == [(0, 0), (1, 1)]
+        out = stable_curvature_match(a.points, b.points, (0, 1), (0, 1), 10.0, oa, ob)
+        assert match_pairs(out) == [(0, 0), (1, 1)]
 
     def test_admissibility_threshold(self):
         a = line_shape("a", [0.0, 4.0])
         b = line_shape("b", [10.0, 14.0])
         oa, ob = GeodesicOracle(a, k=1), GeodesicOracle(b, k=1)
-        out = stable_curvature_match(a, b, (0,), (0,), 0.5, oa, ob)
-        assert out.entries == []
+        out = stable_curvature_match(a.points, b.points, (0,), (0,), 0.5, oa, ob)
+        assert out == []
+
+    @pytest.mark.parametrize("extrema_a, extrema_b", [((0, 0), (0,)), ((0,), (0, 1, 0))])
+    def test_repeated_extremum_rejected(self, extrema_a, extrema_b):
+        a = line_shape("a", [0.0, 4.0])
+        b = line_shape("b", [0.0, 4.0])
+        oa, ob = GeodesicOracle(a, k=1), GeodesicOracle(b, k=1)
+        with pytest.raises(InvalidValueError, match="vertex 0"):
+            stable_curvature_match(a.points, b.points, extrema_a, extrema_b, 10.0, oa, ob)
 
     def test_no_blocking_pair_on_random_instances(self):
         # preference keys restated independently: proposers rank targets by
@@ -194,13 +260,13 @@ class TestStableMatch:
             b = line_shape("b", xb)
             oa, ob = GeodesicOracle(a, k=na - 1), GeodesicOracle(b, k=nb - 1)
             out = stable_curvature_match(
-                a, b, tuple(range(na)), tuple(range(nb)), 100.0, oa, ob
+                a.points, b.points, tuple(range(na)), tuple(range(nb)), 100.0, oa, ob
             )
             proj_b = [int(np.argmin(np.abs(xb - x))) for x in xa]
             proj_a = [int(np.argmin(np.abs(xa - x))) for x in xb]
             fwd = np.array([[abs(xb[proj_b[s]] - xb[t]) for t in range(nb)] for s in range(na)])
             rev_c = np.array([[abs(xa[s] - xa[proj_a[t]]) for t in range(nb)] for s in range(na)])
-            matched = dict(out.pairs())
+            matched = dict(match_pairs(out))
             partner_of_t = {t: s for s, t in matched.items()}
             for s in range(na):
                 for t in range(nb):
@@ -226,33 +292,37 @@ class TestJointFpsRefine:
 
     def test_picks_farthest_candidate_first(self):
         a, b, oa, ob = self._setup()
-        seeds = MatchList("a", "b", [Match(0, 0, "seed")])
-        candidates = MatchList(
-            "a", "b", [Match(1, 1, "c"), Match(4, 4, "c"), Match(2, 2, "c")]
-        )
+        seeds = [Match(0, 0, "seed")]
+        candidates = [Match(1, 1, "c"), Match(4, 4, "c"), Match(2, 2, "c")]
         out = joint_fps_refine(seeds, candidates, 2, oa, ob)
-        assert out.pairs() == [(0, 0), (4, 4)]
+        assert match_pairs(out) == [(0, 0), (4, 4)]
 
     def test_energy_ties_break_on_source_index(self):
         a, b, oa, ob = self._setup()
-        seeds = MatchList("a", "b", [Match(2, 2, "seed")])
-        candidates = MatchList("a", "b", [Match(4, 4, "c"), Match(0, 0, "c")])
+        seeds = [Match(2, 2, "seed")]
+        candidates = [Match(4, 4, "c"), Match(0, 0, "c")]
         out = joint_fps_refine(seeds, candidates, 2, oa, ob)
-        assert out.pairs() == [(2, 2), (0, 0)]
+        assert match_pairs(out) == [(2, 2), (0, 0)]
 
     def test_budget_below_seeds_rejected(self):
         a, b, oa, ob = self._setup()
-        seeds = MatchList("a", "b", [Match(0, 0, "seed"), Match(1, 1, "seed")])
+        seeds = [Match(0, 0, "seed"), Match(1, 1, "seed")]
         with pytest.raises(ValueError):
-            joint_fps_refine(seeds, MatchList("a", "b", []), 1, oa, ob)
+            joint_fps_refine(seeds, [], 1, oa, ob)
 
     def test_vertex_reuse_skipped(self):
         a, b, oa, ob = self._setup()
-        seeds = MatchList("a", "b", [Match(0, 0, "seed")])
-        candidates = MatchList("a", "b", [Match(4, 0, "c"), Match(3, 3, "c")])
+        seeds = [Match(0, 0, "seed")]
+        candidates = [Match(4, 0, "c"), Match(3, 3, "c")]
         out = joint_fps_refine(seeds, candidates, 3, oa, ob)
         # (4, 0) reuses target 0 and must be skipped
-        assert out.pairs() == [(0, 0), (3, 3)]
+        assert match_pairs(out) == [(0, 0), (3, 3)]
+
+    @pytest.mark.parametrize("second", [Match(0, 1, "seed"), Match(1, 0, "seed")])
+    def test_seeds_sharing_a_vertex_rejected(self, second):
+        a, b, oa, ob = self._setup()
+        with pytest.raises(InvalidValueError, match="vertex 0"):
+            joint_fps_refine([Match(0, 0, "seed"), second], [], 3, oa, ob)
 
 
 class TestInterpolateDense:
@@ -260,7 +330,7 @@ class TestInterpolateDense:
         a = line_shape("a", [0.0, 1.0, 2.0, 3.0])
         b = line_shape("b", [0.0, 1.0, 2.0, 3.0])
         oa = GeodesicOracle(a, k=1)
-        matches = MatchList("a", "b", [Match(0, 0, "m"), Match(3, 3, "m")])
+        matches = [Match(0, 0, "m"), Match(3, 3, "m")]
         dense = interpolate_dense(matches, a, b, oa)
         assert dense.indices[0] == 0 and dense.indices[3] == 3
 
@@ -268,7 +338,7 @@ class TestInterpolateDense:
         a = line_shape("a", [0.0, 1.0, 2.0, 3.0])
         b = line_shape("b", [0.0, 1.0, 2.0, 3.0])
         oa = GeodesicOracle(a, k=1)
-        matches = MatchList("a", "b", [Match(0, 0, "m"), Match(3, 3, "m")])
+        matches = [Match(0, 0, "m"), Match(3, 3, "m")]
         dense = interpolate_dense(matches, a, b, oa)
         assert list(dense.indices) in ([0, 1, 2, 3], [0, 1, 1, 3], [0, 2, 2, 3])
 
@@ -277,7 +347,7 @@ class TestInterpolateDense:
         # one vertex at a time: its 4 nearest matches by (distance, match
         # order), weights 1/d, the blended target position snapped to a vertex
         tree_b = cKDTree(shape_b.points)
-        pairs = matches.pairs()
+        pairs = match_pairs(matches)
         exact = dict(pairs)
         rows = oracle_a.distance_rows([s for s, _ in pairs])
         out = []
@@ -300,14 +370,14 @@ class TestInterpolateDense:
         rng = np.random.default_rng(count)
         srcs = rng.choice(a.n, count, replace=False)
         tgts = rng.choice(b.n, count, replace=False)
-        matches = MatchList(a.id, b.id, [Match(int(s), int(t), "m") for s, t in zip(srcs, tgts)])
+        matches = [Match(int(s), int(t), "m") for s, t in zip(srcs, tgts)]
         dense = interpolate_dense(matches, a, b, oa)
         assert dense.indices.tolist() == self._reference(matches, a, b, oa)
 
     def test_every_vertex_matched(self):
         a = line_shape("a", [0.0, 1.0, 2.0])
         b = line_shape("b", [0.0, 1.0, 2.0])
-        matches = MatchList("a", "b", [Match(0, 2, "m"), Match(1, 0, "m"), Match(2, 1, "m")])
+        matches = [Match(0, 2, "m"), Match(1, 0, "m"), Match(2, 1, "m")]
         dense = interpolate_dense(matches, a, b, GeodesicOracle(a, k=1))
         assert dense.indices.tolist() == [2, 0, 1]
 
@@ -316,7 +386,7 @@ class TestInterpolateDense:
         b = line_shape("b", [0.0, 1.0])
         oa = GeodesicOracle(a, k=1)
         with pytest.raises(ValueError):
-            interpolate_dense(MatchList("a", "b", []), a, b, oa)
+            interpolate_dense([], a, b, oa)
 
 
 class TestBaselineAlign:
