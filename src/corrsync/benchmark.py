@@ -25,7 +25,7 @@ from .collection import (
     identity_map,
     intra_metric,
 )
-from .errors import CorrsyncError, IndexRangeError, InvalidValueError, ManifestError
+from .errors import CorrsyncError, InvalidValueError, ManifestError
 from .flow import MAX_PATHS_DEFAULT, check_path_limits, directed_flow_matrix
 from .matching import baseline_pairwise_align, fps_landmarks
 from .soft import LAMBDA_DEFAULT, frechet_mean, mle, propagate_soft, tv_distance
@@ -44,7 +44,7 @@ class ErrorCurve:
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.fractions) < 0):
-            raise ValueError("error curve must be nondecreasing")
+            raise InvalidValueError("error curve must be nondecreasing")
 
 
 def default_grid(count: int = 100, upper: float = 0.5) -> np.ndarray:
@@ -80,12 +80,7 @@ def geodesic_errors(
             )
         predicted = predicted.indices
     scale = oracle.diameter() if normalize else 1.0
-    preds = [int(predicted[s]) for s, _ in gt_pairs]
-    for p in preds:
-        if not 0 <= p < oracle.n:
-            raise IndexRangeError(
-                f"shape {oracle.shape.id!r}: predicted vertex {p} out of range"
-            )
+    preds = oracle.shape.check_vertices([predicted[s] for s, _ in gt_pairs], "predicted vertex")
     truth = sorted({t for _, t in gt_pairs})
     at = {t: i for i, t in enumerate(truth)}
     rows = oracle.distance_rows(truth)
@@ -259,7 +254,7 @@ def synth_collection(
     both directions.
     """
     if map_source not in ("align", "truth"):
-        raise ValueError("map_source must be 'align' or 'truth'")
+        raise InvalidValueError(f"map_source must be 'align' or 'truth', got {map_source!r}")
     if n_shapes < 1:
         raise InvalidValueError(f"shape count must be at least 1, got {n_shapes}")
     if not (math.isfinite(deform_amplitude) and 0 <= deform_amplitude <= 1):

@@ -148,7 +148,7 @@ def _cmd_baseline(args) -> int:
         )
     config = dict(
         manifest=args.manifest, method=args.method,
-        source=args.source, target=args.target,
+        source=args.source, target=args.target, epsilon=args.epsilon,
         route=route if route is None else list(route),
     )
     return _write(args, config, map_csv(cmap), f"{args.method} route: {route}")
@@ -182,6 +182,7 @@ def _cmd_match(args) -> int:
     config = dict(
         manifest=args.manifest, pair=args.pair, radius=args.radius,
         delta=args.delta, max_matches=args.max_matches, lam=args.lam,
+        landmarks=args.landmarks, hops=args.hops, knn=args.knn,
     )
     info = f"{len(refined)} matches ({unmatched} unmatched landmarks)"
     return _write(args, config, "".join(lines), info, dense)
@@ -242,8 +243,8 @@ def _cmd_benchmark(args) -> int:
             lines.append(f"{curve.method},{lam_repr},{_fmt(t)},{_fmt(f)}\n")
     config = dict(
         manifest=args.manifest, methods=",".join(methods),
-        lams=list(args.lam), to_mean=args.to_mean,
-        normalized=not args.unnormalized,
+        lams=list(args.lam), to_mean=args.to_mean, epsilon=args.epsilon,
+        grid_count=args.grid_count, grid_max=args.grid_max, normalized=not args.unnormalized,
     )
     info = f"{len(result.curves)} curves over {len(result.pairs)} pairs"
     svg = ((args.svg, _curves_svg(result.curves)),) if args.svg else ()

@@ -18,6 +18,7 @@ import errno
 import itertools
 import json
 import math
+import numbers
 import os
 import threading
 import warnings
@@ -169,11 +170,12 @@ class Shape:
         if self.n < 2:
             raise ManifestError(f"{self._where('points')}: needs at least 2 points")
         if self.landmark_indices is not None:
-            self.landmark_indices = tuple(int(i) for i in self.landmark_indices)
-        for idx in self.landmark_indices or ():
-            self._check_index(idx, "landmark")
-        for label, idx in (self.ground_truth or {}).items():
-            self._check_index(idx, f"ground truth {label!r}")
+            self.landmark_indices = tuple(self.check_vertices(self.landmark_indices, "landmark index"))
+        if self.ground_truth is not None:
+            self.ground_truth = {
+                label: self.check_vertices([idx], f"ground truth {label!r} index")[0]
+                for label, idx in self.ground_truth.items()
+            }
         field = vars(self)["scalar_field"]
         if field is not None and not isinstance(field, ShapeFile):
             self.scalar_field = self._checked("scalar_field", field)
@@ -202,9 +204,24 @@ class Shape:
             raise ManifestError(f"{self._where(name)}: {name} row {r} is not finite: {value[r]}")
         return value
 
-    def _check_index(self, idx: int, what: str) -> None:
-        if not 0 <= int(idx) < self.n:
-            raise IndexRangeError(f"shape {self.id!r}: {what} index {idx} out of range")
+    def check_vertices(self, vertices, what: str = "vertex") -> list[int]:
+        """The vertices as Python ints, so one beyond int64 is out of range
+        rather than an overflow. A vertex is a Python or numpy integer in [0, n):
+        a bool or a float, even an integral one, raises InvalidValueError, and
+        an integer outside the shape IndexRangeError, naming the first such."""
+        if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
+            idx = vertices.ravel().tolist()
+        else:
+            idx = [v if type(v) is int else self._integer(v, what) for v in vertices]
+        if idx and not (min(idx) >= 0 and max(idx) < self.n):
+            bad = next(v for v in idx if not 0 <= v < self.n)
+            raise IndexRangeError(f"shape {self.id!r}: {what} {bad} out of range")
+        return idx
+
+    def _integer(self, v, what: str) -> int:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise InvalidValueError(f"shape {self.id!r}: {what} {v!r} is not an integer")
+        return int(v)
 
 
 @dataclass
@@ -227,7 +244,10 @@ class CorrespondenceMap:
         if self.kind == "discrete":
             if self.indices is None or self.target_size is None:
                 raise ManifestError("discrete map needs indices and target_size")
-            self.indices = np.asarray(self.indices, dtype=np.int64)
+            indices = np.asarray(self.indices)
+            if indices.dtype.kind not in "iu":
+                raise ManifestError(f"discrete map indices must be integers, got {indices.dtype}")
+            self.indices = indices.astype(np.int64, copy=False)
             if self.indices.ndim != 1:
                 raise ManifestError("discrete map indices must be a vector")
             if self.indices.size and (
@@ -345,18 +365,6 @@ class GeodesicOracle:
     def n(self) -> int:
         return self.shape.n
 
-    def check_vertices(self, vertices) -> list[int]:
-        """The vertices as ints; IndexRangeError names the first outside the shape."""
-        # Python ints, so a vertex beyond int64 is out of range rather than an overflow
-        if isinstance(vertices, np.ndarray):
-            idx = vertices.astype(np.int64, copy=False).ravel().tolist()
-        else:
-            idx = [int(v) for v in vertices]
-        if idx and not (min(idx) >= 0 and max(idx) < self.n):
-            bad = next(v for v in idx if not 0 <= v < self.n)
-            raise IndexRangeError(f"shape {self.shape.id!r}: vertex {bad} out of range")
-        return idx
-
     def distance_rows(self, vertices) -> np.ndarray:
         """(len(vertices), n) array: the geodesic distance row of each vertex.
 
@@ -364,7 +372,7 @@ class GeodesicOracle:
         computed in one multi-source Dijkstra call, then cached one copy per
         row, so no cached row holds on to the rest of its block.
         """
-        wanted = self.check_vertices(vertices)
+        wanted = self.shape.check_vertices(vertices)
         missing = sorted({v for v in wanted if v not in self._rows})
         if missing:
             # the graph stores each edge in both directions with one length
@@ -375,7 +383,7 @@ class GeodesicOracle:
         return np.array([self._rows[v] for v in wanted]).reshape(len(wanted), self.n)
 
     def distances_from(self, v: int) -> np.ndarray:
-        return self.distance_rows([int(v)])[0]
+        return self.distance_rows([v])[0]
 
     def diameter(self) -> float:
         """Geodesic diameter by a deterministic double sweep from vertex 0."""

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -51,13 +50,13 @@ class PathRecord:
     weight: float
 
 
-class ChainTrie(Sequence):
+class ChainTrie:
     """A walk's chains, in lexicographic order, as the edges of their trie.
 
     Chain c shares its first shared[c] vertices with chain c - 1 (the first
     chain shares the source); tails[c] holds its vertices from the last shared
     one on, and energies[c] and weights[c] its energy and Gibbs weight.
-    Iterating builds PathRecords; an index builds every record up to it.
+    Iterating builds the PathRecords, one chain at a time.
     """
 
     def __init__(self) -> None:
@@ -74,9 +73,6 @@ class ChainTrie(Sequence):
         for keep, tail, energy, weight in zip(self.shared, self.tails, self.energies, self.weights):
             verts = verts[: keep - 1] + tail
             yield PathRecord(verts, energy, weight)
-
-    def __getitem__(self, k):
-        return list(self)[k]
 
 
 def gibbs_weights(D: np.ndarray, beta: float) -> np.ndarray:

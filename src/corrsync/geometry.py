@@ -127,7 +127,7 @@ def lattice_walks(
             for x in (source, target)
         )
     elif mode not in ("standard", "nonbacktracking"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidValueError(f"unknown mode {mode!r}")
     walks: list[tuple[int, ...]] = []
     discarded = attempt = 0
     # a uniform walk is never discarded, so only eop sampling can reach the limit

@@ -11,6 +11,7 @@ rigid ICP-style aligner rounds out the module.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -34,6 +35,8 @@ def fps_landmarks(shape: Shape, count: int, oracle: GeodesicOracle) -> tuple[int
     Greedily adds the vertex farthest from everything chosen so far; distance
     ties resolve to the lowest vertex index.
     """
+    if not isinstance(count, numbers.Integral):
+        raise InvalidValueError(f"landmark count must be an integer, got {count!r}")
     if not 1 <= count <= shape.n:
         raise InvalidValueError(
             f"shape {shape.id!r} has {shape.n} points, so its landmark count must be in "
@@ -68,7 +71,7 @@ def _distinct(vertices, what: str) -> set[int]:
 
 
 def check_ball_disjoint(indices, radius: float, oracle: GeodesicOracle) -> None:
-    idx = list(indices)
+    idx = oracle.shape.check_vertices(indices, "landmark")
     for a in range(len(idx)):
         d = oracle.distances_from(idx[a])
         for b in range(a + 1, len(idx)):
@@ -169,8 +172,8 @@ def stable_curvature_match(
     neither extrema list may repeat a vertex.
     """
     _check_positive("delta", delta)
-    ea = [int(v) for v in extrema_a]
-    eb = [int(v) for v in extrema_b]
+    ea = oracle_a.shape.check_vertices(extrema_a, "extremum")
+    eb = oracle_b.shape.check_vertices(extrema_b, "extremum")
     _distinct(ea, "extremum")
     _distinct(eb, "extremum")
     if not ea or not eb:
@@ -229,6 +232,9 @@ def joint_fps_refine(
         raise InvalidValueError(
             f"max_matches={max_matches} below the {len(seeds)} seed matches"
         )
+    for kind, ms in (("seed", seeds), ("candidate", candidates)):
+        oracle_a.shape.check_vertices([m.source for m in ms], f"{kind} source vertex")
+        oracle_b.shape.check_vertices([m.target for m in ms], f"{kind} target vertex")
     chosen: list[Match] = list(seeds)
     used_a = _distinct((m.source for m in chosen), "seed source")
     used_b = _distinct((m.target for m in chosen), "seed target")
@@ -333,7 +339,8 @@ def interpolate_dense(
             f"cannot interpolate {shape_a.id!r} -> {shape_b.id!r} "
             "from an empty match set"
         )
-    srcs, tgts = np.array([(m.source, m.target) for m in matches], dtype=np.int64).T
+    srcs = np.array(shape_a.check_vertices([m.source for m in matches], "match source vertex"))
+    tgts = np.array(shape_b.check_vertices([m.target for m in matches], "match target vertex"))
     free = np.ones(shape_a.n, dtype=bool)
     free[srcs] = False
     d = oracle_a.distance_rows(srcs)[:, free]  # (matches, free vertices)

@@ -19,7 +19,7 @@ from itertools import chain, pairwise
 import numpy as np
 
 from .collection import CorrespondenceMap, GeodesicOracle, ShapeCollection
-from .errors import EmptyPathSetError, IndexRangeError, MissingMapError
+from .errors import EmptyPathSetError, MissingMapError
 from .flow import MAX_PATHS_DEFAULT, ChainTrie, directed_flow_matrix, enumerate_paths
 
 # the chain-weight threshold lambda used when a caller sets none
@@ -186,24 +186,16 @@ def propagate_soft(
 
     source_points defaults to the source shape's landmark vertices when it has
     any, otherwise to every vertex; pass an explicit list to control the query
-    set; a vertex outside the source shape raises IndexRangeError before any
-    work. Rows are aggregated per target vertex and normalized.
+    set; Shape.check_vertices checks every vertex before any work. Rows are
+    aggregated per target vertex and normalized.
     """
     i = collection.index(source_id)
     j = collection.index(target_id)
     src_shape = collection.shape(source_id)
     if source_points is None:
         source_points = src_shape.landmark_indices or range(src_shape.n)
-    # checked as Python ints, so a vertex beyond int64 is out of range too
-    points = [int(v) for v in source_points]
-    outside = [v for v in points if not 0 <= v < src_shape.n]
-    if outside:
-        raise IndexRangeError(
-            f"source vertex {outside[0]} out of range for shape {source_id!r} "
-            f"({src_shape.n} points)"
-        )
     # distinct queries in first-seen order; a repeated vertex has one row
-    points = np.array(points, dtype=np.int64)
+    points = np.array(src_shape.check_vertices(source_points, "source vertex"), dtype=np.int64)
     queries = points[np.sort(np.unique(points, return_index=True)[1])]
 
     flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta)
@@ -301,7 +293,7 @@ def frechet_mean(soft: SoftCorrespondence, oracle: GeodesicOracle) -> dict[int, 
     """
     sizes = np.diff(soft.indptr)
     picks = np.full(sizes.size, -1, dtype=np.int64)
-    oracle.check_vertices(soft.indices)
+    oracle.shape.check_vertices(soft.indices)
     multi = np.repeat(sizes > 1, sizes)
     if multi.any():
         fetched = np.unique(soft.indices[multi])

@@ -69,6 +69,10 @@ class TestErrorCdf:
         with pytest.raises(ValueError):
             ErrorCurve("m", None, (0.0, 1.0), (0.9, 0.1))
 
+    def test_decreasing_grid_is_an_invalid_value(self):
+        with pytest.raises(InvalidValueError, match="nondecreasing"):
+            curve_from_errors(np.array([0.1, 0.2]), grid=[0.3, 0.0])
+
     def test_curve_from_errors(self):
         grid = default_grid(5, 1.0)
         curve = curve_from_errors(np.array([0.0, 0.5, 2.0]), grid, method="m")
@@ -156,6 +160,10 @@ class TestSynth:
         for sh in coll.shapes:
             assert len(sh.ground_truth) == 8
             assert len(sh.landmark_indices) == 8
+
+    def test_unknown_map_source_is_an_invalid_value_naming_it(self):
+        with pytest.raises(InvalidValueError, match="got 'exact'"):
+            synth_collection(3, 50, 0.05, seed=2, map_source="exact")
 
     def test_align_maps_exist_both_directions(self):
         coll = synth_collection(3, 50, 0.05, seed=2, map_source="align")

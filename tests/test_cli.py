@@ -546,6 +546,34 @@ class TestProvenanceHeaders:
         else:
             assert printed.splitlines()[1] == f"# command: {command}".encode()
 
+    @pytest.mark.parametrize(
+        "argv, key, values",
+        [
+            ("match --manifest {m} --pair s00,s01 --radius 0.2 --delta 0.6", "landmarks", (5, 6)),
+            ("match --manifest {m} --pair s00,s01 --radius 0.2 --delta 0.6", "hops", (1, 2)),
+            ("match --manifest {m} --pair s00,s01 --radius 0.2 --delta 0.6", "knn", (8, 6)),
+            ("baseline --manifest {m} --method shortest --source s00 --target s03", "epsilon",
+             (50.0, 100.0)),
+            ("benchmark --manifest {m} --methods direct,shortest", "epsilon", (50.0, 100.0)),
+            ("benchmark --manifest {m} --methods direct", "grid_count", (20, 30)),
+            ("benchmark --manifest {m} --methods direct", "grid_max", (0.3, 0.4)),
+        ],
+        ids=["match-landmarks", "match-hops", "match-knn", "baseline-epsilon",
+             "benchmark-epsilon", "benchmark-grid_count", "benchmark-grid_max"],
+    )
+    def test_config_records_every_output_option(self, synth_manifest, tmp_path, argv, key,
+                                                values):
+        # two runs that differ in one option must carry different config lines
+        command, *options = argv.format(m=synth_manifest).split()
+        flag = "--" + key.replace("_", "-")
+        lines = []
+        for value in values:
+            out = tmp_path / f"out-{value}"
+            assert main([command, *options, flag, str(value), "--quiet", "--out", str(out)]) == 0
+            lines.append(out.read_text().splitlines()[3])
+            assert json.loads(lines[-1].removeprefix("# config: "))[key] == value
+        assert lines[0] != lines[1]
+
     def test_header_fields(self, l4_manifest, tmp_path):
         out = tmp_path / "f.csv"
         main(["flow", "--manifest", l4_manifest, "--source", "s0",

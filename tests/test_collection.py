@@ -30,9 +30,16 @@ from corrsync.collection import (
     save_collection,
 )
 from corrsync.baselines import compose_along
-from corrsync.benchmark import synth_collection
+from corrsync.benchmark import geodesic_errors, synth_collection
 from corrsync.collection import _build_neighbor_graph
 from corrsync.flow import gibbs_weights
+from corrsync.matching import (
+    Match,
+    check_ball_disjoint,
+    interpolate_dense,
+    joint_fps_refine,
+    stable_curvature_match,
+)
 from corrsync.soft import all_pairs_soft, frechet_mean, mle, propagate_soft
 from corrsync.errors import (
     DisconnectedGraphError,
@@ -104,7 +111,115 @@ class TestShape:
             Shape(id=3, points=np.zeros((2, 3)))
 
 
+# five points on a line, shared by the two shapes of the vertex-rule collection
+_FIVE = np.c_[np.arange(5.0), np.zeros(5), np.zeros(5)]
+
+
+@pytest.fixture(scope="module")
+def line_pair():
+    shapes = [Shape(id=f"s{k}", points=_FIVE) for k in range(2)]
+    maps = {("s0", "s1"): identity_map("s0", 5, "s1"), ("s1", "s0"): identity_map("s1", 5, "s0")}
+    return ShapeCollection(shapes=shapes, D=np.array([[0.0, 1.0], [1.0, 0.0]]), maps=maps)
+
+
+# every library entry point that takes a vertex of shape 's0': the label its
+# error gives the vertex, and a call that puts v where that vertex goes
+_VERTEX_ENTRY_POINTS = {
+    "landmarks": ("landmark index", lambda c, v: Shape(
+        id="s0", points=_FIVE, landmark_indices=[0, v])),
+    "ground_truth": ("ground truth 'tip' index", lambda c, v: Shape(
+        id="s0", points=_FIVE, ground_truth={"base": 0, "tip": v})),
+    "distance_rows": ("vertex", lambda c, v: c.oracle("s0").distance_rows([0, v])),
+    "propagate_soft": ("source vertex", lambda c, v: propagate_soft(
+        c, "s0", "s1", source_points=[0, v])),
+    "geodesic_errors": ("predicted vertex", lambda c, v: geodesic_errors(
+        {0: 1, 1: v}, [(0, 0), (1, 1)], c.oracle("s0"))),
+    "check_ball_disjoint": ("landmark", lambda c, v: check_ball_disjoint(
+        [0, v], 0.1, c.oracle("s0"))),
+    "stable_curvature_match": ("extremum", lambda c, v: stable_curvature_match(
+        _FIVE, _FIVE, [0, v], [0, 4], 1.0, c.oracle("s0"), c.oracle("s1"))),
+    "joint_fps_refine-candidate-source": ("candidate source vertex", lambda c, v: joint_fps_refine(
+        [], [Match(1, 1, "partial"), Match(v, 3, "partial")], 3, c.oracle("s0"), c.oracle("s1"))),
+    "joint_fps_refine-seed-target": ("seed target vertex", lambda c, v: joint_fps_refine(
+        [Match(0, v, "curvature")], [], 3, c.oracle("s1"), c.oracle("s0"))),
+    "interpolate_dense-source": ("match source vertex", lambda c, v: interpolate_dense(
+        [Match(1, 0, "partial"), Match(v, 2, "partial")], c.shape("s0"), c.shape("s1"),
+        c.oracle("s0"))),
+    "interpolate_dense-target": ("match target vertex", lambda c, v: interpolate_dense(
+        [Match(0, 1, "partial"), Match(3, v, "partial")], c.shape("s1"), c.shape("s0"),
+        c.oracle("s1"))),
+}
+
+
+class TestVertexRule:
+    """A vertex is a Python or numpy integer in [0, n), checked by
+    Shape.check_vertices wherever the library takes one."""
+
+    @pytest.mark.parametrize("entry", list(_VERTEX_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "bad, error, tail",
+        [(1.5, InvalidValueError, "is not an integer"),
+         (True, InvalidValueError, "is not an integer"),
+         (np.float64(2.0), InvalidValueError, "is not an integer"),
+         (np.array([1.0]), InvalidValueError, "is not an integer"),
+         (-1, IndexRangeError, "out of range"),
+         (5, IndexRangeError, "out of range"),
+         (2**70, IndexRangeError, "out of range")],
+        ids=["float", "bool", "numpy-float", "array", "negative", "n", "beyond-int64"],
+    )
+    def test_bad_vertex_rejected_naming_shape_and_value(self, line_pair, entry, bad, error,
+                                                         tail):
+        what, call = _VERTEX_ENTRY_POINTS[entry]
+        with pytest.raises(error, match=re.escape(f"shape 's0': {what} {bad!r} {tail}")):
+            call(line_pair, bad)
+
+    @pytest.mark.parametrize("entry", list(_VERTEX_ENTRY_POINTS))
+    @pytest.mark.parametrize("good", [2, np.int64(2), np.uint8(2)], ids=["int", "int64", "uint8"])
+    def test_numpy_integers_accepted(self, line_pair, entry, good):
+        _VERTEX_ENTRY_POINTS[entry][1](line_pair, good)
+
+    def test_vertices_come_back_as_python_ints(self):
+        shape = Shape(id="s", points=_FIVE, landmark_indices=np.array([4, 1], dtype=np.uint16),
+                      ground_truth={"tip": np.int32(3)})
+        assert shape.landmark_indices == (4, 1)
+        assert shape.ground_truth == {"tip": 3}
+        assert {type(v) for v in (*shape.landmark_indices, shape.ground_truth["tip"])} == {int}
+        checked = shape.check_vertices(np.array([[0, 4], [2, 2]]))
+        assert checked == [0, 4, 2, 2] and {type(v) for v in checked} == {int}
+        assert shape.check_vertices(range(5)) == [0, 1, 2, 3, 4]
+        assert shape.check_vertices(np.zeros(0, dtype=np.int64)) == []
+
+    @pytest.mark.parametrize(
+        "vertices, named",
+        [(np.array([1.9]), "np.float64(1.9)"), (np.array([1, 0], dtype=bool), "np.True_")],
+    )
+    def test_non_integer_arrays_rejected(self, vertices, named):
+        oracle = GeodesicOracle(Shape(id="s", points=_FIVE))
+        with pytest.raises(InvalidValueError, match=re.escape(f"'s': vertex {named} is not")):
+            oracle.distance_rows(vertices)
+
+    def test_extremum_is_not_wrapped(self, line_pair):
+        # numpy would read -1 as the last vertex and match it
+        with pytest.raises(IndexRangeError, match="extremum -1 out of range"):
+            stable_curvature_match(_FIVE, _FIVE, [-1], [4], 1.0, line_pair.oracle("s0"),
+                                   line_pair.oracle("s1"))
+
+
 class TestCorrespondenceMap:
+    @pytest.mark.parametrize(
+        "indices, dtype",
+        [([0.5, 1.7, 2.2], "float64"), ([True, False], "bool"), (np.array([0.0, 1.0]), "float64"),
+         (np.array([1, 0], dtype=object), "object")],
+    )
+    def test_non_integer_indices_rejected(self, indices, dtype):
+        with pytest.raises(ManifestError, match=f"indices must be integers, got {dtype}"):
+            CorrespondenceMap("a", "b", "discrete", indices=indices, target_size=3)
+
+    def test_integer_indices_stored_as_int64(self):
+        m = CorrespondenceMap("a", "b", "discrete", indices=np.array([2, 0], dtype=np.uint8),
+                              target_size=3)
+        assert m.indices.dtype == np.int64 and m.indices.tolist() == [2, 0]
+
     def test_discrete_roundtrip(self):
         m = CorrespondenceMap("a", "b", "discrete", indices=np.array([2, 0, 1]), target_size=3)
         assert m.n_source == 3

@@ -3,7 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corrsync.errors import AntipodalError, DegenerateGeometryError, MaxStepsError
+from corrsync.errors import (
+    AntipodalError,
+    DegenerateGeometryError,
+    InvalidValueError,
+    MaxStepsError,
+)
 from corrsync.geometry import (
     GeodesicLegPath,
     SphereTriangle,
@@ -107,6 +112,10 @@ class TestLatticeWalks:
         lat = build_lattice(5)
         with pytest.raises(ValueError):
             lattice_walks(lat, mode="levy", count=1, seed=0)
+
+    def test_unknown_mode_is_an_invalid_value(self):
+        with pytest.raises(InvalidValueError, match="unknown mode 'levy'"):
+            lattice_walks(build_lattice(5), mode="levy", count=1, seed=0)
 
 
 class TestTransport:

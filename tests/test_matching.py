@@ -72,6 +72,13 @@ class TestFps:
         with pytest.raises(ValueError):
             fps_landmarks(sh, 3, oracle)
 
+    @pytest.mark.parametrize("count", [3.5, 3.0, "3"])
+    def test_non_integer_count_rejected(self, count):
+        sh = line_shape("line", [0.0, 1.0, 2.0, 3.0])
+        oracle = GeodesicOracle(sh, k=2)
+        with pytest.raises(InvalidValueError, match=f"count must be an integer, got {count!r}"):
+            fps_landmarks(sh, count, oracle)
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         sh = Shape(id="blob", points=rng.normal(size=(40, 3)))
