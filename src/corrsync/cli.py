@@ -28,13 +28,22 @@ from .flow import MAX_PATHS_DEFAULT, directed_flow_matrix
 from .soft import LAMBDA_DEFAULT, propagate_soft
 
 
-def _write(args, config: dict, body, info: str,
-           files: tuple[tuple[str, str], ...] = ()) -> int:
-    """Write a command's output, body with its provenance (version, command,
-    seed, config), and return 0. A text body follows a four-line comment header;
-    a dict body is dumped as JSON with a "provenance" field. The output goes to
-    --out, or to stdout when there is none; --out and each (path, text) of files
-    are written all or none, before stdout. info goes to stderr unless --quiet."""
+# Dests that do not shape an output: the command, its handler, the seed (its
+# own header line), the config file (read into options), progress and paths.
+_UNRECORDED = frozenset(
+    {"command", "func", "seed", "config", "quiet", "out", "svg", "interpolated"}
+)
+
+
+def _write(args, body, info: str, files: tuple[tuple[str, str], ...] = (), **derived) -> int:
+    """Write a command's output, body with its provenance, and return 0. The
+    provenance holds the version, command, seed and config: every option of
+    args not in _UNRECORDED, by dest, overridden by the run-time values in
+    derived. A text body follows a four-line comment header; a dict body is
+    dumped as JSON with a "provenance" field. The output goes to --out, or to
+    stdout when there is none; --out and each (path, text) of files are
+    written all or none, before stdout. info goes to stderr unless --quiet."""
+    config = {k: v for k, v in vars(args).items() if k not in _UNRECORDED} | derived
     provenance = {"version": __version__, "command": args.command, "seed": args.seed,
                   "config": config}
     if isinstance(body, dict):
@@ -96,9 +105,8 @@ def _cmd_flow(args) -> int:
     for a in range(flow.n):
         for b in np.flatnonzero(flow.F[a]):
             lines.append(f"{a},{int(b)},{_fmt(flow.WF[a, b])}\n")
-    config = dict(manifest=args.manifest, source=args.source, target=args.target)
     info = f"flow {args.source}->{args.target}: {int(flow.F.sum())} edges"
-    return _write(args, config, "".join(lines), info)
+    return _write(args, "".join(lines), info)
 
 
 def _cmd_propagate(args) -> int:
@@ -128,12 +136,8 @@ def _cmd_propagate(args) -> int:
         "lambda": args.lam,
         "rows": rows,
     }
-    config = dict(
-        manifest=args.manifest, beta=collection.beta,
-        strict=args.strict, path_count=soft.path_count,
-    )
     info = f"propagated {soft.queries.size} rows over {soft.path_count} paths"
-    return _write(args, config, payload, info)
+    return _write(args, payload, info, beta=collection.beta, path_count=soft.path_count)
 
 
 def _cmd_baseline(args) -> int:
@@ -146,12 +150,7 @@ def _cmd_baseline(args) -> int:
         cmap, route = shortest_path_propagate(
             collection, args.source, args.target, epsilon=args.epsilon
         )
-    config = dict(
-        manifest=args.manifest, method=args.method,
-        source=args.source, target=args.target, epsilon=args.epsilon,
-        route=route if route is None else list(route),
-    )
-    return _write(args, config, map_csv(cmap), f"{args.method} route: {route}")
+    return _write(args, map_csv(cmap), f"{args.method} route: {route}", route=route)
 
 
 def _cmd_match(args) -> int:
@@ -179,13 +178,8 @@ def _cmd_match(args) -> int:
     lines = ["source_index,target_index,provenance\n"]
     for m in refined:
         lines.append(f"{m.source},{m.target},{m.provenance}\n")
-    config = dict(
-        manifest=args.manifest, pair=args.pair, radius=args.radius,
-        delta=args.delta, max_matches=args.max_matches, lam=args.lam,
-        landmarks=args.landmarks, hops=args.hops, knn=args.knn,
-    )
     info = f"{len(refined)} matches ({unmatched} unmatched landmarks)"
-    return _write(args, config, "".join(lines), info, dense)
+    return _write(args, "".join(lines), info, dense)
 
 
 def _curves_svg(curves) -> str:
@@ -241,14 +235,9 @@ def _cmd_benchmark(args) -> int:
         lam_repr = "" if curve.lam is None else _fmt(curve.lam)
         for t, f in zip(curve.thresholds, curve.fractions):
             lines.append(f"{curve.method},{lam_repr},{_fmt(t)},{_fmt(f)}\n")
-    config = dict(
-        manifest=args.manifest, methods=",".join(methods),
-        lams=list(args.lam), to_mean=args.to_mean, epsilon=args.epsilon,
-        grid_count=args.grid_count, grid_max=args.grid_max, normalized=not args.unnormalized,
-    )
     info = f"{len(result.curves)} curves over {len(result.pairs)} pairs"
     svg = ((args.svg, _curves_svg(result.curves)),) if args.svg else ()
-    return _write(args, config, "".join(lines), info, svg)
+    return _write(args, "".join(lines), info, svg, methods=",".join(methods))
 
 
 def _cmd_lattice(args) -> int:
@@ -270,13 +259,11 @@ def _cmd_lattice(args) -> int:
         for step, v in enumerate(walk):
             x, y = lattice.coords[v]
             lines.append(f"{wid},{step},{_fmt(x)},{_fmt(y)}\n")
-    config = dict(side=args.side, mode=args.mode, walks=len(report.walks),
-                  discarded=report.discarded)
     info = (
         f"{len(report.walks)} {report.mode} walks, {report.discarded} discarded, "
         f"max deviation {max(report.deviations):.4f}"
     )
-    return _write(args, config, "".join(lines), info)
+    return _write(args, "".join(lines), info, discarded=report.discarded)
 
 
 def _cmd_holonomy(args) -> int:
@@ -307,7 +294,7 @@ def _cmd_holonomy(args) -> int:
             f"{int(res.bound_satisfied)},{_fmt(gap)}\n"
         )
     info = f"{args.trials} trials, worst closed-vs-integrated gap {worst_gap:.3e}"
-    return _write(args, dict(trials=args.trials), "".join(lines), info)
+    return _write(args, "".join(lines), info)
 
 
 def _cmd_synth(args) -> int:
@@ -347,8 +334,7 @@ def _cmd_stability(args) -> int:
         "flow_edge_diff": {f"{a}->{b}": v for (a, b), v in sorted(report.flow_edge_diff.items())},
         "tv": {f"{a}->{b}": v for (a, b), v in sorted(report.tv.items())},
     }
-    config = dict(manifest=args.manifest, lam=args.lam, **edit)
-    return _write(args, config, payload, f"mst_changed={report.mst_changed}")
+    return _write(args, payload, f"mst_changed={report.mst_changed}")
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def directed_flow_matrix(
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
     if D.shape != (n, n):
-        raise ValueError("D must be square")
+        raise InvalidValueError("D must be square")
     i, j = int(i), int(j)
     if i == j:
         raise InvalidValueError(f"flow graph needs two distinct endpoints, got {i} twice")

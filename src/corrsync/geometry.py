@@ -182,7 +182,7 @@ def lattice_walks(
 def _check_unit(p: np.ndarray, what: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if abs(float(np.linalg.norm(p)) - 1.0) > 1e-9:
-        raise ValueError(f"{what} must be a unit vector, |v| = {np.linalg.norm(p)}")
+        raise InvalidValueError(f"{what} must be a unit vector, |v| = {np.linalg.norm(p)}")
     return p
 
 
@@ -197,7 +197,7 @@ class TangentVector:
         object.__setattr__(self, "point", _check_unit(self.point, "base point"))
         object.__setattr__(self, "vector", np.asarray(self.vector, dtype=float))
         if abs(float(np.dot(self.point, self.vector))) > 1e-9:
-            raise ValueError("vector is not tangent to the sphere at its base point")
+            raise InvalidValueError("vector is not tangent to the sphere at its base point")
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,7 @@ class GeodesicLegPath:
 
     def __post_init__(self) -> None:
         if len(self.points) < 2:
-            raise ValueError("a leg path needs at least two points")
+            raise InvalidValueError("a leg path needs at least two points")
         pts = tuple(_check_unit(p, "leg endpoint") for p in self.points)
         object.__setattr__(self, "points", pts)
         for a, b in zip(pts, pts[1:]):
@@ -296,7 +296,7 @@ def transport_along_path(
 ) -> TangentVector:
     """Transport a tangent vector along every leg of the path in order."""
     if not np.allclose(tv.point, path.points[0], atol=1e-9):
-        raise ValueError("tangent vector is not based at the path start")
+        raise InvalidValueError("tangent vector is not based at the path start")
     v = tv.vector
     for a, b in zip(path.points, path.points[1:]):
         if method == "closed":
@@ -304,7 +304,7 @@ def transport_along_path(
         elif method == "rk4":
             v = transport_leg_rk4(a, b, v)
         else:
-            raise ValueError(f"unknown method {method!r}")
+            raise InvalidValueError(f"unknown method {method!r}")
     end = path.points[-1]
     v = v - np.dot(v, end) * end  # re-project against accumulated numeric drift
     return TangentVector(point=end, vector=v)
@@ -350,7 +350,7 @@ def holonomy_deficit(tri: SphereTriangle, tv: TangentVector) -> HolonomyResult:
     is 1 and the area is the spherical excess.
     """
     if not np.allclose(tv.point, tri.p, atol=1e-9):
-        raise ValueError("tangent vector must be based at the triangle's first vertex")
+        raise InvalidValueError("tangent vector must be based at the triangle's first vertex")
     two = transport_along_path(GeodesicLegPath((tri.p, tri.r, tri.q)), tv).vector
     direct = transport_along_path(GeodesicLegPath((tri.p, tri.q)), tv).vector
     deficit = float(np.linalg.norm(two - direct))

@@ -143,14 +143,13 @@ def strict_extrema(field: np.ndarray, graph, hops: int = 1) -> tuple[int, ...]:
 def detect_extrema(shape: Shape, oracle: GeodesicOracle, hops: int = 1) -> tuple[int, ...]:
     """Strict local maxima of the scalar field on the oracle's graph, ascending vertex order."""
     if shape.scalar_field is None:
-        raise ValueError(f"shape {shape.id!r} has no scalar field")
+        raise InvalidValueError(f"shape {shape.id!r} has no scalar field")
     return strict_extrema(shape.scalar_field, oracle.graph, hops)
 
 
-def project_vertices(points_from: np.ndarray, points_to: np.ndarray, vertices) -> np.ndarray:
-    """Nearest-vertex projection by Euclidean distance; ties take the lowest index."""
-    src = points_from[np.asarray(vertices, dtype=int)]
-    d = np.linalg.norm(points_to[None, :, :] - src[:, None, :], axis=2)
+def project_vertices(points: np.ndarray, points_to: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest point in points_to; ties take the lowest index."""
+    d = np.linalg.norm(points_to[None, :, :] - points[:, None, :], axis=2)
     return np.argmin(d, axis=1).astype(np.int64)
 
 
@@ -179,8 +178,8 @@ def stable_curvature_match(
     if not ea or not eb:
         return []
 
-    proj_a = project_vertices(points_a, points_b, ea)  # images on B
-    proj_b = project_vertices(points_b, points_a, eb)  # images on A
+    proj_a = project_vertices(points_a[ea], points_b)  # images on B
+    proj_b = project_vertices(points_b[eb], points_a)  # images on A
     fwd = oracle_b.distance_rows(proj_a)[:, eb]
     rev = oracle_a.distance_rows(proj_b)[:, ea]
     admissible = (fwd < delta) & (rev.T < delta)

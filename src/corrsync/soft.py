@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, pairwise
@@ -19,7 +20,7 @@ from itertools import chain, pairwise
 import numpy as np
 
 from .collection import CorrespondenceMap, GeodesicOracle, ShapeCollection
-from .errors import EmptyPathSetError, MissingMapError
+from .errors import EmptyPathSetError, InvalidValueError, MissingMapError
 from .flow import MAX_PATHS_DEFAULT, ChainTrie, directed_flow_matrix, enumerate_paths
 
 # the chain-weight threshold lambda used when a caller sets none
@@ -58,7 +59,10 @@ class SoftCorrespondence:
         return {v: k for k, v in enumerate(self.queries.tolist())}
 
     def row(self, v: int) -> Row:
-        """Vertex v's row, as slices of indices and data."""
+        """Vertex v's row, as slices of indices and data. v is a Python or numpy
+        integer: a bool or a float, even an integral one, raises InvalidValueError."""
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise InvalidValueError(f"vertex {v!r} is not an integer")
         try:
             k = self._position[int(v)]
         except KeyError:

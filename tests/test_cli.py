@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from itertools import pairwise
 import pytest
 
 from corrsync.baselines import kruskal_mst
-from corrsync.cli import main
+from corrsync.cli import _UNRECORDED, build_parser, main
 from corrsync.collection import KNN_DEFAULT, CorrespondenceMap, save_collection
 from corrsync.benchmark import corrupt_maps, synth_collection
 from corrsync.flow import directed_flow_matrix, enumerate_paths
@@ -573,6 +574,36 @@ class TestProvenanceHeaders:
             lines.append(out.read_text().splitlines()[3])
             assert json.loads(lines[-1].removeprefix("# config: "))[key] == value
         assert lines[0] != lines[1]
+
+    @pytest.mark.parametrize(
+        "argv, derived",
+        [
+            ("flow --manifest {m} --source s00 --target s03", set()),
+            ("propagate --manifest {m} --source s00 --target s03", {"beta", "path_count"}),
+            ("baseline --manifest {m} --method mst --source s00 --target s03", {"route"}),
+            ("match --manifest {m} --pair s00,s01 --radius 0.2 --delta 0.6", set()),
+            ("benchmark --manifest {m}", {"methods"}),
+            ("lattice --mode eop", {"discarded"}),
+            ("holonomy", set()),
+            ("stability --manifest {m} --remove s03", set()),
+        ],
+        ids=["flow", "propagate", "baseline", "match", "benchmark", "lattice", "holonomy",
+             "stability"],
+    )
+    def test_config_holds_every_option_of_the_parser(self, synth_manifest, capsys, argv,
+                                                     derived):
+        # every dest of the command's subparser but those that shape no output,
+        # plus the values the command derives at run time, run at the defaults
+        command, *options = argv.format(m=synth_manifest).split()
+        assert main([command, *options, "--quiet"]) == 0
+        printed = capsys.readouterr().out
+        if command in ("propagate", "stability"):
+            config = json.loads(printed)["provenance"]["config"]
+        else:
+            config = json.loads(printed.splitlines()[3].removeprefix("# config: "))
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help"}
+        assert set(config) == dests - _UNRECORDED | derived
 
     def test_header_fields(self, l4_manifest, tmp_path):
         out = tmp_path / "f.csv"

@@ -225,7 +225,7 @@ class TestProjectVertices:
     def test_nearest_with_low_tie(self):
         src = np.array([[0.5, 0, 0]])
         tgt = np.array([[0.0, 0, 0], [1.0, 0, 0]])
-        assert project_vertices(src, tgt, [0]) == [0]
+        assert project_vertices(src, tgt) == [0]
 
 
 class TestStableMatch:

@@ -11,7 +11,13 @@ from scipy.sparse import csgraph
 import corrsync.soft as soft_mod
 from corrsync.benchmark import corrupt_maps, synth_collection
 from corrsync.collection import CorrespondenceMap, GeodesicOracle, Shape, ShapeCollection
-from corrsync.errors import CorrsyncError, EmptyPathSetError, IndexRangeError, MissingMapError
+from corrsync.errors import (
+    CorrsyncError,
+    EmptyPathSetError,
+    IndexRangeError,
+    InvalidValueError,
+    MissingMapError,
+)
 from corrsync.flow import directed_flow_matrix, enumerate_paths, gibbs_weights
 from corrsync.soft import (
     all_pairs_soft,
@@ -312,6 +318,20 @@ class TestCsrRows:
                     assert 0 <= targets[0] and targets[-1] < coll.shape(b).n
                     assert np.isfinite(masses).all() and (masses > 0).all()
                     assert abs(masses.sum() - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("v", [1.7, 1.0, np.float64(1.0), True, np.bool_(True)],
+                             ids=["float", "integral-float", "np-float", "bool", "np-bool"])
+    def test_row_rejects_a_non_integer_vertex(self, v):
+        # int() would truncate 1.7 to the queried vertex 1 and read True as 1
+        with pytest.raises(InvalidValueError, match="not an integer"):
+            soft_from_rows({1: {0: 1.0}, 2: {1: 1.0}}).row(v)
+
+    def test_row_takes_numpy_integers(self):
+        soft = soft_from_rows({1: {0: 1.0}, 2: {1: 1.0}})
+        for v in (np.int64(2), np.uint8(2), np.array([1, 2])[1]):
+            assert soft.row(v)[0].tolist() == [1]
+        with pytest.raises(KeyError, match="vertex 3 was not in the propagated query set"):
+            soft.row(np.int32(3))
 
 
 def all_rows(coll, lam):
