@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -50,29 +51,44 @@ class PathRecord:
     weight: float
 
 
+@dataclass(eq=False)
 class ChainTrie:
-    """A walk's chains, in lexicographic order, as the edges of their trie.
+    """A walk's chains, in lexicographic order, as the nodes of their trie.
 
-    Chain c shares its first shared[c] vertices with chain c - 1 (the first
-    chain shares the source); tails[c] holds its vertices from the last shared
-    one on, and energies[c] and weights[c] its energy and Gibbs weight.
-    Iterating builds the PathRecords, one chain at a time.
+    Node k stands for one edge (a, b) at one depth of the chains through it
+    (the source's own edges are at depth 1). The nodes are in preorder, and
+    only nodes on a chain are kept, so the parent of a node is the last node
+    one level up before it. codes[k] is depth * n**2 + a * n + b. The edges
+    into the target are the leaves, one per chain, and energies[c] and
+    weights[c] hold chain c's energy and Gibbs weight. Iterating builds the
+    PathRecords, one chain at a time.
     """
 
-    def __init__(self) -> None:
-        self.shared: list[int] = []
-        self.tails: list[tuple[int, ...]] = []
-        self.energies: list[float] = []
-        self.weights: list[float] = []
+    source: int
+    target: int
+    n: int
+    codes: np.ndarray
+    energies: list[float]
+    weights: list[float]
 
     def __len__(self) -> int:
         return len(self.weights)
 
+    @property
+    def leaves(self) -> np.ndarray:
+        """Per node, whether it is a leaf: the last edge of a chain."""
+        return self.codes % self.n == self.target
+
     def __iter__(self):
-        verts: tuple[int, ...] = ()
-        for keep, tail, energy, weight in zip(self.shared, self.tails, self.energies, self.weights):
-            verts = verts[: keep - 1] + tail
-            yield PathRecord(verts, energy, weight)
+        path = [self.source]
+        chains = zip(self.energies, self.weights)
+        for code in self.codes.tolist():
+            depth, key = divmod(code, self.n * self.n)
+            del path[depth:]
+            path.append(key % self.n)
+            if path[-1] == self.target:
+                energy, weight = next(chains)
+                yield PathRecord(tuple(path), energy, weight)
 
 
 def gibbs_weights(D: np.ndarray, beta: float) -> np.ndarray:
@@ -141,49 +157,51 @@ def enumerate_paths(
     live = np.arange(flow.n) == j
     while (grown := live | flow.F[:, live].any(axis=1)).sum() > live.sum():
         live = grown
-    # per vertex: (successor, WF entry, squared step) for live successors in
-    # ascending order, as Python numbers so the walk indexes no numpy scalars
+    # per vertex: (successor, edge key, WF entry, squared step) for live
+    # successors in ascending order, as Python numbers so the walk indexes no
+    # numpy scalars
+    n = flow.n
     rows, cols = np.nonzero(flow.F & live)
-    steps = list(zip(cols.tolist(), flow.WF[rows, cols].tolist(), D2[rows, cols].tolist()))
-    ends = np.cumsum(np.bincount(rows, minlength=flow.n)).tolist()
-    succ = [steps[a:b] for a, b in zip([0, *ends], ends)]
+    steps = list(
+        zip(cols.tolist(), (rows * n + cols).tolist(), flow.WF[rows, cols].tolist(),
+            D2[rows, cols].tolist())
+    )
+    stops = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    succ = [steps[a:b] for a, b in zip([0, *stops], stops)]
 
-    trie = ChainTrie()
-    shared, tails, energies, weights = trie.shared, trie.tails, trie.energies, trie.weights
-    # the DFS stack: the path so far, never holding j, and per path vertex its
-    # energy, its weight and the iterator over its successors not yet visited
-    path = [i]
-    frames = [(0.0, 1.0, iter(succ[i]))]
-    depth = low = 1  # the path's length, and its least length since the last chain
+    codes = array("q")
+    energies: list[float] = []
+    weights: list[float] = []
+    # the DFS stack: per vertex of the path so far, which never holds j, its
+    # energy, its weight, the iterator over its successors not yet visited,
+    # the node count once the edge into it was recorded (-1 for the source)
+    # and the code of an edge leaving it less that edge's key
+    nn = n * n
+    frames = [(0.0, 1.0, iter(succ[i]), -1, nn)]
     while frames:
-        energy, weight, nexts = frames[-1]
-        for u, wf, d2 in nexts:
+        energy, weight, nexts, recorded, base = frames[-1]
+        for u, key, wf, d2 in nexts:
             w = weight * wf
             # below lam only the source's direct edge survives, unless strict
-            if w < lam and (strict or u != j or depth > 1):
+            if w < lam and (strict or u != j or recorded >= 0):
                 continue
+            codes.append(base + key)
             if u != j:
-                path.append(u)
-                frames.append((energy + d2, w, iter(succ[u])))
-                depth += 1
+                frames.append((energy + d2, w, iter(succ[u]), len(codes), base + nn))
                 break
             if len(weights) >= max_paths:
                 raise PathBudgetError(
                     f"path count exceeded max_paths={max_paths}; raise the budget "
                     f"or tighten the weight threshold"
                 )
-            shared.append(low)
-            tails.append((*path[low - 1 :], j))
             energies.append(energy + d2)
             weights.append(w)
-            low = depth
         else:
             frames.pop()
-            path.pop()
-            depth -= 1
-            if depth < low:
-                low = depth
-    return trie
+            # an edge with no chain through it is still the last one recorded
+            if len(codes) == recorded:
+                codes.pop()
+    return ChainTrie(i, j, n, np.frombuffer(codes, dtype=np.int64), energies, weights)
 
 
 def brute_force_paths(

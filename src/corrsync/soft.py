@@ -15,7 +15,6 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, pairwise
 
 import numpy as np
 
@@ -87,15 +86,22 @@ class _RowsView(Mapping):
 
 
 def _edge_maps(
-    collection: ShapeCollection, trie: ChainTrie
-) -> dict[tuple[int, int], CorrespondenceMap]:
-    """The stored map of every edge on the trie's chains, looked up once each in
-    chain order, so a missing map names the first edge met that needs it."""
+    collection: ShapeCollection, n: int, keys: np.ndarray
+) -> dict[int, CorrespondenceMap]:
+    """The stored map of every edge key a * n + b in keys, looked up once each
+    in the order of keys. The keys of a trie's nodes meet its edges in chain
+    order, so a missing map names the first edge met that needs it."""
+    # each key's first position, found in numpy: a Python int per node would
+    # leave a large trie's keys in the interpreter's memory pools
+    first = np.full(n * n, keys.size)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    met = np.flatnonzero(first < keys.size)
     ids = collection.ids
     maps = {}
-    for a, b in dict.fromkeys(chain.from_iterable(map(pairwise, trie.tails))):
+    for key in met[np.argsort(first[met])].tolist():
+        a, b = divmod(key, n)
         try:
-            maps[a, b] = collection.map(ids[a], ids[b])
+            maps[key] = collection.map(ids[a], ids[b])
         except MissingMapError:
             raise MissingMapError(
                 f"no stored map {ids[a]!r} -> {ids[b]!r} on admissible edge ({a}, {b})"
@@ -110,58 +116,112 @@ _ACC_CELLS = 1 << 16
 _CHUNK_CELLS = 1 << 14
 
 
-def _push_block(
-    queries: np.ndarray,
-    trie: ChainTrie,
-    probs: np.ndarray,
-    maps: dict[tuple[int, int], CorrespondenceMap],
-    n_tgt: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _node_walk(queries: np.ndarray, chunk: int, nodes: list[tuple[int, CorrespondenceMap, bool]]):
+    """The queries' images at the end of every chain, by one push per trie node
+    in preorder: nodes[k] is node k's depth, the map of its edge and whether
+    it is a leaf. stack[d] holds the images at depth d of the current chain,
+    so a prefix shared by consecutive chains is pushed once.
+
+    Yields (start, stop, images) in chain order: a (stop - start, queries)
+    vertex array for a run of at most chunk chains that crossed discrete maps
+    only, or the sparse image of one chain that crossed a soft map.
+    """
+    images = np.empty((chunk, queries.size), dtype=np.int64)
+    stack = [queries]
+    start = c = 0  # images[k] holds the image of chain start + k; c is the next chain
+    for d, m, leaf in nodes:
+        image = m.push(stack[d - 1])
+        if not leaf:
+            del stack[d:]
+            stack.append(image)
+            continue
+        if isinstance(image, np.ndarray):
+            images[c - start] = image
+            if c + 1 - start == chunk:
+                yield start, c + 1, images
+                start = c + 1
+        else:
+            if c > start:
+                yield start, c, images[: c - start]
+            yield c, c + 1, image
+            start = c + 1
+        c += 1
+    if c > start:
+        yield start, c, images[: c - start]
+
+
+def _depth_walk(
+    queries: np.ndarray, chunk: int, trie: ChainTrie, table: np.ndarray, offsets: np.ndarray
+):
+    """The queries' images at the end of every chain, for a trie of discrete
+    maps only, by one gather per depth for each chunk of chains: node k sends
+    vertex v to table[offsets[k] + v]. Yields the same (start, stop, images)
+    runs as _node_walk.
+
+    A chunk computes the images of the nodes its chains add to the trie,
+    level by level. carry[d] holds the image of the node at depth d on the
+    stack of the chunk's first node, which the chunks before computed.
+    """
+    nn = trie.n**2
+    ends = np.flatnonzero(trie.leaves)  # per chain, its leaf
+    top = int(trie.codes.max()) // nn  # the deepest nodes are leaves: carry stops short of them
+    carry = np.empty((top, queries.size), dtype=np.int64)
+    carry[0] = queries
+    g0 = 0  # the chunk's first node
+    for c0 in range(0, ends.size, chunk):
+        c1 = min(c0 + chunk, ends.size)
+        g1 = int(ends[c1 - 1]) + 1
+        d = trie.codes[g0:g1] // nn
+        order = np.argsort(d, kind="stable")  # the chunk's nodes, level by level
+        cuts = np.searchsorted(d[order], np.arange(1, top + 2)).tolist()
+        off = offsets[g0 + order]
+        # img holds carry, then the images of the chunk's nodes in that order
+        img = np.empty((top + order.size, queries.size), dtype=np.int64)
+        img[:top] = carry
+        for level in range(top):
+            up, lo, hi = cuts[max(level - 1, 0)], cuts[level], cuts[level + 1]
+            # a node's parent is the last node one level up before it: in the
+            # chunk if there is one, else the carried node of that level
+            k = np.searchsorted(order[up:lo], order[lo:hi])
+            idx = img[np.where(k > 0, top + up - 1 + k, level)]
+            idx += off[lo:hi, None]
+            np.take(table, idx, out=img[top + lo : top + hi])
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        yield c0, c1, img[top + rank[ends[c0:c1] - g0]]
+        # a level's last node is on the stack of the chunk's last chain
+        # whenever that chain is deeper; deeper levels are never read again
+        for level in range(1, top):
+            if cuts[level] > cuts[level - 1]:
+                carry[level] = img[top + cuts[level] - 1]
+        g0 = g1
+
+
+def _push_block(queries: np.ndarray, walk, probs: np.ndarray, n_tgt: int):
     """Soft rows of a block of distinct query vertices: per query its support
     size, then the targets and masses of all rows, by query then target.
-    probs[c] is the probability of the trie's chain c.
+    walk(queries, chunk) yields the chain images as _node_walk does, and
+    probs[c] is the probability of chain c.
 
-    The block walks the chain trie once: stack[d] holds the queries' images at
-    depth d of the current chain, so a prefix shared by consecutive chains is
-    pushed once and each chain pushes only its tail. Each chain adds its
-    probability times its image mass to acc[query, target] in chain order,
-    and first[query, target] keeps the first chain that reached the cell.
-    Each row is then divided by its total, summed in first-reached order. On
-    discrete maps this is the same arithmetic, in the same order, as pushing
-    every chain separately.
+    Each chain adds its probability times its image mass to acc[query, target]
+    in chain order, and first[query, target] keeps the first chain that
+    reached the cell. Each row is then divided by its total, summed in
+    first-reached order. On discrete maps this is the same arithmetic, in the
+    same order, as pushing every chain separately.
     """
     b = queries.size
     acc = np.zeros(b * n_tgt)
     first = np.full(b * n_tgt, probs.size, dtype=np.int64)
     offsets = np.arange(b, dtype=np.int64) * n_tgt
-    chunk = max(1, _CHUNK_CELLS // b)
-    images = np.empty((chunk, b), dtype=np.int64)
-
-    def flush(start: int, stop: int) -> None:
-        keys = (images[: stop - start] + offsets).ravel()
-        np.add.at(acc, keys, np.repeat(probs[start:stop], b))
-        np.minimum.at(first, keys, np.repeat(np.arange(start, stop), b))
-
-    stack = [queries]
-    start = 0  # images[k] holds the discrete image of chain start + k
-    for c, (keep, tail) in enumerate(zip(trie.shared, trie.tails)):
-        del stack[keep:]
-        image = stack[-1]
-        for edge in pairwise(tail):
-            image = maps[edge].push(image)
-            stack.append(image)
+    for start, stop, image in walk(queries, max(1, _CHUNK_CELLS // b)):
         if isinstance(image, np.ndarray):
-            images[c - start] = image
-            if c + 1 - start == chunk:
-                flush(start, c + 1)
-                start = c + 1
+            keys = (image[: stop - start] + offsets).ravel()
+            np.add.at(acc, keys, np.repeat(probs[start:stop], b))
+            np.minimum.at(first, keys, np.repeat(np.arange(start, stop), b))
         else:
-            flush(start, c)
-            start = c + 1
             keys = np.repeat(offsets, np.diff(image.indptr)) + image.indices
-            np.add.at(acc, keys, probs[c] * image.data)
-            np.minimum.at(first, keys, c)
-    flush(start, probs.size)
+            np.add.at(acc, keys, probs[start] * image.data)
+            np.minimum.at(first, keys, start)
 
     cells = np.flatnonzero(first < probs.size)  # by query, then target
     owner = cells // n_tgt
@@ -204,9 +264,16 @@ def propagate_soft(
 
     flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta)
     trie = enumerate_paths(flow, lam=lam, max_paths=max_paths, strict=strict)
-    if not trie:
+    if not trie and strict:
         raise EmptyPathSetError(
             f"no admissible path from {i} to {j} survives threshold {lam} in strict mode"
+        )
+    if not trie:
+        # the direct edge survives any threshold unless strict, so the graph
+        # lacks it, which only a zero distance does
+        raise EmptyPathSetError(
+            f"shapes {source_id!r} and {target_id!r} are at distance 0, so the flow "
+            f"graph from {i} to {j} has no edge, not even the direct one"
         )
     # the threshold was applied to the raw weights; the retained ones are
     # normalized by their sum, added left to right
@@ -218,11 +285,28 @@ def propagate_soft(
         )
     probs = np.asarray(trie.weights) / total
 
-    maps = _edge_maps(collection, trie)
+    keys = trie.codes % trie.n**2  # per trie node, its edge's key a * n + b
+    maps = _edge_maps(collection, trie.n, keys)
     n_tgt = collection.shape(target_id).n
     block = max(1, _ACC_CELLS // n_tgt)
+    # the depth walk gathers through one table of every edge map: it runs
+    # when every map is discrete and a block's node walk would gather more
+    # entries (one per trie node and query) than the table holds
+    sizes = [m.indices.size for m in maps.values() if m.kind == "discrete"]
+    if len(sizes) == len(maps) and keys.size * min(block, queries.size) > sum(sizes):
+        table = np.concatenate([m.indices for m in maps.values()])
+        at = np.zeros(trie.n**2, dtype=np.int64)  # per edge key, where its map starts
+        at[list(maps)] = np.cumsum(sizes) - sizes
+        walk = functools.partial(_depth_walk, trie=trie, table=table, offsets=at[keys])
+    else:
+        nodes = zip(
+            (trie.codes // trie.n**2).tolist(),
+            map(maps.__getitem__, keys.tolist()),
+            trie.leaves.tolist(),
+        )
+        walk = functools.partial(_node_walk, nodes=list(nodes))
     blocks = [
-        _push_block(queries[start : start + block], trie, probs, maps, n_tgt)
+        _push_block(queries[start : start + block], walk, probs, n_tgt)
         for start in range(0, queries.size, block)
     ]
     # indptr's leading 0, and empty arrays that also serve an empty query set

@@ -9,13 +9,13 @@ import pytest
 
 from corrsync.baselines import kruskal_mst
 from corrsync.cli import _UNRECORDED, build_parser, main
-from corrsync.collection import KNN_DEFAULT, CorrespondenceMap, save_collection
+from corrsync.collection import KNN_DEFAULT, CorrespondenceMap, ShapeCollection, save_collection
 from corrsync.benchmark import corrupt_maps, synth_collection
 from corrsync.flow import directed_flow_matrix, enumerate_paths
 from corrsync.matching import match_pair
 from corrsync.soft import LAMBDA_DEFAULT
 
-from conftest import build_l4
+from conftest import build_l4, line_distances
 
 
 @pytest.fixture(scope="module")
@@ -637,6 +637,21 @@ class TestFlowOutput:
             if line and not line.startswith("#")
         ]
         assert matrix[0] == "0,1,1,1"
+
+
+    def test_zero_distance_pair_is_1(self, tmp_path):
+        # --allow-duplicates admits the pair, whose flow graph has no edge
+        l4 = build_l4()
+        coll = ShapeCollection(shapes=l4.shapes, D=line_distances([0.0, 0.0, 2.0, 3.0]),
+                               maps=l4.maps, allow_duplicates=True)
+        manifest = save_collection(coll, str(tmp_path / "c"))
+        proc = _run(["propagate", "--manifest", str(manifest), "--source", "s0",
+                     "--target", "s1", "--allow-duplicates", "--quiet"])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "corrsync: error: shapes 's0' and 's1' are at distance 0, so the flow graph "
+            "from 0 to 1 has no edge, not even the direct one\n"
+        )
 
 
 class TestBaselineOutput:

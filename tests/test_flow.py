@@ -189,6 +189,23 @@ class TestEnumeratePaths:
                 weight *= float(flow.WF[a, b])
             assert (rec.energy, rec.weight) == (energy, weight)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_trie_nodes_are_the_chain_prefixes_in_preorder(self, seed):
+        # one node per distinct chain prefix, in the order the chains first
+        # reach it, coded depth * n**2 + a * n + b by its last edge (a, b): a
+        # branch the threshold cuts off before the target leaves no node
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 8))
+        D = random_euclidean_distances(rng, n)
+        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+        lam = float(rng.choice([0.0, 1e-6, 1e-3, 0.5]))
+        trie = enumerate_paths(directed_flow_matrix(D, i, j), lam=lam)
+        chains = [r.vertices for r in brute_force_paths(D, i, j, lam=lam)]
+        prefixes = dict.fromkeys(c[: d + 1] for c in chains for d in range(1, len(c)))
+        assert trie.codes.tolist() == [(len(p) - 1) * n * n + p[-2] * n + p[-1] for p in prefixes]
+        assert trie.leaves.tolist() == [p[-1] == j for p in prefixes]
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.9))
     @settings(max_examples=30, deadline=None)
     def test_pruning_is_exact(self, seed, lam):

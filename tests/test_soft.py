@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -70,19 +71,25 @@ def per_chain_rows(collection, source_id, target_id, lam, source_points, max_pat
 
 
 def random_collection(rng, soft_share=0.0):
-    """3-6 shapes of 2-6 points at random 3-D positions, with random maps.
-
-    Maps are random vertex lookups; a share of them (at least one when the
-    share is positive) is replaced by random row-stochastic soft maps with 1-3
-    positive entries per row. Where both
-    directions of a pair are bijections the reverse is made the inverse.
-    """
+    """3-6 shapes of 2-6 points at random 3-D positions, with random_maps."""
     n = int(rng.integers(3, 7))
     sizes = rng.integers(2, 7, size=n)
     shapes = [
         Shape(id=f"s{k}", points=rng.normal(size=(int(sizes[k]), 3))) for k in range(n)
     ]
     D = random_euclidean_distances(rng, n) * rng.uniform(0.2, 1.5)
+    return ShapeCollection(shapes=shapes, D=D, maps=random_maps(rng, sizes, soft_share))
+
+
+def random_maps(rng, sizes, soft_share=0.0):
+    """Maps between every two of shapes s0, s1, ... of the given point counts.
+
+    Maps are random vertex lookups; a share of them (at least one when the
+    share is positive) is replaced by random row-stochastic soft maps with 1-3
+    positive entries per row. Where both
+    directions of a pair are bijections the reverse is made the inverse.
+    """
+    n = len(sizes)
     lookups = {
         (a, b): rng.integers(0, sizes[b], size=sizes[a])
         for a in range(n) for b in range(n) if a != b
@@ -107,7 +114,17 @@ def random_collection(rng, soft_share=0.0):
             maps[(src, tgt)] = CorrespondenceMap(
                 src, tgt, "discrete", indices=idx, target_size=int(sizes[b])
             )
-    return ShapeCollection(shapes=shapes, D=D, maps=maps)
+    return maps
+
+
+def line_collection(rng, n_shapes, n_points):
+    """n_shapes shapes of n_points points at increasing random positions on a
+    line, with discrete random_maps. Every shape between two others lies on
+    a chain between them, so s0 -> s{n_shapes - 1} has 2 ** (n_shapes - 2)
+    chains, and its trie is n_shapes - 1 deep."""
+    shapes = [Shape(id=f"s{k}", points=rng.normal(size=(n_points, 3))) for k in range(n_shapes)]
+    D = line_distances(np.cumsum(rng.uniform(0.05, 0.15, size=n_shapes)))
+    return ShapeCollection(shapes=shapes, D=D, maps=random_maps(rng, [n_points] * n_shapes))
 
 
 def random_queries(rng, n_points):
@@ -152,6 +169,21 @@ class TestPathDistribution:
     def test_strict_empty_raises(self, l4_identity):
         with pytest.raises(EmptyPathSetError, match="survives threshold 0.9999 in strict mode"):
             propagate_soft(l4_identity, "s0", "s3", lam=0.9999, max_paths=100, strict=True)
+
+    def test_zero_distance_pair_names_the_empty_flow_graph(self):
+        # without strict the direct edge survives any threshold, so an empty
+        # chain set means the graph has no edge: the pair is at distance 0
+        l4 = build_l4()
+        coll = ShapeCollection(shapes=l4.shapes, D=line_distances([0.0, 0.0, 2.0, 3.0]),
+                               maps=l4.maps, allow_duplicates=True)
+        with pytest.raises(EmptyPathSetError) as exc:
+            propagate_soft(coll, "s0", "s1", lam=0.5)
+        assert str(exc.value) == (
+            "shapes 's0' and 's1' are at distance 0, so the flow graph from 0 to 1 has no "
+            "edge, not even the direct one"
+        )
+        with pytest.raises(EmptyPathSetError, match="survives threshold 0.5 in strict mode"):
+            propagate_soft(coll, "s0", "s1", lam=0.5, strict=True)
 
 
 class TestPropagateSoft:
@@ -207,9 +239,30 @@ class TestPropagateSoft:
             propagate_soft(coll, "s0", "s3", lam=0.0, max_paths=100)
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The names of the chain walks that propagate_soft runs, one per block."""
+    ran = []
+    for name in ("_node_walk", "_depth_walk"):
+        def spy(*args, _walk=getattr(soft_mod, name), _name=name, **kwargs):
+            ran.append(_name)
+            return _walk(*args, **kwargs)
+        monkeypatch.setattr(soft_mod, name, spy)
+    return ran
+
+
+# s0 -> s7 of line_collection(rng, 8, 12): 64 chains, 127 trie nodes 7 deep,
+# over 28 edge maps of 12 entries. With all 12 vertices queried the node walk
+# would gather 127 * 12 entries, more than the 336 of the table, so the depth
+# walk runs; with one query it would gather 127, and the node walk runs.
+WALK_QUERIES = [("_depth_walk", 12), ("_node_walk", 1)]
+
+
 class TestBatchedPush:
-    """propagate_soft pushes a query block once per chain-trie edge; its rows
-    must match pushing every query through every chain separately."""
+    """propagate_soft builds a query block's chain images from the chain trie,
+    by a push per trie node or by a gather per depth through one table of the
+    edge maps; either way its rows must match pushing every query through
+    every chain separately."""
 
     LAMS = [0.0, 1e-3, 0.05, 0.3]
 
@@ -282,6 +335,53 @@ class TestBatchedPush:
                     )
                     if soft_share == 0.0:
                         assert list(got[v].items()) == list(want[v].items())
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    @pytest.mark.parametrize("walk, n_queries", WALK_QUERIES)
+    def test_chunks_carry_the_stack_over(self, monkeypatch, walks, walk, n_queries, per_chunk):
+        # chunks of one to three chains end inside shared prefixes up to six
+        # edges long, so each chunk starts from stack images an earlier one
+        # computed
+        monkeypatch.setattr("corrsync.soft._CHUNK_CELLS", per_chunk * n_queries)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            coll = line_collection(rng, 8, 12)
+            pts = rng.permutation(12)[:n_queries].tolist()
+            got = propagate_soft(coll, "s0", "s7", lam=0.0, source_points=pts)
+            want = per_chain_rows(coll, "s0", "s7", 0.0, pts)
+            assert got.path_count == 64
+            assert list(got.rows) == list(want)
+            for v in want:
+                assert list(got.rows[v].items()) == list(want[v].items())
+        assert walks == [walk] * 3
+
+    @pytest.mark.parametrize("walk, n_queries", WALK_QUERIES)
+    def test_missing_maps_name_the_first_chain_edge(self, walks, walk, n_queries):
+        # the first chain, (0, 1, ..., 7), needs the deep edge (6, 7) before
+        # the later chains through (0, 2) need that shallow one
+        coll = line_collection(np.random.default_rng(0), 8, 12)
+        pts = list(range(n_queries))
+        propagate_soft(coll, "s0", "s7", lam=0.0, source_points=pts)
+        assert walks == [walk]
+        del coll.maps["s6", "s7"], coll.maps["s0", "s2"]
+        with pytest.raises(MissingMapError, match=r"'s6' -> 's7' on admissible edge \(6, 7\)"):
+            propagate_soft(coll, "s0", "s7", lam=0.0, source_points=pts)
+
+    def test_large_trie_memory_stays_bounded(self, walks):
+        # 32,768 chains, 65,535 trie nodes, 16 queries: an image array for
+        # every node would take 8.4 MB alone, while the depth walk keeps one
+        # chunk's images at a time
+        coll = line_collection(np.random.default_rng(0), 17, 16)
+        propagate_soft(coll, "s0", "s16", lam=0.0, source_points=range(16))
+        tracemalloc.start()
+        try:
+            soft = propagate_soft(coll, "s0", "s16", lam=0.0, source_points=range(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert soft.path_count == 2**15
+        assert walks == ["_depth_walk"] * 2
+        assert peak <= 6_000_000
 
     def test_soft_direct_map_reaches_rows(self, l4_swap):
         # s0 -> s3 stored as a soft map: the direct chain carries its split mass
