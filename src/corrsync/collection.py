@@ -18,7 +18,6 @@ import errno
 import itertools
 import json
 import math
-import numbers
 import os
 import threading
 import warnings
@@ -37,6 +36,7 @@ from .errors import (
     MetricAsymmetryError,
     MissingMapError,
     SoftRowError,
+    check_integer,
 )
 
 # neighbors per vertex in the k-NN graph of a geodesic oracle
@@ -212,16 +212,12 @@ class Shape:
         if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
             idx = vertices.ravel().tolist()
         else:
-            idx = [v if type(v) is int else self._integer(v, what) for v in vertices]
+            named = f"shape {self.id!r}: {what}"
+            idx = [v if type(v) is int else check_integer(v, named) for v in vertices]
         if idx and not (min(idx) >= 0 and max(idx) < self.n):
             bad = next(v for v in idx if not 0 <= v < self.n)
             raise IndexRangeError(f"shape {self.id!r}: {what} {bad} out of range")
         return idx
-
-    def _integer(self, v, what: str) -> int:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise InvalidValueError(f"shape {self.id!r}: {what} {v!r} is not an integer")
-        return int(v)
 
 
 @dataclass
@@ -604,13 +600,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _index(value) -> int:
-    """A vertex index read from a manifest: an int, or a float or string that is one."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(value)
-    return int(value)
-
-
 def _positive(value) -> float:
     """A finite positive float read from a manifest; a bool is not one."""
     x = float(value)
@@ -620,10 +609,10 @@ def _positive(value) -> float:
 
 
 def _indices(value) -> list[int]:
-    """Vertex indices read from a manifest: a JSON list of _index values."""
+    """Vertex indices read from a manifest: a JSON list of integers."""
     if not isinstance(value, list):
         raise TypeError(value)
-    return [_index(i) for i in value]
+    return [check_integer(i, "vertex") for i in value]
 
 
 def _field(value, convert, where: str, name: str):
@@ -716,7 +705,10 @@ def load_collection(manifest_path: str, allow_duplicates: bool = False) -> Shape
         truth = entry.get("ground_truth")
         if truth is not None:
             truth = _field(
-                truth, lambda g: {str(k): _index(v) for k, v in g.items()}, where, "ground_truth"
+                truth,
+                lambda g: {str(k): check_integer(v, "vertex") for k, v in g.items()},
+                where,
+                "ground_truth",
             )
         shapes.append(
             Shape(

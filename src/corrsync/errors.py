@@ -1,5 +1,8 @@
 """Exception taxonomy. Everything user-facing derives from CorrsyncError so the
-CLI can map domain failures to a single exit code."""
+CLI can map domain failures to a single exit code. check_integer is the one
+integer rule for a vertex or endpoint argument."""
+
+import numbers
 
 
 class CorrsyncError(Exception):
@@ -8,6 +11,14 @@ class CorrsyncError(Exception):
 
 class InvalidValueError(CorrsyncError, ValueError):
     """An argument value outside its valid range."""
+
+
+def check_integer(value, what: str) -> int:
+    """value as a Python int. A Python or numpy integer passes; a bool or a
+    float, even an integral one, raises InvalidValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidValueError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 class ManifestError(CorrsyncError):

@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import InvalidValueError, OracleBoundError, PathBudgetError
+from .errors import InvalidValueError, OracleBoundError, PathBudgetError, check_integer
 
 MAX_PATHS_DEFAULT = 10**6
 ORACLE_MAX_N = 9
@@ -59,17 +59,20 @@ class ChainTrie:
     (the source's own edges are at depth 1). The nodes are in preorder, and
     only nodes on a chain are kept, so the parent of a node is the last node
     one level up before it. codes[k] is depth * n**2 + a * n + b. The edges
-    into the target are the leaves, one per chain, and energies[c] and
-    weights[c] hold chain c's energy and Gibbs weight. Iterating builds the
-    PathRecords, one chain at a time.
+    into the target are the leaves, one per chain, and weights[c] holds chain
+    c's Gibbs weight. Iterating builds the PathRecords, one chain at a time,
+    each energy summed left to right from D, the flow's distances.
     """
 
     source: int
     target: int
-    n: int
+    D: np.ndarray
     codes: np.ndarray
-    energies: list[float]
     weights: list[float]
+
+    @property
+    def n(self) -> int:
+        return self.D.shape[0]
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -81,14 +84,17 @@ class ChainTrie:
 
     def __iter__(self):
         path = [self.source]
-        chains = zip(self.energies, self.weights)
+        weights = iter(self.weights)
         for code in self.codes.tolist():
             depth, key = divmod(code, self.n * self.n)
             del path[depth:]
             path.append(key % self.n)
             if path[-1] == self.target:
-                energy, weight = next(chains)
-                yield PathRecord(tuple(path), energy, weight)
+                energy = 0.0
+                for a, b in zip(path, path[1:]):
+                    d = self.D[a, b].item()  # a Python float squares to inf silently
+                    energy += d * d
+                yield PathRecord(tuple(path), energy, next(weights))
 
 
 def gibbs_weights(D: np.ndarray, beta: float) -> np.ndarray:
@@ -112,7 +118,7 @@ def directed_flow_matrix(
     n = D.shape[0]
     if D.shape != (n, n):
         raise InvalidValueError("D must be square")
-    i, j = int(i), int(j)
+    i, j = check_integer(i, "endpoint"), check_integer(j, "endpoint")
     if i == j:
         raise InvalidValueError(f"flow graph needs two distinct endpoints, got {i} twice")
     if not (0 <= i < n and 0 <= j < n):
@@ -145,63 +151,55 @@ def enumerate_paths(
     path is a prefix of another and the walk emits them in lexicographic order.
     Weights only shrink along a path, so pruning a partial path below lam is
     exact; so is skipping vertices from which the target cannot be reached.
+    Along a path D[i, .] rises and D[j, .] falls, so a vertex that reaches j
+    has a direct edge into it, and column j of F holds all such vertices.
     The direct two-vertex path is kept regardless of lam unless strict is set.
     Exceeding max_paths raises rather than truncating. lam and max_paths are
     checked by check_path_limits.
     """
     check_path_limits(lam, max_paths)
     i, j = flow.source, flow.target
-    with np.errstate(over="ignore"):  # an overflowing square is an infinite energy
-        D2 = flow.D * flow.D
-    # only vertices from which j is reachable can lie on a path
-    live = np.arange(flow.n) == j
-    while (grown := live | flow.F[:, live].any(axis=1)).sum() > live.sum():
-        live = grown
-    # per vertex: (successor, edge key, WF entry, squared step) for live
-    # successors in ascending order, as Python numbers so the walk indexes no
-    # numpy scalars
     n = flow.n
+    # only vertices from which j is reachable can lie on a path
+    live = flow.F[:, j] | (np.arange(n) == j)
+    # per vertex: (successor, edge key, WF entry) for live successors in
+    # ascending order, as Python numbers so the walk indexes no numpy scalars
     rows, cols = np.nonzero(flow.F & live)
-    steps = list(
-        zip(cols.tolist(), (rows * n + cols).tolist(), flow.WF[rows, cols].tolist(),
-            D2[rows, cols].tolist())
-    )
+    steps = list(zip(cols.tolist(), (rows * n + cols).tolist(), flow.WF[rows, cols].tolist()))
     stops = np.cumsum(np.bincount(rows, minlength=n)).tolist()
     succ = [steps[a:b] for a, b in zip([0, *stops], stops)]
 
     codes = array("q")
-    energies: list[float] = []
     weights: list[float] = []
     # the DFS stack: per vertex of the path so far, which never holds j, its
-    # energy, its weight, the iterator over its successors not yet visited,
-    # the node count once the edge into it was recorded (-1 for the source)
-    # and the code of an edge leaving it less that edge's key
+    # weight, the iterator over its successors not yet visited, the node
+    # count once the edge into it was recorded (-1 for the source) and the
+    # code of an edge leaving it less that edge's key
     nn = n * n
-    frames = [(0.0, 1.0, iter(succ[i]), -1, nn)]
+    frames = [(1.0, iter(succ[i]), -1, nn)]
     while frames:
-        energy, weight, nexts, recorded, base = frames[-1]
-        for u, key, wf, d2 in nexts:
+        weight, nexts, recorded, base = frames[-1]
+        for u, key, wf in nexts:
             w = weight * wf
             # below lam only the source's direct edge survives, unless strict
             if w < lam and (strict or u != j or recorded >= 0):
                 continue
             codes.append(base + key)
             if u != j:
-                frames.append((energy + d2, w, iter(succ[u]), len(codes), base + nn))
+                frames.append((w, iter(succ[u]), len(codes), base + nn))
                 break
             if len(weights) >= max_paths:
                 raise PathBudgetError(
                     f"path count exceeded max_paths={max_paths}; raise the budget "
                     f"or tighten the weight threshold"
                 )
-            energies.append(energy + d2)
             weights.append(w)
         else:
             frames.pop()
             # an edge with no chain through it is still the last one recorded
             if len(codes) == recorded:
                 codes.pop()
-    return ChainTrie(i, j, n, np.frombuffer(codes, dtype=np.int64), energies, weights)
+    return ChainTrie(i, j, flow.D, np.frombuffer(codes, dtype=np.int64), weights)
 
 
 def brute_force_paths(
@@ -222,7 +220,7 @@ def brute_force_paths(
     n = D.shape[0]
     if n > ORACLE_MAX_N:
         raise OracleBoundError(f"oracle limited to n <= {ORACLE_MAX_N}, got n = {n}")
-    i, j = int(i), int(j)
+    i, j = check_integer(i, "endpoint"), check_integer(j, "endpoint")
     di, dj = D[i], D[j]
     others = [v for v in range(n) if v not in (i, j)]
     found: list[PathRecord] = []

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AntipodalError, InvalidValueError, MaxStepsError
+from .errors import AntipodalError, InvalidValueError, MaxStepsError, check_integer
 from .flow import gibbs_weights
-
-UNIT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +111,8 @@ def lattice_walks(
         raise InvalidValueError(f"walks must be at least 1, got {count}")
     if max_steps < 1:
         raise InvalidValueError(f"max_steps must be at least 1, got {max_steps}")
-    source = 0 if source is None else int(source)
-    target = lattice.n - 1 if target is None else int(target)
+    source = 0 if source is None else check_integer(source, "source")
+    target = lattice.n - 1 if target is None else check_integer(target, "target")
     for name, v in (("source", source), ("target", target)):
         if not 0 <= v < lattice.n:
             raise InvalidValueError(f"{name} must be a vertex in [0, {lattice.n}), got {v}")

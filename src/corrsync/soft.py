@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collection import CorrespondenceMap, GeodesicOracle, ShapeCollection
-from .errors import EmptyPathSetError, InvalidValueError, MissingMapError
+from .errors import EmptyPathSetError, MissingMapError, check_integer
 from .flow import MAX_PATHS_DEFAULT, ChainTrie, directed_flow_matrix, enumerate_paths
 
 # the chain-weight threshold lambda used when a caller sets none
@@ -60,10 +59,8 @@ class SoftCorrespondence:
     def row(self, v: int) -> Row:
         """Vertex v's row, as slices of indices and data. v is a Python or numpy
         integer: a bool or a float, even an integral one, raises InvalidValueError."""
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise InvalidValueError(f"vertex {v!r} is not an integer")
         try:
-            k = self._position[int(v)]
+            k = self._position[check_integer(v, "vertex")]
         except KeyError:
             raise KeyError(f"vertex {v} was not in the propagated query set") from None
         span = slice(self.indptr[k], self.indptr[k + 1])
@@ -93,12 +90,10 @@ def _edge_maps(
     order, so a missing map names the first edge met that needs it."""
     # each key's first position, found in numpy: a Python int per node would
     # leave a large trie's keys in the interpreter's memory pools
-    first = np.full(n * n, keys.size)
-    np.minimum.at(first, keys, np.arange(keys.size))
-    met = np.flatnonzero(first < keys.size)
+    met, first = np.unique(keys, return_index=True)
     ids = collection.ids
     maps = {}
-    for key in met[np.argsort(first[met])].tolist():
+    for key in met[np.argsort(first)].tolist():
         a, b = divmod(key, n)
         try:
             maps[key] = collection.map(ids[a], ids[b])
@@ -204,35 +199,29 @@ def _push_block(queries: np.ndarray, walk, probs: np.ndarray, n_tgt: int):
     probs[c] is the probability of chain c.
 
     Each chain adds its probability times its image mass to acc[query, target]
-    in chain order, and first[query, target] keeps the first chain that
-    reached the cell. Each row is then divided by its total, summed in
-    first-reached order. On discrete maps this is the same arithmetic, in the
-    same order, as pushing every chain separately.
+    in chain order and marks the cell reached, even when that mass is 0.0.
+    Each row is then divided by its total, summed left to right in target
+    order. On discrete maps this is the same arithmetic, in the same order,
+    as pushing every chain separately.
     """
     b = queries.size
     acc = np.zeros(b * n_tgt)
-    first = np.full(b * n_tgt, probs.size, dtype=np.int64)
+    reached = np.zeros(b * n_tgt, dtype=bool)
     offsets = np.arange(b, dtype=np.int64) * n_tgt
     for start, stop, image in walk(queries, max(1, _CHUNK_CELLS // b)):
         if isinstance(image, np.ndarray):
             keys = (image[: stop - start] + offsets).ravel()
             np.add.at(acc, keys, np.repeat(probs[start:stop], b))
-            np.minimum.at(first, keys, np.repeat(np.arange(start, stop), b))
         else:
             keys = np.repeat(offsets, np.diff(image.indptr)) + image.indices
             np.add.at(acc, keys, probs[start] * image.data)
-            np.minimum.at(first, keys, start)
+        reached[keys] = True
 
-    cells = np.flatnonzero(first < probs.size)  # by query, then target
+    cells = np.flatnonzero(reached)  # by query, then target
     owner = cells // n_tgt
     counts = np.bincount(owner, minlength=b)
-    # each row's masses in first-reached order, left-aligned in a zero-padded
-    # row: the running sum adds them left to right, and the trailing 0.0
-    # terms leave a positive total unchanged
-    ranks = np.arange(cells.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    padded = np.zeros((b, counts.max()))
-    padded[owner, ranks] = acc[cells[np.lexsort((first[cells], owner))]]
-    totals = np.add.accumulate(padded, axis=1)[:, -1]
+    # bincount adds each row's masses one by one, in the order of cells
+    totals = np.bincount(owner, weights=acc[cells], minlength=b)
     return counts, cells % n_tgt, acc[cells] / np.repeat(totals, counts)
 
 

@@ -356,13 +356,17 @@ class TestBadCollectionFiles:
             ({"beta": None}, "'beta': None"),
             ({"landmarks": ["x"]}, "shape 's1': invalid 'landmarks': ['x']"),
             ({"landmarks": [0.5]}, "shape 's1': invalid 'landmarks': [0.5]"),
+            ({"landmarks": ["3"]}, "shape 's1': invalid 'landmarks': ['3']"),
+            ({"landmarks": [2.0]}, "shape 's1': invalid 'landmarks': [2.0]"),
             ({"landmarks": 3}, "shape 's1': invalid 'landmarks': 3"),
             ({"ground_truth": {"tip": "x"}}, "shape 's1': invalid 'ground_truth'"),
+            ({"ground_truth": {"tip": "1"}}, "shape 's1': invalid 'ground_truth'"),
             ({"points_file": None}, "shape 's1': missing 'points_file'"),
             ({"points_file": 5}, "shape 's1': invalid 'points_file': 5"),
         ],
         ids=["beta-negative", "beta-zero", "beta-text", "beta-nan", "beta-inf", "beta-null",
-             "landmark-text", "landmark-fraction", "landmarks-scalar", "truth-text",
+             "landmark-text", "landmark-fraction", "landmark-digit-text", "landmark-integral-float",
+             "landmarks-scalar", "truth-text", "truth-digit-text",
              "points-file-missing", "points-file-number"],
     )
     def test_bad_manifest_field(self, tmp_path, edit, named):

@@ -206,6 +206,29 @@ class TestEnumeratePaths:
         assert trie.codes.tolist() == [(len(p) - 1) * n * n + p[-2] * n + p[-1] for p in prefixes]
         assert trie.leaves.tolist() == [p[-1] == j for p in prefixes]
 
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_vertices_that_reach_the_target_are_column_j_of_F(self, seed, duplicates):
+        # enumerate_paths takes its live set from one column of F: along a
+        # chain D[i, .] rises and D[j, .] falls, so a vertex that reaches j
+        # has a direct edge into it. Coinciding shapes, as allow_duplicates
+        # admits, put zero distances off the diagonal
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        pts = rng.normal(size=(n, 2))
+        if duplicates:
+            pts[rng.integers(0, n, size=n // 2)] = pts[rng.integers(0, n, size=n // 2)]
+        D = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+        F = directed_flow_matrix(D, i, j).F
+        reach, stack = {j}, [j]
+        while stack:
+            for u in np.flatnonzero(F[:, stack.pop()]).tolist():
+                if u not in reach:
+                    reach.add(u)
+                    stack.append(u)
+        assert reach == set(np.flatnonzero(F[:, j]).tolist()) | {j}
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.9))
     @settings(max_examples=30, deadline=None)
     def test_pruning_is_exact(self, seed, lam):

@@ -65,7 +65,7 @@ def per_chain_rows(collection, source_id, target_id, lam, source_points, max_pat
                 row = push_row(m, row)
             for t, mass in row.items():
                 acc[t] = acc.get(t, 0.0) + prob * mass
-        total = sum(acc.values())
+        total = sum(mass for _, mass in sorted(acc.items()))
         rows[p] = {t: mass / total for t, mass in sorted(acc.items())}
     return rows
 
@@ -237,6 +237,27 @@ class TestPropagateSoft:
         coll = ShapeCollection(shapes=coll.shapes, D=coll.D * 40, maps=coll.maps)
         with pytest.raises(EmptyPathSetError, match="underflows"):
             propagate_soft(coll, "s0", "s3", lam=0.0, max_paths=100)
+
+    def test_target_reached_by_an_underflowing_chain_keeps_mass_zero(self):
+        # chain (0, 1, 2) weighs exp(-600 * 1.62), which underflows to 0.0,
+        # and alone sends vertex 0 to vertex 1 through the swapped s1 -> s2;
+        # the direct chain weighs exp(-600) > 0. Reaching a cell, not a
+        # positive mass, puts a target in the row
+        shapes = [two_point_shape(f"s{k}") for k in range(3)]
+        maps = {
+            (f"s{a}", f"s{b}"): CorrespondenceMap(
+                f"s{a}", f"s{b}", "discrete", target_size=2,
+                indices=np.array([1, 0] if {a, b} == {1, 2} else [0, 1]),
+            )
+            for a in range(3) for b in range(3) if a != b
+        }
+        D = [[0.0, 0.9, 1.0], [0.9, 0.0, 0.9], [1.0, 0.9, 0.0]]
+        coll = ShapeCollection(shapes=shapes, D=D, maps=maps, beta=600.0)
+        soft = propagate_soft(coll, "s0", "s2", lam=0.0, source_points=[0])
+        assert soft.path_count == 2
+        targets, masses = soft.row(0)
+        assert targets.tolist() == [0, 1]
+        assert masses.tolist() == [1.0, 0.0]
 
 
 @pytest.fixture
