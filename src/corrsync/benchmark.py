@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import pairwise
+from itertools import pairwise, permutations, product
 
 import numpy as np
 
@@ -283,21 +283,21 @@ def synth_collection(
     n = n_shapes
     D = np.zeros((n, n))
     maps: dict[tuple[str, str], CorrespondenceMap] = {}
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            if map_source == "align":
-                res = baseline_pairwise_align(shapes[a], shapes[b], iterations=8)
-                maps[(shapes[a].id, shapes[b].id)] = res.map
-                D[a, b] = res.distance
-            else:
-                maps[(shapes[a].id, shapes[b].id)] = identity_map(
-                    shapes[a].id, n_points, shapes[b].id
-                )
-                D[a, b] = float(
-                    np.sqrt(np.mean(np.sum((shapes[a].points - shapes[b].points) ** 2, axis=1)))
-                )
+    for a, b in permutations(range(n), 2):
+        key = (shapes[a].id, shapes[b].id)
+        if map_source == "align":
+            res = baseline_pairwise_align(shapes[a], shapes[b], iterations=8)
+            maps[key], D[a, b] = res.map, res.distance
+        else:
+            maps[key] = identity_map(key[0], n_points, key[1])
+    if map_source == "truth":
+        # row a against blocks of shapes, reduced over the same contiguous axes as one
+        # pair; a block's temporaries stay under 64 KiB (larger ones raised peak RSS)
+        P = np.stack([s.points for s in shapes])
+        step = max(1, 8192 // P[0].size)
+        for a, lo in product(range(n), range(0, n, step)):
+            rows = np.sum((P[a] - P[lo:lo + step]) ** 2, axis=2)
+            D[a, lo:lo + step] = np.sqrt(np.mean(rows, axis=1))
     D = 0.5 * (D + D.T)
 
     return ShapeCollection(

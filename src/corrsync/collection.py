@@ -15,6 +15,7 @@ are a ``MapFiles`` table, so a command parses only the files it uses.
 from __future__ import annotations
 
 import errno
+import functools
 import itertools
 import json
 import math
@@ -549,13 +550,21 @@ def _admit(key: tuple[str, str], m: CorrespondenceMap, sizes: dict[str, int],
     is in ``admitted`` and both are discrete bijections, as its mutual inverse."""
     _check_map(key, m, sizes)
     rev = admitted.get(key[::-1])
-    if rev is not None and rev.is_bijection() and m.is_bijection():
-        if not np.array_equal(m.indices[rev.indices], np.arange(rev.n_source)):
-            raise InverseViolationError(
-                f"maps {rev.source_id!r}<->{rev.target_id!r} are bijections "
-                "but not mutual inverses"
-            )
+    # one gather per pair; only a pair not composing to the identity pays the bijection tests
+    if (rev is not None and rev.kind == m.kind == "discrete"
+            and m.indices[rev.indices].tobytes() != _identity_bytes(rev.n_source)
+            and rev.is_bijection() and m.is_bijection()):
+        raise InverseViolationError(
+            f"maps {rev.source_id!r}<->{rev.target_id!r} are bijections "
+            "but not mutual inverses"
+        )
     return m
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_bytes(n: int) -> bytes:
+    """The bytes of the int64 vector arange(n), made once per size."""
+    return np.arange(n, dtype=np.int64).tobytes()
 
 
 class MapFiles(Mapping):
@@ -808,8 +817,9 @@ def atomic_write(outputs: Sequence[tuple[str, str]]) -> None:
     mode 0o666 & ~umask, as open(path, "w") gives a new file, and an OSError names
     the requested path."""
     resolved: set[str] = set()
+    realpath = functools.lru_cache(maxsize=None)(os.path.realpath)  # once per directory
     for path, _ in outputs:
-        directory = os.path.realpath(os.path.dirname(os.path.abspath(path)))
+        directory = realpath(os.path.dirname(os.path.abspath(path)))
         entry = os.path.join(directory, os.path.basename(path))
         if entry in resolved:
             raise InvalidValueError(f"two outputs name one file: {path!r}")
@@ -840,8 +850,7 @@ def map_csv(m: CorrespondenceMap) -> str:
     """A map in the map-file format: one ``source,target`` line per vertex of a
     discrete map, one ``source,target,mass`` line per stored entry of a soft one."""
     if m.kind == "discrete":
-        n = m.indices.size
-        return ("%d,%d\n" * n) % tuple(np.column_stack((np.arange(n), m.indices)).ravel().tolist())
+        return "".join((_cells(m.n_source)[0] + _cells(m.n_target)[1][m.indices]).tolist())
     mat = m.matrix
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)).tolist()
     entries = zip(rows, mat.indices.tolist(), mat.data.astype(float).tolist())
@@ -853,6 +862,12 @@ def _float_lines(a: np.ndarray, sep: str) -> str:
     its float, so every value reads back bit for bit."""
     a = np.asarray(a, dtype=float)
     return ((sep.join(["%r"] * a.shape[1]) + "\n") * a.shape[0]) % tuple(a.ravel().tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def _cells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map-file cells ``"v,"`` and ``"v\\n"`` of each vertex v < n, as object arrays."""
+    return tuple(np.array([f"{v}{end}" for v in range(n)], dtype=object) for end in ",\n")
 
 
 def save_collection(collection: ShapeCollection, out_dir: str) -> str:

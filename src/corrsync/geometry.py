@@ -45,7 +45,7 @@ class LatticeGraph:
 
 
 def build_lattice(side: int) -> LatticeGraph:
-    if side < 2:
+    if check_integer(side, "side") < 2:
         raise InvalidValueError(f"side must be at least 2, got {side}")
     step = 1.0 / (side - 1)
     coords = np.array(
@@ -107,9 +107,9 @@ def lattice_walks(
     """
     if not (math.isfinite(beta) and beta > 0):
         raise InvalidValueError(f"beta must be finite and positive, got {beta!r}")
-    if count < 1:
+    if check_integer(count, "walks") < 1:
         raise InvalidValueError(f"walks must be at least 1, got {count}")
-    if max_steps < 1:
+    if check_integer(max_steps, "max_steps") < 1:
         raise InvalidValueError(f"max_steps must be at least 1, got {max_steps}")
     source = 0 if source is None else check_integer(source, "source")
     target = lattice.n - 1 if target is None else check_integer(target, "target")

@@ -149,6 +149,22 @@ class TestSynth:
         b = synth_collection(4, 60, 0.05, seed=12, map_source="truth")
         assert not np.array_equal(a.shapes[1].points, b.shapes[1].points)
 
+    @pytest.mark.parametrize("n_shapes", [2, 5, 20])
+    @pytest.mark.parametrize("n_points", [2, 7, 8, 9, 127, 128, 129, 1000])
+    def test_truth_distances_match_per_pair_formula_bitwise(self, n_shapes, n_points):
+        # sizes on both sides of numpy's pairwise-summation blocks
+        coll = synth_collection(n_shapes, n_points, 0.1, seed=3, map_source="truth",
+                                landmark_count=min(16, n_points))
+        want = np.zeros((n_shapes, n_shapes))
+        for a, sa in enumerate(coll.shapes):
+            for b, sb in enumerate(coll.shapes):
+                if a != b:
+                    want[a, b] = float(
+                        np.sqrt(np.mean(np.sum((sa.points - sb.points) ** 2, axis=1)))
+                    )
+        want = 0.5 * (want + want.T)
+        assert coll.D.tobytes() == want.tobytes()
+
     def test_truth_maps_are_identity(self):
         coll = synth_collection(3, 50, 0.05, seed=2, map_source="truth")
         for (a, b), m in coll.maps.items():

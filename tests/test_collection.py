@@ -42,6 +42,7 @@ from corrsync.matching import (
 )
 from corrsync.soft import all_pairs_soft, frechet_mean, mle, propagate_soft
 from corrsync.errors import (
+    CorrsyncError,
     DisconnectedGraphError,
     DuplicateShapeError,
     IndexRangeError,
@@ -560,6 +561,79 @@ class TestNeighborGraph:
             assert np.array_equal(got, want)
 
 
+def _admit_per_map(maps, sizes):
+    """The admission rule as it was, the reference for the one-gather rule:
+    both bijection tests on every pair that has both directions, then the
+    composition of the two, map by map in table order."""
+    admitted = {}
+    for key, m in maps.items():
+        collection_mod._check_map(key, m, sizes)
+        rev = admitted.get(key[::-1])
+        if rev is not None and rev.is_bijection() and m.is_bijection():
+            if not np.array_equal(m.indices[rev.indices], np.arange(rev.n_source)):
+                raise InverseViolationError(
+                    f"maps {rev.source_id!r}<->{rev.target_id!r} are bijections "
+                    "but not mutual inverses"
+                )
+        admitted[key] = m
+
+
+def _random_map(rng, src, tgt, sizes, indices):
+    """The discrete map src -> tgt with indices, or with some chance a soft
+    map, a wrongly sized map, or one labeled with another pair."""
+    n_src, n_tgt = sizes.get(src, 3), sizes.get(tgt, 3)
+    roll = rng.random()
+    if roll < 0.1:
+        dense = rng.random((n_src, n_tgt)) + 1e-3
+        matrix = sparse.csr_matrix(dense / dense.sum(axis=1, keepdims=True))
+        return CorrespondenceMap(src, tgt, "soft", matrix=matrix)
+    if roll < 0.14:
+        return CorrespondenceMap(src, tgt, "discrete", indices=rng.integers(0, n_tgt, n_src + 1),
+                                 target_size=n_tgt)
+    if roll < 0.18:
+        return CorrespondenceMap(src, tgt, "discrete", indices=indices, target_size=n_tgt + 1)
+    if roll < 0.22:
+        return CorrespondenceMap(tgt, src, "discrete", indices=indices, target_size=n_tgt)
+    return CorrespondenceMap(src, tgt, "discrete", indices=indices, target_size=n_tgt)
+
+
+def _random_table(rng):
+    """2-5 shapes of 2-6 points (often one size for all) and a map table in
+    random order: per pair mutual inverses, two bijections or two arbitrary
+    discrete maps, each map possibly replaced by _random_map's faults, and
+    now and then a key naming an unknown shape."""
+    k = int(rng.integers(2, 6))
+    counts = rng.integers(2, 7, k) if rng.random() < 0.5 else np.full(k, rng.integers(2, 7))
+    shapes = [Shape(id=f"s{i}", points=rng.random((int(c), 3))) for i, c in enumerate(counts)]
+    sizes = {s.id: s.n for s in shapes}
+    maps = {}
+    for i, a in enumerate(sizes):
+        for b in list(sizes)[i + 1:]:
+            kind = rng.integers(3) if sizes[a] == sizes[b] else 2
+            if kind == 0:
+                fwd = rng.permutation(sizes[b])
+                rev = np.argsort(fwd)
+            elif kind == 1:
+                fwd, rev = rng.permutation(sizes[b]), rng.permutation(sizes[a])
+            else:
+                fwd, rev = rng.integers(0, sizes[b], sizes[a]), rng.integers(0, sizes[a], sizes[b])
+            for key, idx in (((a, b), fwd), ((b, a), rev)):
+                if rng.random() < 0.9:
+                    maps[key] = _random_map(rng, *key, sizes, idx)
+    if rng.random() < 0.1:
+        maps[("s0", "zz")] = _random_map(rng, "s0", "zz", sizes, np.zeros(sizes["s0"], int))
+    keys = list(maps)
+    return shapes, {keys[i]: maps[keys[i]] for i in rng.permutation(len(keys))}, sizes
+
+
+def _outcome(call):
+    try:
+        call()
+    except CorrsyncError as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestShapeCollection:
     def test_duplicate_ids_rejected(self):
         shapes = [two_point_shape("s"), two_point_shape("s")]
@@ -631,6 +705,16 @@ class TestShapeCollection:
         with pytest.raises(InverseViolationError):
             ShapeCollection(shapes=shapes, D=1.0 - np.eye(3), maps=maps)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_admission_matches_per_map_rule(self, seed):
+        # the one-gather rule admits a table, or raises the error of the rule
+        # that ran both bijection tests on every pair, in table order
+        shapes, maps, sizes = _random_table(np.random.default_rng(seed))
+        D = 1.0 - np.eye(len(shapes))
+        got = _outcome(lambda: ShapeCollection(shapes=shapes, D=D, maps=maps))
+        assert got == _outcome(lambda: _admit_per_map(maps, sizes))
+
     def test_weight_matrix(self, l4_identity):
         W = gibbs_weights(l4_identity.D, l4_identity.beta)
         assert W[0, 3] == pytest.approx(np.exp(-9.0))
@@ -684,6 +768,29 @@ class TestManifestRoundTrip:
             assert (out / f"{s.id}.field").read_text() == want
         want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in coll.D)
         assert (out / "distances.csv").read_text() == want
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_discrete_map_csv_matches_percent_format_reference(self, seed, n, n_target):
+        idx = np.random.default_rng(seed).integers(0, n_target, n)
+        m = CorrespondenceMap("a", "b", "discrete", indices=idx, target_size=n_target)
+        want = ("%d,%d\n" * n) % tuple(np.column_stack((np.arange(n), idx)).ravel().tolist())
+        assert collection_mod.map_csv(m) == want
+
+    @given(st.integers(1, 5), st.integers(1, 4), st.sampled_from([" ", ","]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_float_lines_match_per_value_repr_reference(self, rows, cols, sep, data):
+        # -0.0, subnormals and the extremes beside every other float, each
+        # written as its repr, so it reads back bit for bit
+        special = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                                   1.7976931348623157e308, np.inf, np.nan])
+        values = data.draw(st.lists(st.one_of(special, st.floats()),
+                                    min_size=rows * cols, max_size=rows * cols))
+        a = np.array(values, dtype=float).reshape(rows, cols)
+        want = "".join(sep.join(repr(float(v)) for v in row) + "\n" for row in a)
+        assert collection_mod._float_lines(a, sep) == want
+        column = a.reshape(-1, 1)
+        assert collection_mod._float_lines(column, "") == "".join(f"{v!r}\n" for v in values)
 
     def test_save_is_all_or_none(self, tmp_path, l4_swap):
         # a directory where the last map file goes: no file of the collection is written

@@ -34,6 +34,10 @@ def _no_field_extrema():
         lambda: directed_flow_matrix(D3, True, 2),
         lambda: brute_force_paths(D3, 0, 2.0),
         lambda: lattice_walks(build_lattice(4), "standard", 1, 0, source=1.9, target=14.7),
+        lambda: lattice_walks(build_lattice(4), "standard", 2.5, 0),
+        lambda: lattice_walks(build_lattice(4), "standard", True, 0),
+        lambda: lattice_walks(build_lattice(4), "standard", 1, 0, max_steps=2.5),
+        lambda: build_lattice(4.0),
         lambda: TangentVector(2 * EZ, EX),
         lambda: TangentVector(EZ, EZ),
         lambda: GeodesicLegPath((EZ,)),
@@ -43,7 +47,9 @@ def _no_field_extrema():
         _no_field_extrema,
     ],
     ids=["flow-not-square", "flow-float-endpoint", "flow-bool-endpoint",
-         "brute-force-float-endpoint", "lattice-float-endpoint", "not-unit", "not-tangent",
+         "brute-force-float-endpoint", "lattice-float-endpoint", "lattice-float-count",
+         "lattice-bool-count", "lattice-float-max-steps", "lattice-float-side",
+         "not-unit", "not-tangent",
          "one-point-path", "path-base-point", "unknown-method", "triangle-base-point",
          "no-scalar-field"],
 )
