@@ -9,12 +9,13 @@ distance-pruned graph.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collection import CorrespondenceMap, ShapeCollection, _clean_soft
-from .errors import DisconnectedGraphError, InvalidValueError
+from .errors import DisconnectedGraphError, check_real
 
 # the methods a benchmark compares: the three single routes of this module,
 # then the two hard extractions of corrsync.soft's propagated rows
@@ -147,14 +148,14 @@ def shortest_path_propagate(
 
     Edges longer than epsilon are dropped first; epsilon defaults to the
     smallest value keeping the graph connected, and a given one must be a
-    number >= 0 (inf keeps every edge). Among equal-cost routes the
-    lexicographically smallest vertex sequence wins.
+    finite number >= 0 or inf, which keeps every edge. Among equal-cost
+    routes the lexicographically smallest vertex sequence wins.
     """
     D = collection.D
     if epsilon is None:
         epsilon = min_connecting_epsilon(D)
-    elif not epsilon >= 0:
-        raise InvalidValueError(f"epsilon must be a number >= 0, got {epsilon!r}")
+    elif not (isinstance(epsilon, float) and epsilon == math.inf):
+        check_real(epsilon, "epsilon", 0)
     i = collection.index(source_id)
     j = collection.index(target_id)
     path = _lexicographic_dijkstra(D, i, j, epsilon)

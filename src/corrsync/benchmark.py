@@ -25,8 +25,8 @@ from .collection import (
     identity_map,
     intra_metric,
 )
-from .errors import CorrsyncError, InvalidValueError, ManifestError
-from .flow import MAX_PATHS_DEFAULT, check_path_limits, directed_flow_matrix
+from .errors import CorrsyncError, InvalidValueError, ManifestError, check_integer, check_real
+from .flow import MAX_PATHS_DEFAULT, directed_flow_matrix
 from .matching import baseline_pairwise_align, fps_landmarks
 from .soft import LAMBDA_DEFAULT, frechet_mean, mle, propagate_soft, tv_distance
 
@@ -48,10 +48,8 @@ class ErrorCurve:
 
 
 def default_grid(count: int = 100, upper: float = 0.5) -> np.ndarray:
-    if count < 1:
-        raise InvalidValueError(f"error grid needs at least 1 threshold, got {count}")
-    if not (math.isfinite(upper) and upper >= 0):
-        raise InvalidValueError(f"error grid maximum must be finite and >= 0, got {upper!r}")
+    count = check_integer(count, "error grid count", 1)
+    check_real(upper, "error grid maximum", 0)
     return np.linspace(0.0, upper, count)
 
 
@@ -80,7 +78,11 @@ def geodesic_errors(
             )
         predicted = predicted.indices
     scale = oracle.diameter() if normalize else 1.0
-    preds = oracle.shape.check_vertices([predicted[s] for s, _ in gt_pairs], "predicted vertex")
+    try:
+        preds = [predicted[s] for s, _ in gt_pairs]
+    except KeyError as exc:
+        raise InvalidValueError(f"predicted map has no source vertex {exc.args[0]!r}") from None
+    preds = oracle.shape.check_vertices(preds, "predicted vertex")
     truth = sorted({t for _, t in gt_pairs})
     at = {t: i for i, t in enumerate(truth)}
     rows = oracle.distance_rows(truth)
@@ -100,6 +102,8 @@ def curve_from_errors(
     if grid is None:
         grid = default_grid(upper=0.5 if normalized else float(errors.max()))
     grid = np.asarray(grid, dtype=float)
+    if np.isnan(grid).any() or (np.diff(grid) < 0).any():
+        raise InvalidValueError("error grid must be nondecreasing and hold no NaN")
     fractions = (errors[None, :] <= grid[:, None]).mean(axis=1)
     return ErrorCurve(method=method, lam=lam, thresholds=grid, fractions=fractions)
 
@@ -135,13 +139,17 @@ def run_benchmark(
     the route-based methods ignore lam and produce a single curve. Pairs are
     scored one at a time, in order: a pair runs its route methods, then
     propagates once per lam and extracts each soft method from those rows, so
-    an error comes from the first failing pair; every lam and max_paths are checked first.
+    an error comes from the first failing pair. Every lam and max_paths are
+    checked first, and a soft method with no lam raises.
     """
     for m in methods:
         if m not in METHODS:
             raise InvalidValueError(f"unknown method {m!r}; choose from {METHODS}")
+    if not lams and set(methods) & set(SOFT_METHODS):
+        raise InvalidValueError(f"methods {SOFT_METHODS} need at least one lambda, got none")
     for lam in lams:
-        check_path_limits(lam, max_paths)
+        check_real(lam, "lambda", 0, high=1)
+    check_integer(max_paths, "max_paths", 1)
     ids = collection.ids
     if to_mean:
         hub = int(np.argmin((collection.D**2).sum(axis=1)))
@@ -213,7 +221,7 @@ def run_benchmark(
 
 def fibonacci_sphere(count: int) -> np.ndarray:
     """Deterministic, roughly uniform unit-sphere sampling."""
-    i = np.arange(count)
+    i = np.arange(check_integer(count, "point count", 1))
     golden = math.pi * (3.0 - math.sqrt(5.0))
     z = 1.0 - 2.0 * (i + 0.5) / count
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -255,12 +263,10 @@ def synth_collection(
     """
     if map_source not in ("align", "truth"):
         raise InvalidValueError(f"map_source must be 'align' or 'truth', got {map_source!r}")
-    if n_shapes < 1:
-        raise InvalidValueError(f"shape count must be at least 1, got {n_shapes}")
-    if not (math.isfinite(deform_amplitude) and 0 <= deform_amplitude <= 1):
-        raise InvalidValueError(
-            f"deform amplitude must be a finite number in [0, 1], got {deform_amplitude!r}"
-        )
+    n_shapes = check_integer(n_shapes, "shape count", 1)
+    n_points = check_integer(n_points, "point count", 2)
+    check_real(deform_amplitude, "deform amplitude", 0, high=1)
+    check_integer(seed, "seed", 0)
     base = fibonacci_sphere(n_points)
     base_shape = Shape(id="base", points=base)
     fps = fps_landmarks(base_shape, landmark_count, intra_metric(base_shape))
@@ -317,8 +323,8 @@ def corrupt_maps(
     with the inverse permutation, so mutual-inverse pairs stay mutual inverses.
     Returns a new collection; the input is untouched.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise InvalidValueError(f"fraction must lie in [0, 1], got {fraction!r}")
+    check_real(fraction, "fraction", 0, high=1)
+    check_integer(seed, "seed", 0)
     ids = collection.ids
     unordered = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
     rng = np.random.default_rng(seed)
@@ -367,8 +373,7 @@ def add_far_shape(collection: ShapeCollection, factor: float = 10.0) -> ShapeCol
     first shape that is not stored raises MissingMapError; factor must be a
     finite number above 1.
     """
-    if not (math.isfinite(factor) and factor > 1):
-        raise InvalidValueError(f"far-shape factor must be a finite number > 1, got {factor!r}")
+    check_real(factor, "far-shape factor", 1, strict=True)
     far_id = "far"
     if far_id in collection.ids:
         raise ManifestError(f"id {far_id!r} already present")

@@ -23,7 +23,7 @@ from . import __version__
 # them, so a command loads and compiles only the modules it runs
 from .baselines import METHODS, direct_propagate, mst_propagate, shortest_path_propagate
 from .collection import KNN_DEFAULT, _fmt, atomic_write, load_collection, map_csv, save_collection
-from .errors import CorrsyncError, InvalidValueError
+from .errors import CorrsyncError, check_integer
 from .flow import MAX_PATHS_DEFAULT, directed_flow_matrix
 from .soft import LAMBDA_DEFAULT, propagate_soft
 
@@ -276,8 +276,7 @@ def _cmd_holonomy(args) -> int:
         transport_along_path,
     )
 
-    if args.trials < 1:
-        raise InvalidValueError(f"trials must be at least 1, got {args.trials}")
+    check_integer(args.trials, "trials", 1)
     rng = np.random.default_rng(args.seed)
     lines = ["trial,area,deficit,bound,bound_satisfied,integration_gap\n"]
     worst_gap = 0.0
@@ -496,9 +495,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"corrsync: error: the value above comes from --config {args.config}",
                       file=sys.stderr)
                 raise
-        if args.seed < 0:
-            # every provenance header records the seed, so every command checks it
-            raise InvalidValueError(f"seed must be a non-negative integer, got {args.seed}")
+        # every provenance header records the seed, so every command checks it
+        check_integer(args.seed, "seed", 0)
         return args.func(args)
     except (CorrsyncError, OSError) as exc:
         # an OSError: a path that is missing, a directory, or otherwise

@@ -18,7 +18,6 @@ import errno
 import functools
 import itertools
 import json
-import math
 import os
 import threading
 import warnings
@@ -38,6 +37,7 @@ from .errors import (
     MissingMapError,
     SoftRowError,
     check_integer,
+    check_real,
 )
 
 # neighbors per vertex in the k-NN graph of a geodesic oracle
@@ -396,10 +396,9 @@ _KNN_SLACK = 2
 
 
 def _build_neighbor_graph(shape: Shape, k: int) -> sparse.csr_matrix:
+    k = check_integer(k, f"shape {shape.id!r}: k", 1)
     pts = shape.points
     n = pts.shape[0]
-    if k < 1:
-        raise InvalidValueError(f"shape {shape.id!r}: k must be at least 1, got {k}")
     k_eff = min(k, n - 1)
     rows = np.repeat(np.arange(n, dtype=np.int64), k_eff)
     cols = _nearest_neighbors(pts, k_eff).ravel()
@@ -488,8 +487,7 @@ class ShapeCollection:
             raise DuplicateShapeError(
                 "two shapes at distance zero; pass allow_duplicates/--allow-duplicates"
             )
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise InvalidValueError(f"beta must be finite and positive, got {self.beta!r}")
+        check_real(self.beta, "beta", 0, strict=True)
         self._index = {sid: i for i, sid in enumerate(ids)}
         self._oracles = _ReadOnce()
         sizes = {s.id: s.n for s in self.shapes}
@@ -526,6 +524,8 @@ class ShapeCollection:
             ) from None
 
     def oracle(self, shape_id: str, k: int = KNN_DEFAULT) -> GeodesicOracle:
+        # checked before the cache, where 8.0 and True would find the oracles of 8 and 1
+        k = check_integer(k, f"shape {shape_id!r}: k", 1)
         return self._oracles.get((shape_id, k), lambda: intra_metric(self.shape(shape_id), k=k))
 
 
@@ -609,14 +609,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _positive(value) -> float:
-    """A finite positive float read from a manifest; a bool is not one."""
-    x = float(value)
-    if isinstance(value, bool) or not (math.isfinite(x) and x > 0):
-        raise ValueError(value)
-    return x
-
-
 def _indices(value) -> list[int]:
     """Vertex indices read from a manifest: a JSON list of integers."""
     if not isinstance(value, list):
@@ -695,7 +687,8 @@ def load_collection(manifest_path: str, allow_duplicates: bool = False) -> Shape
         raise ManifestError("manifest requires shapes, distances_file, maps_dir")
     if not isinstance(doc["shapes"], list):
         raise ManifestError(f"manifest: invalid 'shapes': {doc['shapes']!r}")
-    beta = _field(doc.get("beta", 1.0), _positive, "manifest", "beta")
+    beta = _field(doc.get("beta", 1.0), lambda b: check_real(b, "beta", 0, strict=True),
+                  "manifest", "beta")
 
     shapes: list[Shape] = []
     for pos, entry in enumerate(doc["shapes"]):

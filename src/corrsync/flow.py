@@ -14,14 +14,13 @@ exp(-beta * E) equals the product of the traversed W entries.
 from __future__ import annotations
 
 import math
-import numbers
 from array import array
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import InvalidValueError, OracleBoundError, PathBudgetError, check_integer
+from .errors import InvalidValueError, OracleBoundError, PathBudgetError, check_integer, check_real
 
 MAX_PATHS_DEFAULT = 10**6
 ORACLE_MAX_N = 9
@@ -112,31 +111,22 @@ def directed_flow_matrix(
 ) -> FlowMatrix:
     """Build the flow graph for ordered pair (i, j), weighted by gibbs_weights(D, beta).
 
-    The graph is complete, so the direct edge (i, j) is always present.
+    The graph is complete, so the direct edge (i, j) is always present. beta
+    must be a finite number > 0.
     """
+    check_real(beta, "beta", 0, strict=True)
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
     if D.shape != (n, n):
         raise InvalidValueError("D must be square")
-    i, j = check_integer(i, "endpoint"), check_integer(j, "endpoint")
+    i, j = (check_integer(v, "endpoint", 0, n - 1) for v in (i, j))
     if i == j:
         raise InvalidValueError(f"flow graph needs two distinct endpoints, got {i} twice")
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidValueError(f"endpoint index out of range [0, {n}): ({i}, {j})")
     di = D[i]
     dj = D[j]
     F = (di[:, None] < di[None, :]) & (dj[:, None] > dj[None, :])
     WF = np.where(F, gibbs_weights(D, beta), 0.0)
     return FlowMatrix(source=i, target=j, F=F, WF=WF, D=D)
-
-
-def check_path_limits(lam: float, max_paths: int) -> None:
-    """Raise InvalidValueError unless the weight threshold lam is finite and in
-    [0, 1] and the chain budget max_paths is an integer of at least 1."""
-    if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
-        raise InvalidValueError(f"lambda must be a finite number in [0, 1], got {lam!r}")
-    if not (isinstance(max_paths, numbers.Integral) and max_paths >= 1):
-        raise InvalidValueError(f"max_paths must be an integer >= 1, got {max_paths!r}")
 
 
 def enumerate_paths(
@@ -154,10 +144,11 @@ def enumerate_paths(
     Along a path D[i, .] rises and D[j, .] falls, so a vertex that reaches j
     has a direct edge into it, and column j of F holds all such vertices.
     The direct two-vertex path is kept regardless of lam unless strict is set.
-    Exceeding max_paths raises rather than truncating. lam and max_paths are
-    checked by check_path_limits.
+    Exceeding max_paths raises rather than truncating. lam must be a finite
+    number in [0, 1] and max_paths an integer of at least 1.
     """
-    check_path_limits(lam, max_paths)
+    check_real(lam, "lambda", 0, high=1)
+    check_integer(max_paths, "max_paths", 1)
     i, j = flow.source, flow.target
     n = flow.n
     # only vertices from which j is reachable can lie on a path
@@ -220,7 +211,7 @@ def brute_force_paths(
     n = D.shape[0]
     if n > ORACLE_MAX_N:
         raise OracleBoundError(f"oracle limited to n <= {ORACLE_MAX_N}, got n = {n}")
-    i, j = check_integer(i, "endpoint"), check_integer(j, "endpoint")
+    i, j = (check_integer(v, "endpoint", 0, n - 1) for v in (i, j))
     di, dj = D[i], D[j]
     others = [v for v in range(n) if v not in (i, j)]
     found: list[PathRecord] = []

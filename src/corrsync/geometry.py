@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AntipodalError, InvalidValueError, MaxStepsError, check_integer
+from .errors import AntipodalError, InvalidValueError, MaxStepsError, check_integer, check_real
 from .flow import gibbs_weights
 
 
@@ -45,8 +45,7 @@ class LatticeGraph:
 
 
 def build_lattice(side: int) -> LatticeGraph:
-    if check_integer(side, "side") < 2:
-        raise InvalidValueError(f"side must be at least 2, got {side}")
+    side = check_integer(side, "side", 2)
     step = 1.0 / (side - 1)
     coords = np.array(
         [(col * step, row * step) for row in range(side) for col in range(side)]
@@ -105,17 +104,12 @@ def lattice_walks(
     max_steps bounds each uniform walk; an eop step always nears the target,
     so an eop walk needs no bound. max_steps must be at least 1 in every mode.
     """
-    if not (math.isfinite(beta) and beta > 0):
-        raise InvalidValueError(f"beta must be finite and positive, got {beta!r}")
-    if check_integer(count, "walks") < 1:
-        raise InvalidValueError(f"walks must be at least 1, got {count}")
-    if check_integer(max_steps, "max_steps") < 1:
-        raise InvalidValueError(f"max_steps must be at least 1, got {max_steps}")
-    source = 0 if source is None else check_integer(source, "source")
-    target = lattice.n - 1 if target is None else check_integer(target, "target")
-    for name, v in (("source", source), ("target", target)):
-        if not 0 <= v < lattice.n:
-            raise InvalidValueError(f"{name} must be a vertex in [0, {lattice.n}), got {v}")
+    check_real(beta, "beta", 0, strict=True)
+    count = check_integer(count, "walks", 1)
+    check_integer(seed, "seed", 0)
+    max_steps = check_integer(max_steps, "max_steps", 1)
+    source = 0 if source is None else check_integer(source, "source", 0, lattice.n - 1)
+    target = lattice.n - 1 if target is None else check_integer(target, "target", 0, lattice.n - 1)
     if source == target:
         raise InvalidValueError(f"source and target must differ, got {source} for both")
     from_source = to_target = None

@@ -10,15 +10,19 @@ rigid ICP-style aligner rounds out the module.
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collection import CorrespondenceMap, GeodesicOracle, Shape, ShapeCollection
-from .errors import BallOverlapError, DegenerateGeometryError, InvalidValueError
+from .errors import (
+    BallOverlapError,
+    DegenerateGeometryError,
+    InvalidValueError,
+    check_integer,
+    check_real,
+)
 from .soft import SoftCorrespondence, ball_mass, propagate_soft
 
 
@@ -35,13 +39,8 @@ def fps_landmarks(shape: Shape, count: int, oracle: GeodesicOracle) -> tuple[int
     Greedily adds the vertex farthest from everything chosen so far; distance
     ties resolve to the lowest vertex index.
     """
-    if not isinstance(count, numbers.Integral):
-        raise InvalidValueError(f"landmark count must be an integer, got {count!r}")
-    if not 1 <= count <= shape.n:
-        raise InvalidValueError(
-            f"shape {shape.id!r} has {shape.n} points, so its landmark count must be in "
-            f"[1, {shape.n}], got {count}"
-        )
+    what = f"shape {shape.id!r} has {shape.n} points, so its landmark count"
+    count = check_integer(count, what, 1, shape.n)
     chosen = [0]
     mindist = oracle.distances_from(0).copy()
     while len(chosen) < count:
@@ -49,16 +48,6 @@ def fps_landmarks(shape: Shape, count: int, oracle: GeodesicOracle) -> tuple[int
         chosen.append(nxt)
         np.minimum(mindist, oracle.distances_from(nxt), out=mindist)
     return tuple(chosen)
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidValueError(f"{name} must be a finite number > 0, got {value!r}")
-
-
-def _check_hops(hops: int) -> None:
-    if hops < 1:
-        raise InvalidValueError(f"hops must be at least 1, got {hops}")
 
 
 def _distinct(vertices, what: str) -> set[int]:
@@ -100,7 +89,7 @@ def gp_partial_match(
     only: a landmark with no qualifying target is left out. radius must be a
     finite number > 0.
     """
-    _check_positive("radius", radius)
+    check_real(radius, "radius", 0, strict=True)
     check_ball_disjoint(landmarks_a, radius, oracle_a)
     check_ball_disjoint(landmarks_b, radius, oracle_b)
     taken: set[int] = set()
@@ -128,7 +117,7 @@ def strict_extrema(field: np.ndarray, graph, hops: int = 1) -> tuple[int, ...]:
     """
     from scipy import sparse
 
-    _check_hops(hops)
+    check_integer(hops, "hops", 1)
     step = sparse.csr_matrix(graph, dtype=bool)
     reach = step
     for _ in range(hops - 1):
@@ -170,7 +159,7 @@ def stable_curvature_match(
     only, in source extremum order. delta must be a finite number > 0, and
     neither extrema list may repeat a vertex.
     """
-    _check_positive("delta", delta)
+    check_real(delta, "delta", 0, strict=True)
     ea = oracle_a.shape.check_vertices(extrema_a, "extremum")
     eb = oracle_b.shape.check_vertices(extrema_b, "extremum")
     _distinct(ea, "extremum")
@@ -227,7 +216,7 @@ def joint_fps_refine(
     the lowest source index. Candidates reusing a chosen vertex are skipped;
     two seeds sharing a source or a target are rejected.
     """
-    if max_matches < len(seeds):
+    if check_integer(max_matches, "max_matches") < len(seeds):
         raise InvalidValueError(
             f"max_matches={max_matches} below the {len(seeds)} seed matches"
         )
@@ -286,10 +275,12 @@ def match_pair(
     Runs fps_landmarks for a shape without landmarks, gp_partial_match on
     propagate_soft rows both ways, stable_curvature_match after rigid alignment
     when both shapes carry a scalar field, and joint_fps_refine seeded by it.
-    delta and hops are checked first, whether or not the shapes carry fields.
+    delta, hops and the landmark count's type are checked first, whether or
+    not the shapes carry scalar fields or landmarks.
     """
-    _check_positive("delta", delta)
-    _check_hops(hops)
+    check_real(delta, "delta", 0, strict=True)
+    check_integer(hops, "hops", 1)
+    check_integer(landmarks, "landmark count")
     shape_a = collection.shape(source_id)
     shape_b = collection.shape(target_id)
     oracle_a = collection.oracle(source_id, k=k)
@@ -390,7 +381,7 @@ def baseline_pairwise_align(
     R = np.eye(3)
     t = np.zeros(3)
     assign = None
-    for _ in range(max(1, iterations)):
+    for _ in range(max(1, check_integer(iterations, "iterations"))):
         moved = pa @ R.T + t
         assign = tree.query(moved)[1]
         R, t = _orthogonal_fit(pa, pb[assign])

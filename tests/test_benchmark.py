@@ -282,8 +282,9 @@ class TestRunBenchmark:
 class TestCorruptMaps:
     def test_fraction_validated(self):
         coll = synth_collection(3, 50, 0.05, seed=2, map_source="truth")
+        named = r"fraction must be a finite number in \[0, 1\], got"
         for fraction in (-0.1, 1.5, float("nan")):
-            with pytest.raises(InvalidValueError, match=r"fraction must lie in \[0, 1\], got"):
+            with pytest.raises(InvalidValueError, match=named):
                 corrupt_maps(coll, fraction, seed=0)
 
     def test_soft_map_is_a_domain_error(self):

@@ -125,32 +125,32 @@ class TestBadInputValues:
             ("benchmark --methods=", "unknown method ''"),
             ("synth --landmarks 0", "landmark count must be in [1, 300], got 0"),
             ("synth --points 2", "has 2 points"),
-            ("lattice --mode standard --source 99999", "source must be a vertex in [0, 961), got 99999"),
+            ("lattice --mode standard --source 99999", "source must be in [0, 960], got 99999"),
             ("lattice --mode eop --source 3 --target 3", "got 3 for both"),
-            ("lattice --mode standard --target -1", "target must be a vertex in [0, 961), got -1"),
+            ("lattice --mode standard --target -1", "target must be in [0, 960], got -1"),
             ("synth --shapes 0", "shape count must be at least 1, got 0"),
             ("synth --shapes -2", "shape count must be at least 1, got -2"),
             ("benchmark --grid-max nan", "got nan"),
             ("benchmark --grid-max -1", "got -1.0"),
-            ("benchmark --grid-count 0", "at least 1 threshold, got 0"),
-            ("benchmark --grid-count -3", "at least 1 threshold, got -3"),
+            ("benchmark --grid-count 0", "error grid count must be at least 1, got 0"),
+            ("benchmark --grid-count -3", "error grid count must be at least 1, got -3"),
             ("stability --add-far 0.5", "factor must be a finite number > 1, got 0.5"),
             ("stability --add-far 1", "factor must be a finite number > 1, got 1.0"),
             ("stability --add-far 0", "factor must be a finite number > 1, got 0.0"),
             ("stability --add-far -1", "factor must be a finite number > 1, got -1.0"),
             ("stability --add-far nan", "factor must be a finite number > 1, got nan"),
             ("stability --add-far inf", "factor must be a finite number > 1, got inf"),
-            ("propagate --max-paths 0", "max_paths must be an integer >= 1, got 0"),
-            ("propagate --max-paths -5", "max_paths must be an integer >= 1, got -5"),
-            ("benchmark --methods mle --max-paths 0", "max_paths must be an integer >= 1, got 0"),
-            ("benchmark --methods mle --max-paths -5", "max_paths must be an integer >= 1, got -5"),
+            ("propagate --max-paths 0", "max_paths must be at least 1, got 0"),
+            ("propagate --max-paths -5", "max_paths must be at least 1, got -5"),
+            ("benchmark --methods mle --max-paths 0", "max_paths must be at least 1, got 0"),
+            ("benchmark --methods mle --max-paths -5", "max_paths must be at least 1, got -5"),
             ("synth --amplitude nan", "amplitude must be a finite number in [0, 1], got nan"),
             ("synth --amplitude inf", "amplitude must be a finite number in [0, 1], got inf"),
             ("synth --amplitude 1e308", "amplitude must be a finite number in [0, 1], got 1e+308"),
             ("synth --amplitude -0.5", "amplitude must be a finite number in [0, 1], got -0.5"),
-            ("baseline --method shortest --epsilon nan", "epsilon must be a number >= 0, got nan"),
-            ("baseline --method shortest --epsilon -1", "epsilon must be a number >= 0, got -1.0"),
-            ("benchmark --methods shortest --epsilon nan", "epsilon must be a number >= 0, got nan"),
+            ("baseline --method shortest --epsilon nan", "epsilon must be a finite number >= 0, got nan"),
+            ("baseline --method shortest --epsilon -1", "epsilon must be a finite number >= 0, got -1.0"),
+            ("benchmark --methods shortest --epsilon nan", "epsilon must be a finite number >= 0, got nan"),
             ("match --pair s00,s01 --radius nan", "radius must be a finite number > 0, got nan"),
             ("match --pair s00,s01 --radius -1", "radius must be a finite number > 0, got -1.0"),
             ("match --pair s00,s01 --delta nan", "delta must be a finite number > 0, got nan"),
@@ -159,10 +159,10 @@ class TestBadInputValues:
             ("lattice --mode eop --max-steps -1", "max_steps must be at least 1, got -1"),
             ("benchmark --methods direct --lambda nan",
              "lambda must be a finite number in [0, 1], got nan"),
-            ("benchmark --methods mst --max-paths 0", "max_paths must be an integer >= 1, got 0"),
-            ("synth --seed -1", "seed must be a non-negative integer, got -1"),
-            ("lattice --mode eop --seed -1", "seed must be a non-negative integer, got -1"),
-            ("holonomy --seed -1", "seed must be a non-negative integer, got -1"),
+            ("benchmark --methods mst --max-paths 0", "max_paths must be at least 1, got 0"),
+            ("synth --seed -1", "seed must be at least 0, got -1"),
+            ("lattice --mode eop --seed -1", "seed must be at least 0, got -1"),
+            ("holonomy --seed -1", "seed must be at least 0, got -1"),
         ],
         ids=["max-matches", "hops", "knn", "pair", "methods", "methods-empty", "synth-landmarks",
              "synth-points",

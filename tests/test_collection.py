@@ -658,7 +658,7 @@ class TestShapeCollection:
     def test_beta_must_be_finite_and_positive(self, beta):
         shapes = [two_point_shape("a"), two_point_shape("b")]
         # InvalidValueError: a CorrsyncError and a ValueError
-        with pytest.raises(InvalidValueError, match="beta must be finite and positive"):
+        with pytest.raises(InvalidValueError, match="beta must be a finite number > 0"):
             ShapeCollection(shapes=shapes, D=np.array([[0.0, 1.0], [1.0, 0.0]]), maps={}, beta=beta)
 
     def test_zero_offdiagonal_needs_flag(self):

@@ -104,7 +104,8 @@ class TestEnumeratePaths:
     @pytest.mark.parametrize("budget", [0, -5, 2.5, "10"])
     def test_budget_must_be_a_positive_integer(self, budget):
         flow = directed_flow_matrix(line_distances([0.0, 1.0, 2.0, 3.0]), 0, 3)
-        named = f"max_paths must be an integer >= 1, got {budget!r}"
+        named = (f"max_paths must be at least 1, got {budget}" if isinstance(budget, int)
+                 else f"max_paths {budget!r} is not an integer")
         with pytest.raises(InvalidValueError, match=named):
             enumerate_paths(flow, max_paths=budget)
         assert len(enumerate_paths(flow, max_paths=4)) == 4

@@ -76,7 +76,7 @@ class TestFps:
     def test_non_integer_count_rejected(self, count):
         sh = line_shape("line", [0.0, 1.0, 2.0, 3.0])
         oracle = GeodesicOracle(sh, k=2)
-        with pytest.raises(InvalidValueError, match=f"count must be an integer, got {count!r}"):
+        with pytest.raises(InvalidValueError, match=f"landmark count {count!r} is not an integer"):
             fps_landmarks(sh, count, oracle)
 
     def test_deterministic(self):
