@@ -138,6 +138,13 @@ def min_connecting_epsilon(D: np.ndarray) -> float:
     return max(float(D[a, b]) for a, b in tree.edges)
 
 
+def check_epsilon(epsilon) -> None:
+    """A pruning threshold must be None, inf, or a finite number >= 0;
+    anything else raises InvalidValueError naming epsilon."""
+    if epsilon is not None and not (isinstance(epsilon, float) and epsilon == math.inf):
+        check_real(epsilon, "epsilon", 0)
+
+
 def shortest_path_propagate(
     collection: ShapeCollection,
     source_id: str,
@@ -152,10 +159,9 @@ def shortest_path_propagate(
     routes the lexicographically smallest vertex sequence wins.
     """
     D = collection.D
+    check_epsilon(epsilon)
     if epsilon is None:
         epsilon = min_connecting_epsilon(D)
-    elif not (isinstance(epsilon, float) and epsilon == math.inf):
-        check_real(epsilon, "epsilon", 0)
     i = collection.index(source_id)
     j = collection.index(target_id)
     path = _lexicographic_dijkstra(D, i, j, epsilon)

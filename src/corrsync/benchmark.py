@@ -5,6 +5,7 @@ reports under collection edits."""
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from itertools import pairwise, permutations, product
 
@@ -12,6 +13,7 @@ import numpy as np
 
 from .baselines import (
     METHODS,
+    check_epsilon,
     direct_propagate,
     kruskal_mst,
     mst_propagate,
@@ -25,7 +27,14 @@ from .collection import (
     identity_map,
     intra_metric,
 )
-from .errors import CorrsyncError, InvalidValueError, ManifestError, check_integer, check_real
+from .errors import (
+    CorrsyncError,
+    IndexRangeError,
+    InvalidValueError,
+    ManifestError,
+    check_integer,
+    check_real,
+)
 from .flow import MAX_PATHS_DEFAULT, directed_flow_matrix
 from .matching import baseline_pairwise_align, fps_landmarks
 from .soft import LAMBDA_DEFAULT, frechet_mean, mle, propagate_soft, tv_distance
@@ -61,12 +70,13 @@ def geodesic_errors(
 ) -> np.ndarray:
     """Geodesic distance on the target between predictions and true vertices.
 
-    predicted is a vertex->vertex mapping or a discrete map (a soft map raises
-    CorrsyncError); distances divide by the target's geodesic diameter unless
-    normalize is off. The graph is undirected, so each error is read from the
-    true vertex's cached row: the rows of all true vertices come from one
-    oracle call, and each is computed once however many maps are scored
-    against it.
+    predicted is a vertex->vertex mapping, or a discrete map or vertex array
+    (a soft map raises CorrsyncError); distances divide by the target's
+    geodesic diameter unless normalize is off. Every scored source, predicted
+    vertex and true vertex is checked before any row is read. Each error is
+    d(t, p) read in place from the true vertex's row, all in one oracle
+    gather, so each true vertex's row is computed once however many maps are
+    scored against it.
     """
     if not gt_pairs:
         raise ManifestError("no shared landmark labels between the two shapes")
@@ -77,16 +87,25 @@ def geodesic_errors(
                 f"geodesic errors are defined for discrete maps only"
             )
         predicted = predicted.indices
+    sources = [s for s, _ in gt_pairs]
+    if isinstance(predicted, Mapping):
+        missing = [s for s in sources if s not in predicted]
+        if missing:
+            raise InvalidValueError(f"predicted map has no source vertex {missing[0]!r}")
+        preds = [predicted[s] for s in sources]
+    else:
+        size = len(predicted)
+        outside = [s for s in sources if not 0 <= check_integer(s, "source vertex") < size]
+        if outside:
+            raise IndexRangeError(
+                f"source vertex {outside[0]} out of range for a prediction of {size} vertices"
+            )
+        preds = np.asarray(predicted)[sources]
+    truth = [t for _, t in gt_pairs]
+    oracle.shape.check_vertices(preds, "predicted vertex")
+    oracle.shape.check_vertices(truth)
     scale = oracle.diameter() if normalize else 1.0
-    try:
-        preds = [predicted[s] for s, _ in gt_pairs]
-    except KeyError as exc:
-        raise InvalidValueError(f"predicted map has no source vertex {exc.args[0]!r}") from None
-    preds = oracle.shape.check_vertices(preds, "predicted vertex")
-    truth = sorted({t for _, t in gt_pairs})
-    at = {t: i for i, t in enumerate(truth)}
-    rows = oracle.distance_rows(truth)
-    return rows[[at[t] for _, t in gt_pairs], preds] / scale
+    return oracle.distances(truth, preds) / scale
 
 
 def curve_from_errors(
@@ -140,7 +159,8 @@ def run_benchmark(
     scored one at a time, in order: a pair runs its route methods, then
     propagates once per lam and extracts each soft method from those rows, so
     an error comes from the first failing pair. Every lam and max_paths are
-    checked first, and a soft method with no lam raises.
+    checked first, and so is epsilon, whatever the methods; a soft method
+    with no lam raises.
     """
     for m in methods:
         if m not in METHODS:
@@ -150,6 +170,7 @@ def run_benchmark(
     for lam in lams:
         check_real(lam, "lambda", 0, high=1)
     check_integer(max_paths, "max_paths", 1)
+    check_epsilon(epsilon)
     ids = collection.ids
     if to_mean:
         hub = int(np.argmin((collection.D**2).sum(axis=1)))

@@ -332,17 +332,24 @@ def _clean_soft(mat: sparse.csr_matrix) -> sparse.csr_matrix:
     return out
 
 
+# sources per csgraph.dijkstra call when missing rows are filled
+_ROW_BLOCK = 64
+
+
 class GeodesicOracle:
     """Geodesic distances within one shape via a symmetrized k-NN graph.
 
-    Edges carry Euclidean length; queries are shortest-path distances. Rows are
-    cached per source vertex, under a lock, so callers may share an oracle
-    across threads.
+    Edges carry Euclidean length; queries are shortest-path distances. Every
+    distance row computed is kept once, in one (capacity, n) float64 store
+    with a vertex -> slot index. The store is filled and grown under a lock,
+    so callers may share an oracle across threads.
     """
 
     def __init__(self, shape: Shape, k: int = KNN_DEFAULT):
         self.shape = shape
-        self._rows: dict[int, np.ndarray] = {}
+        self._store = np.empty((0, shape.n))
+        self._slot = np.full(shape.n, -1, dtype=np.int64)
+        self._filled = 0
         self._lock = threading.Lock()
         self._diameter: float | None = None
         self.graph = _build_neighbor_graph(shape, k)
@@ -362,22 +369,52 @@ class GeodesicOracle:
     def n(self) -> int:
         return self.shape.n
 
-    def distance_rows(self, vertices) -> np.ndarray:
-        """(len(vertices), n) array: the geodesic distance row of each vertex.
+    def row_slots(self, vertices) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, slots): a read-only view of the row store, and the int64
+        slot of each vertex's distance row, so rows[slots[i]] is the row of
+        the i-th vertex.
 
-        Every vertex is checked before any work. Rows not yet cached are
-        computed in one multi-source Dijkstra call, then cached one copy per
-        row, so no cached row holds on to the rest of its block.
+        Every vertex is checked before any work. The missing rows are computed
+        by Dijkstra in ascending vertex order, _ROW_BLOCK sources per call, each
+        block written straight into its slots. The store grows geometrically
+        up to n rows, under the lock, so the pair returned stays consistent:
+        a later fill or growth never changes a row already in it.
         """
-        wanted = self.shape.check_vertices(vertices)
-        missing = sorted({v for v in wanted if v not in self._rows})
-        if missing:
-            # the graph stores each edge in both directions with one length
-            block = _scipy("csgraph").dijkstra(self.graph, directed=True, indices=missing)
-            with self._lock:
-                for v, row in zip(missing, block):
-                    self._rows.setdefault(v, row.copy())
-        return np.array([self._rows[v] for v in wanted]).reshape(len(wanted), self.n)
+        wanted = np.asarray(self.shape.check_vertices(vertices), dtype=np.int64)
+        with self._lock:
+            absent = self._slot[wanted] < 0
+            missing = np.unique(wanted[absent]) if absent.any() else wanted[:0]
+            need = self._filled + missing.size
+            if need > len(self._store):
+                grown = np.empty((min(self.n, max(need, 2 * len(self._store))), self.n))
+                grown[: self._filled] = self._store[: self._filled]
+                self._store = grown
+            for b in range(0, missing.size, _ROW_BLOCK):
+                block, start = missing[b : b + _ROW_BLOCK], self._filled
+                # the graph stores each edge in both directions with one length
+                self._store[start : start + block.size] = _scipy("csgraph").dijkstra(
+                    self.graph, directed=True, indices=block
+                )
+                self._slot[block] = np.arange(start, start + block.size)
+                self._filled += block.size
+            rows = self._store.view()
+            slots = self._slot[wanted]
+        rows.flags.writeable = False
+        return rows, slots
+
+    def distances(self, sources, targets) -> np.ndarray:
+        """d(s, t) for sources and targets broadcast against each other, each
+        read from the distance row of s. Every vertex is checked, and the
+        missing rows filled, before any entry is read."""
+        sources, targets = np.asarray(sources), np.asarray(targets)
+        t = np.asarray(self.shape.check_vertices(targets), dtype=np.int64).reshape(targets.shape)
+        rows, slots = self.row_slots(sources)
+        return rows[slots.reshape(sources.shape), t]
+
+    def distance_rows(self, vertices) -> np.ndarray:
+        """(len(vertices), n) array: a copy of the geodesic distance row of each vertex."""
+        rows, slots = self.row_slots(vertices)
+        return rows[slots]
 
     def distances_from(self, v: int) -> np.ndarray:
         return self.distance_rows([v])[0]

@@ -20,7 +20,8 @@ def check_integer(value, what: str, low: int | None = None, high: int | None = N
     least low and at most high, each when given; a bool, a float, even an
     integral one, or an integer out of range raises InvalidValueError naming
     what."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # a plain int skips the slower abstract-base-class test
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise InvalidValueError(f"{what} {value!r} is not an integer")
     if (low is not None and value < low) or (high is not None and value > high):
         rule = f"at least {low}" if high is None else f"in [{low}, {high}]"

@@ -334,12 +334,12 @@ _FRECHET_CELLS = 1 << 18
 
 
 def _frechet_costs(
-    dist: np.ndarray, pos: np.ndarray, support: np.ndarray, mass: np.ndarray
+    store: np.ndarray, slots: np.ndarray, support: np.ndarray, mass: np.ndarray
 ) -> np.ndarray:
-    """(rows, s) costs: for row i and candidate x = support[i, x], the sum over
+    """(r, s) costs: for row i and candidate x = support[i, x], the sum over
     q of mass[i, q] * d(x, q) ** 2, added left to right in q.
 
-    dist[pos[i, x]] is the distance row of support[i, x].
+    store[slots[i, x]] is the distance row of support[i, x].
     """
     r, s = support.shape
     costs = np.empty((r, s))
@@ -349,9 +349,11 @@ def _frechet_costs(
         rs = slice(r0, r0 + rb)
         for x0 in range(0, s, xb):
             xs = slice(x0, x0 + xb)
-            # terms[i, q, x]; float_power is exactly Python's float ** 2
-            d = dist[pos[rs, None, xs], support[rs, :, None]]
-            terms = mass[rs, :, None] * np.float_power(d, 2.0)
+            # terms[i, q, x], made in place in the one gathered block;
+            # float_power is exactly Python's float ** 2
+            terms = store[slots[rs, None, xs], support[rs, :, None]]
+            np.float_power(terms, 2.0, out=terms)
+            np.multiply(mass[rs, :, None], terms, out=terms)
             # running sums add the q terms left to right (np.sum may add
             # them pairwise), so the last one is the cost
             np.add.accumulate(terms, axis=1, out=terms)
@@ -364,17 +366,19 @@ def frechet_mean(soft: SoftCorrespondence, oracle: GeodesicOracle) -> dict[int, 
 
     Picks the support vertex x minimizing the sum over the support q, in
     ascending order, of mass[q] * d(x, q) ** 2; ties take the lowest index.
-    Rows are batched by support size, and the distance rows of every support
-    vertex come from one oracle call. d(x, x) is 0, so a single-vertex row
+    Rows are batched by support size. d(x, q) is read in place from the
+    oracle's row store, in the row of the candidate x; every support vertex's
+    row is filled by one oracle call. d(x, x) is 0, so a single-vertex row
     needs no distance row. An empty row maps to -1.
     """
     sizes = np.diff(soft.indptr)
     picks = np.full(sizes.size, -1, dtype=np.int64)
     oracle.shape.check_vertices(soft.indices)
     multi = np.repeat(sizes > 1, sizes)
+    # the row-store slot of each support entry's vertex, for multi-vertex rows
+    slot = np.zeros(soft.indices.size, dtype=np.int64)
     if multi.any():
-        fetched = np.unique(soft.indices[multi])
-        dist = oracle.distance_rows(fetched)
+        store, slot[multi] = oracle.row_slots(soft.indices[multi])
     for s in np.unique(sizes[sizes > 0]).tolist():
         rows = np.flatnonzero(sizes == s)
         at = soft.indptr[rows, None] + np.arange(s)
@@ -384,7 +388,7 @@ def frechet_mean(soft: SoftCorrespondence, oracle: GeodesicOracle) -> dict[int, 
             if s == 1:
                 costs = mass * 0.0
             else:
-                costs = _frechet_costs(dist, np.searchsorted(fetched, support), support, mass)
+                costs = _frechet_costs(store, slot[at], support, mass)
         # as with a strict < scan from inf: a NaN never wins, nor does inf
         costs[np.isnan(costs)] = np.inf
         r = np.arange(rows.size)

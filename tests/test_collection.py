@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,7 @@ from corrsync.collection import (
     save_collection,
 )
 from corrsync.baselines import compose_along
-from corrsync.benchmark import geodesic_errors, synth_collection
+from corrsync.benchmark import corrupt_maps, geodesic_errors, synth_collection
 from corrsync.collection import _build_neighbor_graph
 from corrsync.flow import gibbs_weights
 from corrsync.matching import (
@@ -463,7 +464,11 @@ class TestDistanceRows:
             sys.setswitchinterval(old)
         for r, rows in zip(requests, results):
             assert np.array_equal(rows, reference[r])
-        assert sorted(oracle._rows) == sorted(set(np.concatenate(requests).tolist()))
+        # every requested row is in the store once: the requested vertices,
+        # and only they, hold the slots 0 .. filled - 1
+        requested = sorted(set(np.concatenate(requests).tolist()))
+        assert np.flatnonzero(oracle._slot >= 0).tolist() == requested
+        assert sorted(oracle._slot[requested].tolist()) == list(range(oracle._filled))
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_directed_rows_on_the_stored_symmetric_graph(self, seed):
@@ -480,7 +485,71 @@ class TestDistanceRows:
     def test_empty(self, dijkstra_calls):
         oracle = _cloud_oracle(0)
         assert oracle.distance_rows([]).shape == (0, oracle.n)
+        assert oracle.distances([], []).shape == (0,)
         assert dijkstra_calls == []
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.lists(st.integers(0, 149), max_size=90), min_size=1, max_size=6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_row_store_fetch_sequences(self, seed, fetches):
+        # fetches of up to 90 vertices out of 150 grow the store across calls
+        # and fill rows in more than one Dijkstra block
+        oracle = _cloud_oracle(seed, n=150)
+        want = np.array([
+            sparse.csgraph.dijkstra(oracle.graph, directed=False, indices=v) for v in range(150)
+        ])
+        real = collection_mod.csgraph
+        calls = []
+
+        def dijkstra(*args, **kwargs):
+            calls.append(kwargs["indices"].tolist())
+            return real.dijkstra(*args, **kwargs)
+
+        view = types.SimpleNamespace(dijkstra=dijkstra)
+        with mock.patch.object(collection_mod, "csgraph", view):
+            for vertices in fetches:
+                assert np.array_equal(oracle.distance_rows(vertices), want[vertices])
+                s = np.array(vertices[:5], dtype=np.int64)[:, None]
+                t = np.array(vertices[-5:], dtype=np.int64)[None, :]
+                assert np.array_equal(oracle.distances(s, t), want[s, t])
+        requested = sorted({v for vertices in fetches for v in vertices})
+        computed = [v for call in calls for v in call]
+        assert sorted(computed) == requested
+        assert all(0 < len(call) <= collection_mod._ROW_BLOCK for call in calls)
+        assert oracle._filled == len(requested) <= len(oracle._store) <= oracle.n
+
+    def test_rows_handed_out_are_read_only(self):
+        oracle = _cloud_oracle(0)
+        rows, slots = oracle.row_slots([3, 4])
+        with pytest.raises(ValueError, match="read-only"):
+            rows[slots[0], 0] = 1.0
+        copy = oracle.distance_rows([3])
+        copy[0, 3] = 7.0
+        assert oracle.distances_from(3)[3] == 0.0
+
+    def test_frechet_holds_one_copy_of_its_rows(self):
+        # every vertex of a 2,000-point pair queried: a per-row cache beside
+        # a stacked copy and the Dijkstra block peaks at about 3x the rows.
+        # One block covers the fill's transient; the second bounds the
+        # per-support-entry index arrays and the cost tensors
+        n = 2000
+        c = corrupt_maps(synth_collection(8, n, 0.08, 0, map_source="truth"), 0.25, 0)
+        soft = propagate_soft(c, "s00", "s05", source_points=list(range(n)))
+        oracle = c.oracle("s05")
+        sizes = np.diff(soft.indptr)
+        fetched = np.unique(soft.indices[np.repeat(sizes > 1, sizes)]).size
+        rows_bytes, block_bytes = fetched * n * 8, collection_mod._ROW_BLOCK * n * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            frechet_mean(soft, oracle)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert fetched > 1000
+        assert peak < rows_bytes + 2 * block_bytes
 
 
 def _brute_force_graph(pts, k):

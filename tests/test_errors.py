@@ -19,7 +19,7 @@ from corrsync.benchmark import (
     synth_collection,
 )
 from corrsync.collection import GeodesicOracle, Shape, ShapeCollection, intra_metric
-from corrsync.errors import CorrsyncError, check_integer, check_real
+from corrsync.errors import CorrsyncError, IndexRangeError, check_integer, check_real
 from corrsync.flow import brute_force_paths, directed_flow_matrix, enumerate_paths
 from corrsync.geometry import (
     GeodesicLegPath,
@@ -120,6 +120,9 @@ def _no_field_extrema():
          "nondecreasing"),
         (lambda: curve_from_errors(np.array([0.0]), grid=np.array([0.0, np.nan])), "NaN"),
         (lambda: run_benchmark(_c(), methods=("direct", "mle"), lams=()), "lambda"),
+        # accepted by a run without the shortest method before the up-front check
+        *((lambda bad=bad: run_benchmark(_c(), methods=("direct",), epsilon=bad), "epsilon")
+          for bad in (True, "x", -1.0, math.nan)),
     ],
     ids=["flow-not-square", "flow-float-endpoint", "flow-bool-endpoint",
          "brute-force-float-endpoint", "brute-force-negative-endpoint",
@@ -138,7 +141,8 @@ def _no_field_extrema():
          "shortest-bool-epsilon", "oracle-integral-float-k",
          "synth-float-points",
          "geodesic-missing-source", "curve-decreasing-grid", "curve-nan-grid",
-         "benchmark-soft-method-without-lambda"],
+         "benchmark-soft-method-without-lambda", "benchmark-bool-epsilon",
+         "benchmark-str-epsilon", "benchmark-negative-epsilon", "benchmark-nan-epsilon"],
 )
 def test_library_argument_errors_are_corrsync_errors(call, named):
     # the CLI exits 1 without a traceback only on a CorrsyncError, and these
@@ -147,6 +151,15 @@ def test_library_argument_errors_are_corrsync_errors(call, named):
         call()
     assert isinstance(exc.value, ValueError)
     assert named in str(exc.value)
+
+
+@pytest.mark.parametrize("source", [35, -1], ids=["beyond-prediction", "negative"])
+def test_scored_source_outside_the_prediction(source):
+    # a bare IndexError, and a negative source read from the array's end,
+    # before every scored source was checked against the prediction
+    oracle = synth_collection(3, 40, 0.1, 0, map_source="truth").oracle("s01")
+    with pytest.raises(IndexRangeError, match=f"source vertex {source} out of range"):
+        geodesic_errors(np.arange(30), [(source, 5)], oracle)
 
 
 def _flow():
