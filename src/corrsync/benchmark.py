@@ -101,11 +101,10 @@ def geodesic_errors(
                 f"source vertex {outside[0]} out of range for a prediction of {size} vertices"
             )
         preds = np.asarray(predicted)[sources]
-    truth = [t for _, t in gt_pairs]
     oracle.shape.check_vertices(preds, "predicted vertex")
-    oracle.shape.check_vertices(truth)
-    scale = oracle.diameter() if normalize else 1.0
-    return oracle.distances(truth, preds) / scale
+    # the gather checks the true vertices before reading any row, the diameter's included
+    return oracle.distances([t for _, t in gt_pairs], preds) / (
+        oracle.diameter() if normalize else 1.0)
 
 
 def curve_from_errors(

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 # benchmark, geometry and matching are imported by the handlers that use
 # them, so a command loads and compiles only the modules it runs
-from .baselines import METHODS, direct_propagate, mst_propagate, shortest_path_propagate
+from .baselines import METHODS, check_epsilon, direct_propagate, mst_propagate, shortest_path_propagate
 from .collection import KNN_DEFAULT, _fmt, atomic_write, load_collection, map_csv, save_collection
 from .errors import CorrsyncError, check_integer
 from .flow import MAX_PATHS_DEFAULT, directed_flow_matrix
@@ -141,6 +141,7 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    check_epsilon(args.epsilon)
     collection = _collection(args)
     if args.method == "direct":
         cmap, route = direct_propagate(collection, args.source, args.target), None

@@ -171,10 +171,10 @@ class Shape:
         if self.n < 2:
             raise ManifestError(f"{self._where('points')}: needs at least 2 points")
         if self.landmark_indices is not None:
-            self.landmark_indices = tuple(self.check_vertices(self.landmark_indices, "landmark index"))
+            self.landmark_indices = tuple(self.check_vertices(self.landmark_indices, "landmark index").tolist())
         if self.ground_truth is not None:
             self.ground_truth = {
-                label: self.check_vertices([idx], f"ground truth {label!r} index")[0]
+                label: int(self.check_vertices([idx], f"ground truth {label!r} index")[0])
                 for label, idx in self.ground_truth.items()
             }
         field = vars(self)["scalar_field"]
@@ -205,20 +205,24 @@ class Shape:
             raise ManifestError(f"{self._where(name)}: {name} row {r} is not finite: {value[r]}")
         return value
 
-    def check_vertices(self, vertices, what: str = "vertex") -> list[int]:
-        """The vertices as Python ints, so one beyond int64 is out of range
-        rather than an overflow. A vertex is a Python or numpy integer in [0, n):
-        a bool or a float, even an integral one, raises InvalidValueError, and
-        an integer outside the shape IndexRangeError, naming the first such."""
+    def check_vertices(self, vertices, what: str = "vertex") -> np.ndarray:
+        """The vertices as one flat int64 array. A vertex is a Python or numpy
+        integer in [0, n): a bool or a float, even an integral one, raises
+        InvalidValueError, and an integer outside the shape IndexRangeError,
+        naming the first such. An integer array is range-checked by its min
+        and max; any other iterable item by item, as Python ints, so one
+        beyond int64 is out of range rather than an overflow."""
         if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
-            idx = vertices.ravel().tolist()
+            idx = vertices.ravel()
+            lo, hi = (idx.min(), idx.max()) if idx.size else (0, 0)
         else:
             named = f"shape {self.id!r}: {what}"
             idx = [v if type(v) is int else check_integer(v, named) for v in vertices]
-        if idx and not (min(idx) >= 0 and max(idx) < self.n):
+            lo, hi = (min(idx), max(idx)) if idx else (0, 0)
+        if lo < 0 or hi >= self.n:
             bad = next(v for v in idx if not 0 <= v < self.n)
             raise IndexRangeError(f"shape {self.id!r}: {what} {bad} out of range")
-        return idx
+        return np.asarray(idx, dtype=np.int64)
 
 
 @dataclass
@@ -380,7 +384,7 @@ class GeodesicOracle:
         up to n rows, under the lock, so the pair returned stays consistent:
         a later fill or growth never changes a row already in it.
         """
-        wanted = np.asarray(self.shape.check_vertices(vertices), dtype=np.int64)
+        wanted = self.shape.check_vertices(vertices)
         with self._lock:
             absent = self._slot[wanted] < 0
             missing = np.unique(wanted[absent]) if absent.any() else wanted[:0]
@@ -404,12 +408,12 @@ class GeodesicOracle:
 
     def distances(self, sources, targets) -> np.ndarray:
         """d(s, t) for sources and targets broadcast against each other, each
-        read from the distance row of s. Every vertex is checked, and the
-        missing rows filled, before any entry is read."""
-        sources, targets = np.asarray(sources), np.asarray(targets)
-        t = np.asarray(self.shape.check_vertices(targets), dtype=np.int64).reshape(targets.shape)
+        read in place from the distance row of s. Each is a vertex array or a
+        flat sequence of vertices, checked as given: every vertex is checked,
+        and the missing rows filled, before any entry is read."""
+        t = self.shape.check_vertices(targets).reshape(getattr(targets, "shape", -1))
         rows, slots = self.row_slots(sources)
-        return rows[slots.reshape(sources.shape), t]
+        return rows[slots.reshape(getattr(sources, "shape", -1)), t]
 
     def distance_rows(self, vertices) -> np.ndarray:
         """(len(vertices), n) array: a copy of the geodesic distance row of each vertex."""

@@ -181,8 +181,8 @@ def enumerate_paths(
                 break
             if len(weights) >= max_paths:
                 raise PathBudgetError(
-                    f"path count exceeded max_paths={max_paths}; raise the budget "
-                    f"or tighten the weight threshold"
+                    f"path count from {i} to {j} exceeded max_paths={max_paths}; "
+                    f"raise the budget or tighten the weight threshold"
                 )
             weights.append(w)
         else:

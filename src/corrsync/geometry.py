@@ -40,9 +40,6 @@ class LatticeGraph:
     def n(self) -> int:
         return self.side * self.side
 
-    def index(self, row: int, col: int) -> int:
-        return row * self.side + col
-
 
 def build_lattice(side: int) -> LatticeGraph:
     side = check_integer(side, "side", 2)

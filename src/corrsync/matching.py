@@ -42,7 +42,7 @@ def fps_landmarks(shape: Shape, count: int, oracle: GeodesicOracle) -> tuple[int
     what = f"shape {shape.id!r} has {shape.n} points, so its landmark count"
     count = check_integer(count, what, 1, shape.n)
     chosen = [0]
-    mindist = oracle.distances_from(0).copy()
+    mindist = oracle.distances_from(0)  # a copy of row 0, updated in place
     while len(chosen) < count:
         nxt = int(np.argmax(mindist))
         chosen.append(nxt)
@@ -50,25 +50,26 @@ def fps_landmarks(shape: Shape, count: int, oracle: GeodesicOracle) -> tuple[int
     return tuple(chosen)
 
 
-def _distinct(vertices, what: str) -> set[int]:
+def _distinct(vertices, what: str) -> None:
     seen: set[int] = set()
     for v in vertices:
         if v in seen:
             raise InvalidValueError(f"{what} vertex {v} appears twice")
         seen.add(v)
-    return seen
 
 
 def check_ball_disjoint(indices, radius: float, oracle: GeodesicOracle) -> None:
+    """Raise BallOverlapError naming the first landmark pair a < b, in landmark
+    order, closer than 2 * radius; d(a, b) is read from the row of a."""
     idx = oracle.shape.check_vertices(indices, "landmark")
-    for a in range(len(idx)):
-        d = oracle.distances_from(idx[a])
-        for b in range(a + 1, len(idx)):
-            if d[idx[b]] <= 2 * radius:
-                raise BallOverlapError(
-                    f"landmarks {idx[a]} and {idx[b]} are {d[idx[b]]:.6g} apart; "
-                    f"balls of radius {radius} require separation > {2 * radius}"
-                )
+    d = oracle.distances(idx[:, None], idx)
+    close = np.argwhere(np.triu(d <= 2 * radius, 1))
+    if close.size:
+        a, b = close[0]
+        raise BallOverlapError(
+            f"landmarks {idx[a]} and {idx[b]} are {d[a, b]:.6g} apart; "
+            f"balls of radius {radius} require separation > {2 * radius}"
+        )
 
 
 def gp_partial_match(
@@ -164,13 +165,13 @@ def stable_curvature_match(
     eb = oracle_b.shape.check_vertices(extrema_b, "extremum")
     _distinct(ea, "extremum")
     _distinct(eb, "extremum")
-    if not ea or not eb:
+    if not ea.size or not eb.size:
         return []
 
     proj_a = project_vertices(points_a[ea], points_b)  # images on B
     proj_b = project_vertices(points_b[eb], points_a)  # images on A
-    fwd = oracle_b.distance_rows(proj_a)[:, eb]
-    rev = oracle_a.distance_rows(proj_b)[:, ea]
+    fwd = oracle_b.distances(proj_a[:, None], eb)  # from the rows of the projections
+    rev = oracle_a.distances(proj_b[:, None], ea)
     admissible = (fwd < delta) & (rev.T < delta)
 
     # proposer preference lists, ascending distance then index
@@ -197,8 +198,8 @@ def stable_curvature_match(
         else:
             free.append(m)
 
-    matched = {m: j for j, m in engaged.items()}
-    return [Match(va, eb[matched[m]], "curvature") for m, va in enumerate(ea) if m in matched]
+    return [Match(int(ea[m]), int(eb[j]), "curvature")
+            for m, j in sorted((m, j) for j, m in engaged.items())]
 
 
 def joint_fps_refine(
@@ -220,40 +221,29 @@ def joint_fps_refine(
         raise InvalidValueError(
             f"max_matches={max_matches} below the {len(seeds)} seed matches"
         )
-    for kind, ms in (("seed", seeds), ("candidate", candidates)):
-        oracle_a.shape.check_vertices([m.source for m in ms], f"{kind} source vertex")
-        oracle_b.shape.check_vertices([m.target for m in ms], f"{kind} target vertex")
+    (seed_a, seed_b), (cand_a, cand_b) = (
+        (oracle_a.shape.check_vertices([m.source for m in ms], f"{kind} source vertex"),
+         oracle_b.shape.check_vertices([m.target for m in ms], f"{kind} target vertex"))
+        for kind, ms in (("seed", seeds), ("candidate", candidates))
+    )
+    _distinct(seed_a, "seed source")
+    _distinct(seed_b, "seed target")
     chosen: list[Match] = list(seeds)
-    used_a = _distinct((m.source for m in chosen), "seed source")
-    used_b = _distinct((m.target for m in chosen), "seed target")
-    pool = [
-        m
-        for m in candidates
-        if m.source not in used_a and m.target not in used_b
-    ]
-
+    live = ~np.isin(cand_a, seed_a) & ~np.isin(cand_b, seed_b)
     mind_a = np.full(oracle_a.n, np.inf)
     mind_b = np.full(oracle_b.n, np.inf)
-    for m in chosen:
-        np.minimum(mind_a, oracle_a.distances_from(m.source), out=mind_a)
-        np.minimum(mind_b, oracle_b.distances_from(m.target), out=mind_b)
+    for a, b in zip(seed_a, seed_b):
+        np.minimum(mind_a, oracle_a.distances_from(a), out=mind_a)
+        np.minimum(mind_b, oracle_b.distances_from(b), out=mind_b)
 
-    while pool and len(chosen) < max_matches:
-        best = None
-        best_key = None
-        for m in pool:
-            energy = float(mind_a[m.source]) + float(mind_b[m.target])
-            key = (-energy, m.source, m.target)
-            if best_key is None or key < best_key:
-                best, best_key = m, key
-        chosen.append(best)
-        used_a.add(best.source)
-        used_b.add(best.target)
-        np.minimum(mind_a, oracle_a.distances_from(best.source), out=mind_a)
-        np.minimum(mind_b, oracle_b.distances_from(best.target), out=mind_b)
-        pool = [
-            m for m in pool if m.source not in used_a and m.target not in used_b
-        ]
+    while live.any() and len(chosen) < max_matches:
+        # the live candidate of the largest energy, then the lowest source,
+        # then the lowest target, then the earliest
+        k = np.lexsort((cand_b, cand_a, -(mind_a[cand_a] + mind_b[cand_b]), ~live))[0]
+        chosen.append(candidates[k])
+        live &= (cand_a != cand_a[k]) & (cand_b != cand_b[k])
+        np.minimum(mind_a, oracle_a.distances_from(cand_a[k]), out=mind_a)
+        np.minimum(mind_b, oracle_b.distances_from(cand_b[k]), out=mind_b)
     return chosen
 
 
@@ -329,11 +319,11 @@ def interpolate_dense(
             f"cannot interpolate {shape_a.id!r} -> {shape_b.id!r} "
             "from an empty match set"
         )
-    srcs = np.array(shape_a.check_vertices([m.source for m in matches], "match source vertex"))
-    tgts = np.array(shape_b.check_vertices([m.target for m in matches], "match target vertex"))
+    srcs = shape_a.check_vertices([m.source for m in matches], "match source vertex")
+    tgts = shape_b.check_vertices([m.target for m in matches], "match target vertex")
     free = np.ones(shape_a.n, dtype=bool)
     free[srcs] = False
-    d = oracle_a.distance_rows(srcs)[:, free]  # (matches, free vertices)
+    d = oracle_a.distances(srcs[:, None], np.flatnonzero(free))  # (matches, free vertices)
     order = np.argsort(d, axis=0, kind="stable")[: min(4, len(matches))]
     w = 1.0 / np.take_along_axis(d, order, axis=0)
     pos = (w[:, :, None] * shape_b.points[tgts[order]]).sum(0) / w.sum(0)[:, None]

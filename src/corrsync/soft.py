@@ -246,9 +246,9 @@ def propagate_soft(
     j = collection.index(target_id)
     src_shape = collection.shape(source_id)
     if source_points is None:
-        source_points = src_shape.landmark_indices or range(src_shape.n)
+        source_points = src_shape.landmark_indices or np.arange(src_shape.n)
     # distinct queries in first-seen order; a repeated vertex has one row
-    points = np.array(src_shape.check_vertices(source_points, "source vertex"), dtype=np.int64)
+    points = src_shape.check_vertices(source_points, "source vertex")
     queries = points[np.sort(np.unique(points, return_index=True)[1])]
 
     flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta)
@@ -399,10 +399,10 @@ def frechet_mean(soft: SoftCorrespondence, oracle: GeodesicOracle) -> dict[int, 
 
 def ball_mass(row: Row, center: int, radius: float, oracle: GeodesicOracle) -> float:
     """Total row mass within geodesic distance radius of center (inclusive),
-    added in the row's target order."""
+    added in the row's target order. Each distance is read in place from the
+    center's row."""
     targets, masses = row
-    d = oracle.distances_from(center)
-    return float(sum(masses[d[targets] <= radius].tolist()))
+    return float(sum(masses[oracle.distances([center], targets) <= radius].tolist()))
 
 
 def tv_distance(row_a: Row, row_b: Row) -> float:

@@ -163,6 +163,9 @@ class TestBadInputValues:
             ("synth --seed -1", "seed must be at least 0, got -1"),
             ("lattice --mode eop --seed -1", "seed must be at least 0, got -1"),
             ("holonomy --seed -1", "seed must be at least 0, got -1"),
+            ("baseline --method mst --epsilon nan", "epsilon must be a finite number >= 0, got nan"),
+            ("baseline --method direct --epsilon -1",
+             "epsilon must be a finite number >= 0, got -1.0"),
         ],
         ids=["max-matches", "hops", "knn", "pair", "methods", "methods-empty", "synth-landmarks",
              "synth-points",
@@ -176,7 +179,8 @@ class TestBadInputValues:
              "benchmark-epsilon-nan", "radius-nan", "radius-negative", "delta-nan",
              "holonomy-trials-0", "holonomy-trials-negative", "lattice-eop-max-steps",
              "route-benchmark-lambda-nan", "route-benchmark-max-paths-0", "synth-seed-negative",
-             "lattice-seed-negative", "holonomy-seed-negative"],
+             "lattice-seed-negative", "holonomy-seed-negative", "baseline-mst-epsilon-nan",
+             "baseline-direct-epsilon-negative"],
     )
     def test_clean_error_without_traceback(self, seeded_manifest, tmp_path, command, named):
         command, *options = command.split()

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import sparse
 from scipy.spatial.distance import cdist
 
@@ -53,6 +54,7 @@ from corrsync.errors import (
     MetricAsymmetryError,
     MissingMapError,
     SoftRowError,
+    check_integer,
 )
 
 from conftest import build_l4, push_row, two_point_shape
@@ -132,6 +134,8 @@ _VERTEX_ENTRY_POINTS = {
     "ground_truth": ("ground truth 'tip' index", lambda c, v: Shape(
         id="s0", points=_FIVE, ground_truth={"base": 0, "tip": v})),
     "distance_rows": ("vertex", lambda c, v: c.oracle("s0").distance_rows([0, v])),
+    "distances-source": ("vertex", lambda c, v: c.oracle("s0").distances([0, v], [1, 2])),
+    "distances-target": ("vertex", lambda c, v: c.oracle("s0").distances([1, 2], [0, v])),
     "propagate_soft": ("source vertex", lambda c, v: propagate_soft(
         c, "s0", "s1", source_points=[0, v])),
     "geodesic_errors": ("predicted vertex", lambda c, v: geodesic_errors(
@@ -151,6 +155,25 @@ _VERTEX_ENTRY_POINTS = {
         [Match(0, 1, "partial"), Match(3, v, "partial")], c.shape("s1"), c.shape("s0"),
         c.oracle("s1"))),
 }
+
+
+def _parent_vertex_rule(shape, vertices, what):
+    """Shape.check_vertices as it was when it returned Python ints, kept as
+    the reference for the numpy rule."""
+    if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
+        idx = vertices.ravel().tolist()
+    else:
+        named = f"shape {shape.id!r}: {what}"
+        idx = [v if type(v) is int else check_integer(v, named) for v in vertices]
+    if idx and not (min(idx) >= 0 and max(idx) < shape.n):
+        bad = next(v for v in idx if not 0 <= v < shape.n)
+        raise IndexRangeError(f"shape {shape.id!r}: {what} {bad} out of range")
+    return idx
+
+
+# sizes on both sides of the int8 and uint8 ranges
+_VERTEX_RULE_SHAPES = {n: Shape(id="s", points=np.c_[np.arange(float(n)), np.zeros((n, 2))])
+                       for n in (2, 5, 127, 128, 255, 300)}
 
 
 class TestVertexRule:
@@ -186,10 +209,51 @@ class TestVertexRule:
         assert shape.landmark_indices == (4, 1)
         assert shape.ground_truth == {"tip": 3}
         assert {type(v) for v in (*shape.landmark_indices, shape.ground_truth["tip"])} == {int}
-        checked = shape.check_vertices(np.array([[0, 4], [2, 2]]))
-        assert checked == [0, 4, 2, 2] and {type(v) for v in checked} == {int}
-        assert shape.check_vertices(range(5)) == [0, 1, 2, 3, 4]
-        assert shape.check_vertices(np.zeros(0, dtype=np.int64)) == []
+        # inside the library a checked vertex set is one flat int64 array
+        for vertices, want in [(np.array([[0, 4], [2, 2]], dtype=np.uint8), [0, 4, 2, 2]),
+                               (range(5), [0, 1, 2, 3, 4]), ([np.int16(3), 1], [3, 1]),
+                               (np.array(4), [4]), (np.zeros(0, dtype=np.int64), [])]:
+            checked = shape.check_vertices(vertices)
+            assert checked.dtype == np.int64 and checked.ndim == 1
+            assert checked.tolist() == want
+        matches = stable_curvature_match(_FIVE, _FIVE, np.array([1, 3]), np.array([3, 1]), 0.5,
+                                         GeodesicOracle(shape), GeodesicOracle(shape))
+        assert matches == [Match(1, 1, "curvature"), Match(3, 3, "curvature")]
+        assert {type(v) for m in matches for v in (m.source, m.target)} == {int}
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_check_vertices_matches_parent_list_rule(self, data):
+        # the numpy rule against the list rule it replaced: the same
+        # acceptance, exception, message and values, on arrays of every
+        # integer dtype and shape and on lists of ints, bools and floats
+        n = data.draw(st.sampled_from(sorted(_VERTEX_RULE_SHAPES)))
+        shape = _VERTEX_RULE_SHAPES[n]
+        dtype = np.dtype(data.draw(st.sampled_from(
+            ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64"])))
+        info = np.iinfo(dtype)
+        elements = st.one_of(st.integers(max(info.min, -3), min(info.max, n + 3)),
+                             st.integers(info.min, info.max),
+                             st.integers(max(info.min, 2**63), info.max) if info.max >= 2**63
+                             else st.nothing())
+        vertices = data.draw(st.one_of(
+            hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5),
+                       elements=elements),
+            st.lists(st.one_of(st.integers(-3, n + 3), st.integers(-2**70, 2**70),
+                               st.booleans(), st.floats()), max_size=5),
+        ))
+
+        def outcome(rule):
+            try:
+                return rule(shape, vertices, "landmark")
+            except CorrsyncError as exc:
+                return type(exc), str(exc)
+
+        want, got = outcome(_parent_vertex_rule), outcome(Shape.check_vertices)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.dtype == np.int64 and got.ndim == 1 and got.tolist() == want
 
     @pytest.mark.parametrize(
         "vertices, named",

@@ -35,10 +35,10 @@ class TestLattice:
         lat = build_lattice(5)
         assert lat.coords.shape == (25, 2)
         degs = [len(nb) for nb in lat.neighbor_lists]
-        # corners touch 3 cells, edges 5, interior 8
-        assert degs[lat.index(0, 0)] == 3
-        assert degs[lat.index(0, 2)] == 5
-        assert degs[lat.index(2, 2)] == 8
+        # corners touch 3 cells, edges 5, interior 8; vertex row * side + col
+        assert degs[0 * lat.side + 0] == 3
+        assert degs[0 * lat.side + 2] == 5
+        assert degs[2 * lat.side + 2] == 8
 
     def test_coords_span_unit_square(self):
         lat = build_lattice(5)
@@ -61,17 +61,17 @@ class TestLatticeWalks:
     def test_eop_walks_reach_target(self):
         lat = build_lattice(7)
         rep = lattice_walks(lat, mode="eop", count=20, seed=3)
-        tgt = lat.index(6, 6)
+        tgt = 6 * lat.side + 6
         assert len(rep.walks) == 20
         for walk in rep.walks:
-            assert walk[0] == lat.index(0, 0)
+            assert walk[0] == 0 * lat.side + 0
             assert walk[-1] == tgt
 
     def test_eop_distance_profile_strictly_monotone(self):
         lat = build_lattice(7)
         rep = lattice_walks(lat, mode="eop", count=20, seed=3)
-        src = lat.coords[lat.index(0, 0)]
-        tgt = lat.coords[lat.index(6, 6)]
+        src = lat.coords[0 * lat.side + 0]
+        tgt = lat.coords[6 * lat.side + 6]
         for walk in rep.walks:
             assert (np.diff([np.linalg.norm(lat.coords[v] - tgt) for v in walk]) < 0).all()
             assert (np.diff([np.linalg.norm(lat.coords[v] - src) for v in walk]) > 0).all()

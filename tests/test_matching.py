@@ -103,6 +103,15 @@ class TestBallDisjoint:
             check_ball_disjoint((0, 2), 1.0, oracle)
         check_ball_disjoint((0, 2), 0.9, oracle)
 
+    def test_first_overlap_in_landmark_order_reported(self):
+        # landmarks 4, 0, 1, 3 on a unit-spaced line: the pairs at positions
+        # (0, 3) and (1, 2) overlap; a column-first or vertex-sorted scan
+        # would report 0 and 1
+        sh = line_shape("line", [0.0, 1.0, 2.0, 3.0, 4.0])
+        oracle = GeodesicOracle(sh, k=1)
+        with pytest.raises(BallOverlapError, match=r"^landmarks 4 and 3 are 1 apart; "):
+            check_ball_disjoint((4, 0, 1, 3), 0.6, oracle)
+
 
 class TestGpPartialMatch:
     def _soft(self, src, tgt, rows):
@@ -330,6 +339,51 @@ class TestJointFpsRefine:
         a, b, oa, ob = self._setup()
         with pytest.raises(InvalidValueError, match="vertex 0"):
             joint_fps_refine([Match(0, 0, "seed"), second], [], 3, oa, ob)
+
+    @given(st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_candidate_loop_reference(self, seed, data):
+        # the array selection against the per-candidate loop it replaced, on
+        # random clouds whose candidates repeat vertices and whole pairs
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 30))
+        pa = rng.normal(size=(n, 3))
+        oa = GeodesicOracle(Shape(id="a", points=pa), k=3)
+        ob = GeodesicOracle(Shape(id="b", points=pa + 0.1 * rng.normal(size=(n, 3))), k=3)
+        vertex = st.integers(0, n - 1)
+        seeds = [Match(s, t, "seed") for s, t in zip(
+            data.draw(st.lists(vertex, max_size=3, unique=True)),
+            data.draw(st.lists(vertex, min_size=3, max_size=3, unique=True)))]
+        candidates = data.draw(st.lists(st.builds(Match, vertex, vertex, st.just("c")),
+                                        max_size=12))
+        candidates += candidates[:2]
+        budget = data.draw(st.integers(len(seeds), len(seeds) + 12))
+        assert joint_fps_refine(seeds, candidates, budget, oa, ob) == _refine_loop(
+            seeds, candidates, budget, oa, ob)
+
+
+def _refine_loop(seeds, candidates, max_matches, oracle_a, oracle_b):
+    """joint_fps_refine's selection as a loop over candidates, kept as the
+    reference for the array form."""
+    chosen = list(seeds)
+    used_a = {m.source for m in chosen}
+    used_b = {m.target for m in chosen}
+    pool = [m for m in candidates if m.source not in used_a and m.target not in used_b]
+    mind_a = np.full(oracle_a.n, np.inf)
+    mind_b = np.full(oracle_b.n, np.inf)
+    for m in chosen:
+        np.minimum(mind_a, oracle_a.distances_from(m.source), out=mind_a)
+        np.minimum(mind_b, oracle_b.distances_from(m.target), out=mind_b)
+    while pool and len(chosen) < max_matches:
+        best = min(pool, key=lambda m: (-(float(mind_a[m.source]) + float(mind_b[m.target])),
+                                        m.source, m.target))
+        chosen.append(best)
+        used_a.add(best.source)
+        used_b.add(best.target)
+        np.minimum(mind_a, oracle_a.distances_from(best.source), out=mind_a)
+        np.minimum(mind_b, oracle_b.distances_from(best.target), out=mind_b)
+        pool = [m for m in pool if m.source not in used_a and m.target not in used_b]
+    return chosen
 
 
 class TestInterpolateDense:
