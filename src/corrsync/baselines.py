@@ -1,16 +1,16 @@
 """Reference propagation strategies that route through a single composition path.
 
 All three return a full composite map plus the shape-id route used:
-direct uses the stored pairwise map, mst composes along the minimum spanning
-tree path, shortest_path composes along the minimum-energy route of a
-distance-pruned graph.
+direct uses the stored pairwise map; mst and shortest_path compose along the
+route that one search finds, the least-energy route over a boolean edge mask
+(ties to the smallest vertex tuple). mst's mask is the minimum spanning
+tree's edges, shortest_path's the edges no longer than epsilon.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,36 +20,6 @@ from .errors import DisconnectedGraphError, check_real
 # the methods a benchmark compares: the three single routes of this module,
 # then the two hard extractions of corrsync.soft's propagated rows
 METHODS = ("direct", "mst", "shortest", "frechet", "mle")
-
-
-@dataclass(frozen=True)
-class TreeStructure:
-    """Spanning tree as a sorted edge list plus adjacency lists."""
-
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
-
-    def path(self, i: int, j: int) -> tuple[int, ...]:
-        """Unique tree path from i to j (inclusive)."""
-        n = len(self.adjacency)
-        parent = [-2] * n
-        parent[i] = -1
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            if v == j:
-                break
-            for u in self.adjacency[v]:
-                if parent[u] == -2:
-                    parent[u] = v
-                    stack.append(u)
-        if parent[j] == -2:
-            raise DisconnectedGraphError(f"tree does not connect {i} and {j}")
-        out = [j]
-        while out[-1] != i:
-            out.append(parent[out[-1]])
-        out.reverse()
-        return tuple(out)
 
 
 class _UnionFind:
@@ -70,14 +40,12 @@ class _UnionFind:
         return True
 
 
-def kruskal_mst(D: np.ndarray) -> TreeStructure:
-    """Minimum spanning tree; equal-length edges resolve by lowest (i, j) pair."""
+def kruskal_mst(D: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Minimum spanning tree as its sorted (a, b) edges, a < b; equal-length
+    edges resolve by lowest (a, b) pair."""
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
-    edges = sorted(
-        ((float(D[a, b]), a, b) for a in range(n) for b in range(a + 1, n)),
-        key=lambda e: (e[0], e[1], e[2]),
-    )
+    edges = sorted((float(D[a, b]), a, b) for a in range(n) for b in range(a + 1, n))
     uf = _UnionFind(n)
     chosen: list[tuple[int, int]] = []
     for d, a, b in edges:
@@ -85,14 +53,7 @@ def kruskal_mst(D: np.ndarray) -> TreeStructure:
             chosen.append((a, b))
             if len(chosen) == n - 1:
                 break
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in chosen:
-        adj[a].append(b)
-        adj[b].append(a)
-    return TreeStructure(
-        edges=tuple(sorted(chosen)),
-        adjacency=tuple(tuple(sorted(v)) for v in adj),
-    )
+    return tuple(sorted(chosen))
 
 
 def compose_along(collection: ShapeCollection, route) -> CorrespondenceMap:
@@ -120,9 +81,13 @@ def direct_propagate(collection: ShapeCollection, source_id: str, target_id: str
 def mst_propagate(
     collection: ShapeCollection, source_id: str, target_id: str
 ) -> tuple[CorrespondenceMap, tuple[str, ...]]:
-    """Compose along the minimum-spanning-tree path between the two shapes."""
-    tree = kruskal_mst(collection.D)
-    path = tree.path(collection.index(source_id), collection.index(target_id))
+    """Compose along the minimum-spanning-tree path between the two shapes:
+    the route search over the tree's edges, which join each pair by one path."""
+    tree = np.zeros((collection.n, collection.n), dtype=bool)
+    for a, b in kruskal_mst(collection.D):
+        tree[a, b] = tree[b, a] = True
+    i, j = collection.index(source_id), collection.index(target_id)
+    path = _lexicographic_dijkstra(collection.D, i, j, tree)
     route = tuple(collection.ids[v] for v in path)
     return compose_along(collection, route), route
 
@@ -131,11 +96,10 @@ def min_connecting_epsilon(D: np.ndarray) -> float:
     """Smallest pruning threshold that keeps the graph connected.
 
     Equals the longest MST edge: below it the two sides of that edge separate,
-    at it the whole graph is joined.
+    at it the whole graph is joined. A single shape is joined at 0.
     """
     D = np.asarray(D, dtype=float)
-    tree = kruskal_mst(D)
-    return max(float(D[a, b]) for a, b in tree.edges)
+    return max((float(D[a, b]) for a, b in kruskal_mst(D)), default=0.0)
 
 
 def check_epsilon(epsilon) -> None:
@@ -153,24 +117,33 @@ def shortest_path_propagate(
 ) -> tuple[CorrespondenceMap, tuple[str, ...]]:
     """Compose along the minimum sum-of-squared-distance route after pruning.
 
-    Edges longer than epsilon are dropped first; epsilon defaults to the
-    smallest value keeping the graph connected, and a given one must be a
-    finite number >= 0 or inf, which keeps every edge. Among equal-cost
-    routes the lexicographically smallest vertex sequence wins.
+    The route search runs over the edges no longer than epsilon; epsilon
+    defaults to the smallest value keeping the graph connected, and a given
+    one must be a finite number >= 0 or inf, which keeps every edge. Among
+    equal-cost routes the lexicographically smallest vertex sequence wins.
     """
     D = collection.D
     check_epsilon(epsilon)
     if epsilon is None:
         epsilon = min_connecting_epsilon(D)
-    i = collection.index(source_id)
-    j = collection.index(target_id)
-    path = _lexicographic_dijkstra(D, i, j, epsilon)
+    i, j = collection.index(source_id), collection.index(target_id)
+    allowed = D <= epsilon
+    path = _lexicographic_dijkstra(D, i, j, allowed)
+    if path is None:
+        raise DisconnectedGraphError(
+            f"no route {i} -> {j} with edges <= {epsilon}; "
+            f"components: {_components(allowed)}"
+        )
     route = tuple(collection.ids[v] for v in path)
     return compose_along(collection, route), route
 
 
-def _lexicographic_dijkstra(D: np.ndarray, i: int, j: int, epsilon: float) -> tuple[int, ...]:
-    n = D.shape[0]
+def _lexicographic_dijkstra(
+    D: np.ndarray, i: int, j: int, allowed: np.ndarray
+) -> tuple[int, ...] | None:
+    """The least-energy route from i to j, energy being the sum of squared
+    edge lengths, that steps only along the edges the boolean mask allowed
+    permits; ties go to the smallest vertex tuple. None when j is unreachable."""
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (i,))]
     settled: set[int] = set()
     while heap:
@@ -181,24 +154,18 @@ def _lexicographic_dijkstra(D: np.ndarray, i: int, j: int, epsilon: float) -> tu
         settled.add(v)
         if v == j:
             return path
-        for u in range(n):
-            if u in settled or u == v or D[v, u] > epsilon:
-                continue
-            heapq.heappush(heap, (cost + float(D[v, u]) ** 2, path + (u,)))
-    comps = _threshold_components(D, epsilon)
-    raise DisconnectedGraphError(
-        f"no route {i} -> {j} with edges <= {epsilon}; components: {comps}"
-    )
+        for u in np.flatnonzero(allowed[v]).tolist():
+            if u not in settled:
+                heapq.heappush(heap, (cost + float(D[v, u]) ** 2, path + (u,)))
+    return None
 
 
-def _threshold_components(D: np.ndarray, epsilon: float) -> list[list[int]]:
-    n = D.shape[0]
-    uf = _UnionFind(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if D[a, b] <= epsilon:
-                uf.union(a, b)
+def _components(allowed: np.ndarray) -> list[list[int]]:
+    """The connected components of the edge mask allowed, each sorted."""
+    uf = _UnionFind(len(allowed))
+    for a, b in np.argwhere(allowed).tolist():
+        uf.union(a, b)
     groups: dict[int, list[int]] = {}
-    for v in range(n):
+    for v in range(len(allowed)):
         groups.setdefault(uf.find(v), []).append(v)
     return sorted(groups.values())

@@ -102,9 +102,10 @@ def geodesic_errors(
             )
         preds = np.asarray(predicted)[sources]
     oracle.shape.check_vertices(preds, "predicted vertex")
-    # the gather checks the true vertices before reading any row, the diameter's included
-    return oracle.distances([t for _, t in gt_pairs], preds) / (
-        oracle.diameter() if normalize else 1.0)
+    truths = oracle.shape.check_vertices([t for _, t in gt_pairs])
+    # the diameter's rows first, so the true vertices' rows grow the row store last, to fit
+    scale = oracle.diameter() if normalize else 1.0
+    return oracle.distances(truths, preds) / scale
 
 
 def curve_from_errors(
@@ -434,9 +435,8 @@ def remove_shape(collection: ShapeCollection, shape_id: str) -> ShapeCollection:
 
 
 def _mst_id_edges(collection: ShapeCollection) -> tuple[tuple[str, str], ...]:
-    tree = kruskal_mst(collection.D)
     ids = collection.ids
-    return tuple(sorted(tuple(sorted((ids[a], ids[b]))) for a, b in tree.edges))
+    return tuple(sorted(tuple(sorted((ids[a], ids[b]))) for a, b in kruskal_mst(collection.D)))
 
 
 def stability_report(

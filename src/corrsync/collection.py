@@ -211,13 +211,19 @@ class Shape:
         InvalidValueError, and an integer outside the shape IndexRangeError,
         naming the first such. An integer array is range-checked by its min
         and max; any other iterable item by item, as Python ints, so one
-        beyond int64 is out of range rather than an overflow."""
+        beyond int64 is out of range rather than an overflow. Anything else,
+        a scalar or a 0-d non-integer array, raises InvalidValueError."""
         if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
             idx = vertices.ravel()
             lo, hi = (idx.min(), idx.max()) if idx.size else (0, 0)
         else:
             named = f"shape {self.id!r}: {what}"
-            idx = [v if type(v) is int else check_integer(v, named) for v in vertices]
+            try:
+                items = iter(vertices)
+            except TypeError:  # a scalar or a 0-d non-integer array
+                raise InvalidValueError(
+                    f"{named} set {vertices!r} is not an array or an iterable") from None
+            idx = [v if type(v) is int else check_integer(v, named) for v in items]
             lo, hi = (min(idx), max(idx)) if idx else (0, 0)
         if lo < 0 or hi >= self.n:
             bad = next(v for v in idx if not 0 <= v < self.n)

@@ -1,4 +1,5 @@
 import os
+from collections import deque
 
 import numpy as np
 import pytest
@@ -95,6 +96,26 @@ def soft_from_rows(rows: dict[int, dict[int, float]], source="a", target="b") ->
         data=np.array(masses, dtype=float),
         path_count=1,
     )
+
+
+def tree_path(edges, i, j) -> tuple[int, ...]:
+    """The path from i to j in the tree with these (a, b) edges, found by BFS."""
+    neighbors: dict[int, list[int]] = {}
+    for a, b in edges:
+        neighbors.setdefault(a, []).append(b)
+        neighbors.setdefault(b, []).append(a)
+    parent = {i: i}
+    queue = deque([i])
+    while queue:
+        v = queue.popleft()
+        for u in neighbors.get(v, []):
+            if u not in parent:
+                parent[u] = v
+                queue.append(u)
+    path = [j]
+    while path[-1] != i:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
 
 
 def random_euclidean_distances(rng, n, dim=3):

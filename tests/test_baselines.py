@@ -1,5 +1,12 @@
+import itertools
+import math
+import re
+from itertools import pairwise
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from corrsync.baselines import (
@@ -14,7 +21,13 @@ from corrsync.collection import CorrespondenceMap, Shape, ShapeCollection
 from corrsync.errors import DisconnectedGraphError
 from corrsync.soft import propagate_soft
 
-from conftest import build_l4, line_distances, random_euclidean_distances
+from conftest import (
+    build_l4,
+    line_distances,
+    permutation_collection,
+    random_euclidean_distances,
+    tree_path,
+)
 
 
 def _soft_l4(seed, n=6) -> ShapeCollection:
@@ -35,39 +48,102 @@ def _soft_l4(seed, n=6) -> ShapeCollection:
 class TestKruskal:
     def test_chain(self):
         D = line_distances([0.0, 1.0, 2.0, 3.0])
-        tree = kruskal_mst(D)
-        assert tree.edges == ((0, 1), (1, 2), (2, 3))
+        assert kruskal_mst(D) == ((0, 1), (1, 2), (2, 3))
 
     def test_tie_breaks_lexicographically(self):
         # all three pairwise distances equal: edges (0,1) and (0,2) win
         D = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        tree = kruskal_mst(D)
-        assert tree.edges == ((0, 1), (0, 2))
+        assert kruskal_mst(D) == ((0, 1), (0, 2))
 
     def test_tree_path(self):
-        D = line_distances([0.0, 1.0, 2.0, 3.0])
-        tree = kruskal_mst(D)
-        assert tree.path(0, 3) == (0, 1, 2, 3)
-        assert tree.path(3, 1) == (3, 2, 1)
-        assert tree.path(2, 2) == (2,)
+        coll = permutation_collection([np.arange(2)] * 4, line_distances([0.0, 1.0, 2.0, 3.0]))
+        assert mst_propagate(coll, "p0", "p3")[1] == ("p0", "p1", "p2", "p3")
+        assert mst_propagate(coll, "p3", "p1")[1] == ("p3", "p2", "p1")
+        assert mst_propagate(coll, "p2", "p2")[1] == ("p2",)
 
     def test_spans_random_instances(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             n = int(rng.integers(2, 12))
             D = random_euclidean_distances(rng, n)
-            tree = kruskal_mst(D)
-            assert len(tree.edges) == n - 1
-            seen = set()
-            stack = [0]
-            adj = tree.adjacency
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                stack.extend(adj[v])
-            assert seen == set(range(n))
+            edges = kruskal_mst(D)
+            assert len(edges) == n - 1
+            assert all(tree_path(edges, 0, v)[-1] == v for v in range(n))
+
+
+class TestRouteSearch:
+    """Both composed routes against brute force: shortest is the least
+    (energy, vertex tuple) over every simple path whose edges are all <= epsilon,
+    mst the one path in Kruskal's tree."""
+
+    @given(st.integers(1, 7), st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 99))
+    @settings(max_examples=100, deadline=None)
+    def test_routes_match_brute_force(self, n, levels, seed, pick):
+        rng = np.random.default_rng(seed)
+        # multiples of 1/4: their squares and every sum of those are exact, so
+        # an energy tie is exact whatever the order of summation; few levels
+        # make many ties
+        upper = np.triu(rng.integers(1, levels + 1, (n, n)) / 4, 1)
+        D = upper + upper.T
+        coll = permutation_collection([np.arange(2)] * n, D)
+        # None, inf, 0 (no edge at all), or one of the distances, which may
+        # cut the graph in parts
+        choices = [None, math.inf, 0.0, *np.unique(upper[upper > 0]).tolist()]
+        epsilon = choices[pick % len(choices)]
+        connecting = min(e for e in choices[2:] if len(_brute_force_components(D, e)) == 1)
+        used = connecting if epsilon is None else epsilon
+        edges = kruskal_mst(D)
+        for i in range(n):
+            for j in range(n):
+                a, b = coll.ids[i], coll.ids[j]
+                assert mst_propagate(coll, a, b)[1] == tuple(
+                    coll.ids[v] for v in tree_path(edges, i, j))
+                want = _brute_force_route(D, i, j, used)
+                if want is None:
+                    message = (f"no route {i} -> {j} with edges <= {used}; "
+                               f"components: {_brute_force_components(D, used)}")
+                    with pytest.raises(DisconnectedGraphError, match=re.escape(message)):
+                        shortest_path_propagate(coll, a, b, epsilon=epsilon)
+                else:
+                    route = shortest_path_propagate(coll, a, b, epsilon=epsilon)[1]
+                    assert route == tuple(coll.ids[v] for v in want)
+
+
+def _brute_force_route(D, i, j, epsilon):
+    """The least (energy summed left to right, vertex tuple) over every simple
+    i -> j path with all its edges <= epsilon, or None when there is none."""
+    if i == j:
+        return (i,)
+    others = [v for v in range(len(D)) if v not in (i, j)]
+    best = None
+    for k in range(len(others) + 1):
+        for middle in itertools.permutations(others, k):
+            path = (i, *middle, j)
+            if any(D[a, b] > epsilon for a, b in pairwise(path)):
+                continue
+            energy = 0.0
+            for a, b in pairwise(path):
+                energy += float(D[a, b]) ** 2
+            if best is None or (energy, path) < best:
+                best = (energy, path)
+    return None if best is None else best[1]
+
+
+def _brute_force_components(D, epsilon):
+    """The components of the graph of the edges <= epsilon, each sorted, by BFS."""
+    unseen, comps = set(range(len(D))), []
+    while unseen:
+        frontier = [min(unseen)]
+        comp = set(frontier)
+        while frontier:
+            v = frontier.pop()
+            for u in range(len(D)):
+                if u not in comp and D[v, u] <= epsilon:
+                    comp.add(u)
+                    frontier.append(u)
+        unseen -= comp
+        comps.append(sorted(comp))
+    return sorted(comps)
 
 
 class TestMinConnectingEpsilon:

@@ -202,6 +202,17 @@ class TestRunBenchmark:
         for curve in res.curves:
             assert curve.fractions[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("methods", [METHODS, ("direct", "mle")], ids=["all", "direct-mle"])
+    def test_scoring_oracles_hold_no_spare_rows(self, methods):
+        # the diameter's rows are read before the 16 landmark rows, so each row
+        # store grows to exactly the rows it holds
+        coll = synth_collection(6, 300, 0.05, seed=3, map_source="truth")
+        assert all(len(s.landmark_indices) == 16 for s in coll.shapes)
+        run_benchmark(coll, methods=methods)
+        oracles = [coll.oracle(s) for s in coll.ids]
+        assert all(o._filled == len(o._store) for o in oracles)
+        assert all(o._filled >= 16 for o in oracles)
+
     def test_unknown_method_rejected(self):
         coll = synth_collection(3, 50, 0.05, seed=7, map_source="truth")
         with pytest.raises(ValueError):

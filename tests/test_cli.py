@@ -15,7 +15,7 @@ from corrsync.flow import directed_flow_matrix, enumerate_paths
 from corrsync.matching import match_pair
 from corrsync.soft import LAMBDA_DEFAULT
 
-from conftest import build_l4, line_distances
+from conftest import build_l4, line_distances, tree_path
 
 
 @pytest.fixture(scope="module")
@@ -425,7 +425,7 @@ class TestMapFilesReadOnUse:
     @pytest.mark.parametrize("pair", [("s00", "s05"), ("s05", "s02"), ("s02", "s04")])
     def test_mst_reads_the_route_maps(self, synth6, tmp_path, map_reads, pair):
         coll, manifest = synth6
-        route = kruskal_mst(coll.D).path(coll.index(pair[0]), coll.index(pair[1]))
+        route = tree_path(kruskal_mst(coll.D), coll.index(pair[0]), coll.index(pair[1]))
         rc = main(["baseline", "--method", "mst", "--manifest", manifest, "--source", pair[0],
                    "--target", pair[1], "--out", str(tmp_path / "m.csv"), "--quiet"])
         assert rc == 0

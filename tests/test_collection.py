@@ -264,6 +264,25 @@ class TestVertexRule:
         with pytest.raises(InvalidValueError, match=re.escape(f"'s': vertex {named} is not")):
             oracle.distance_rows(vertices)
 
+    @pytest.mark.parametrize("bad", [np.array(1.5), np.array(True), 3],
+                             ids=["0-d-float", "0-d-bool", "int"])
+    def test_scalars_rejected_naming_the_value(self, bad):
+        oracle = GeodesicOracle(Shape(id="s", points=_FIVE))
+        message = re.escape(f"shape 's': vertex set {bad!r} is not an array or an iterable")
+        for read in (oracle.distance_rows, lambda v: oracle.distances(v, [0]),
+                     lambda v: oracle.distances([0], v)):
+            with pytest.raises(InvalidValueError, match=message):
+                read(bad)
+
+    def test_iterables_and_arrays_read(self):
+        oracle = GeodesicOracle(Shape(id="s", points=_FIVE))
+        want = oracle.distance_rows(np.array([3, 1]))
+        for make in (lambda: [3, 1], lambda: range(3, 0, -2), lambda: (v for v in (3, 1)),
+                     lambda: np.array([3, 1])):
+            assert np.array_equal(oracle.distance_rows(make()), want)
+            assert np.array_equal(oracle.distances(make(), [0, 4]), want[[0, 1], [0, 4]])
+        assert oracle.distances(np.array(3), np.array(4)) == want[0, 4]
+
     def test_extremum_is_not_wrapped(self, line_pair):
         # numpy would read -1 as the last vertex and match it
         with pytest.raises(IndexRangeError, match="extremum -1 out of range"):
