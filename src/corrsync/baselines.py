@@ -56,6 +56,11 @@ def kruskal_mst(D: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(chosen))
 
 
+def spanning_tree(collection: ShapeCollection) -> tuple[tuple[int, int], ...]:
+    """kruskal_mst of the collection's D, computed once per collection."""
+    return collection.derived("kruskal_mst", lambda: kruskal_mst(collection.D))
+
+
 def compose_along(collection: ShapeCollection, route) -> CorrespondenceMap:
     """Compose stored maps along a route of shape ids.
 
@@ -84,7 +89,7 @@ def mst_propagate(
     """Compose along the minimum-spanning-tree path between the two shapes:
     the route search over the tree's edges, which join each pair by one path."""
     tree = np.zeros((collection.n, collection.n), dtype=bool)
-    for a, b in kruskal_mst(collection.D):
+    for a, b in spanning_tree(collection):
         tree[a, b] = tree[b, a] = True
     i, j = collection.index(source_id), collection.index(target_id)
     path = _lexicographic_dijkstra(collection.D, i, j, tree)
@@ -92,14 +97,15 @@ def mst_propagate(
     return compose_along(collection, route), route
 
 
-def min_connecting_epsilon(D: np.ndarray) -> float:
+def min_connecting_epsilon(D: np.ndarray, tree=None) -> float:
     """Smallest pruning threshold that keeps the graph connected.
 
     Equals the longest MST edge: below it the two sides of that edge separate,
-    at it the whole graph is joined. A single shape is joined at 0.
+    at it the whole graph is joined. A single shape is joined at 0. tree is
+    kruskal_mst(D), when the caller has it.
     """
     D = np.asarray(D, dtype=float)
-    return max((float(D[a, b]) for a, b in kruskal_mst(D)), default=0.0)
+    return max((float(D[a, b]) for a, b in (kruskal_mst(D) if tree is None else tree)), default=0.0)
 
 
 def check_epsilon(epsilon) -> None:
@@ -125,7 +131,7 @@ def shortest_path_propagate(
     D = collection.D
     check_epsilon(epsilon)
     if epsilon is None:
-        epsilon = min_connecting_epsilon(D)
+        epsilon = min_connecting_epsilon(D, spanning_tree(collection))
     i, j = collection.index(source_id), collection.index(target_id)
     allowed = D <= epsilon
     path = _lexicographic_dijkstra(D, i, j, allowed)

@@ -390,7 +390,10 @@ class GeodesicOracle:
         up to n rows, under the lock, so the pair returned stays consistent:
         a later fill or growth never changes a row already in it.
         """
-        wanted = self.shape.check_vertices(vertices)
+        return self._row_slots(self.shape.check_vertices(vertices))
+
+    def _row_slots(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """row_slots of an int64 vertex array that check_vertices returned."""
         with self._lock:
             absent = self._slot[wanted] < 0
             missing = np.unique(wanted[absent]) if absent.any() else wanted[:0]
@@ -536,7 +539,7 @@ class ShapeCollection:
             )
         check_real(self.beta, "beta", 0, strict=True)
         self._index = {sid: i for i, sid in enumerate(ids)}
-        self._oracles = _ReadOnce()
+        self._derived = _ReadOnce()
         sizes = {s.id: s.n for s in self.shapes}
         if not (isinstance(self.maps, MapFiles) and self.maps.sizes == sizes):
             admitted: dict[tuple[str, str], CorrespondenceMap] = {}
@@ -573,7 +576,13 @@ class ShapeCollection:
     def oracle(self, shape_id: str, k: int = KNN_DEFAULT) -> GeodesicOracle:
         # checked before the cache, where 8.0 and True would find the oracles of 8 and 1
         k = check_integer(k, f"shape {shape_id!r}: k", 1)
-        return self._oracles.get((shape_id, k), lambda: intra_metric(self.shape(shape_id), k=k))
+        return self.derived((shape_id, k), lambda: intra_metric(self.shape(shape_id), k=k))
+
+    def derived(self, key, make):
+        """make()'s value, made on the first call with this key and kept: the
+        geodesic oracles, keyed (shape id, k), and what the baselines derive
+        from D."""
+        return self._derived.get(key, make)
 
 
 def _check_map(key: tuple[str, str], m: CorrespondenceMap, sizes: dict[str, int]) -> None:

@@ -60,7 +60,9 @@ class ChainTrie:
     one level up before it. codes[k] is depth * n**2 + a * n + b. The edges
     into the target are the leaves, one per chain, and weights[c] holds chain
     c's Gibbs weight. Iterating builds the PathRecords, one chain at a time,
-    each energy summed left to right from D, the flow's distances.
+    each energy summed left to right from D, the flow's distances. complete
+    is False when the walk stopped at its budget: the trie then holds the
+    chains before that point.
     """
 
     source: int
@@ -68,6 +70,7 @@ class ChainTrie:
     D: np.ndarray
     codes: np.ndarray
     weights: list[float]
+    complete: bool = True
 
     @property
     def n(self) -> int:
@@ -134,6 +137,8 @@ def enumerate_paths(
     lam: float = 0.0,
     max_paths: int = MAX_PATHS_DEFAULT,
     strict: bool = False,
+    *,
+    truncate: bool = False,
 ) -> ChainTrie:
     """All admissible source->target paths with weight >= lam, in lexicographic order.
 
@@ -144,8 +149,10 @@ def enumerate_paths(
     Along a path D[i, .] rises and D[j, .] falls, so a vertex that reaches j
     has a direct edge into it, and column j of F holds all such vertices.
     The direct two-vertex path is kept regardless of lam unless strict is set.
-    Exceeding max_paths raises rather than truncating. lam must be a finite
-    number in [0, 1] and max_paths an integer of at least 1.
+    Exceeding max_paths raises rather than truncating, unless truncate is
+    set: the walk then stops and returns the first max_paths chains, with
+    complete False. lam must be a finite number in [0, 1] and max_paths an
+    integer of at least 1.
     """
     check_real(lam, "lambda", 0, high=1)
     check_integer(max_paths, "max_paths", 1)
@@ -180,10 +187,14 @@ def enumerate_paths(
                 frames.append((w, iter(succ[u]), len(codes), base + nn))
                 break
             if len(weights) >= max_paths:
-                raise PathBudgetError(
-                    f"path count from {i} to {j} exceeded max_paths={max_paths}; "
-                    f"raise the budget or tighten the weight threshold"
-                )
+                if not truncate:
+                    raise budget_error(flow, max_paths)
+                # drop the leaf, then the nodes on the stack no kept chain passes
+                codes.pop()
+                for *_, recorded, _ in reversed(frames[1:]):
+                    if len(codes) == recorded:
+                        codes.pop()
+                return ChainTrie(i, j, flow.D, np.frombuffer(codes, dtype=np.int64), weights, complete=False)
             weights.append(w)
         else:
             frames.pop()
@@ -191,6 +202,57 @@ def enumerate_paths(
             if len(codes) == recorded:
                 codes.pop()
     return ChainTrie(i, j, flow.D, np.frombuffer(codes, dtype=np.int64), weights)
+
+
+@dataclass(frozen=True)
+class ChainDag:
+    """The edges of a flow's chains, with path sums over them.
+
+    preds maps each vertex on a chain other than the source, in ascending
+    D[i, .], to the vertices before it on a chain, ascending: its keys are a
+    topological order, and the target's entry comes last. count is the
+    number of chains, and floor and peak the smallest and largest chain
+    weights as enumerate_paths multiplies them, left to right.
+    """
+
+    preds: dict[int, np.ndarray]
+    count: int
+    floor: float
+    peak: float
+
+
+def chain_dag(flow: FlowMatrix) -> ChainDag:
+    """The flow's ChainDag, by one forward pass in ascending D[i, .]: the
+    semiring path sums (Mohri 2002) (+, x) over Python ints for the count,
+    and (min, x) and (max, x) over WF. Multiplying by a nonnegative float is
+    monotone, so the floor and peak are exactly some chains' products."""
+    i, j = flow.source, flow.target
+    n = flow.n
+    reached = np.arange(n) == i
+    counts, low, high = [0] * n, np.ones(n), np.ones(n)
+    counts[i] = 1
+    preds = {}
+    for v in np.argsort(flow.D[i], kind="stable").tolist():
+        if not flow.F[v, j] and v != j:
+            continue  # only vertices that reach j lie on a chain
+        u = np.flatnonzero(flow.F[:, v] & reached)
+        if u.size:
+            preds[v] = u
+            counts[v] = sum(counts[a] for a in u.tolist())
+            low[v] = (low[u] * flow.WF[u, v]).min()
+            high[v] = (high[u] * flow.WF[u, v]).max()
+            reached[v] = True
+    if j not in preds:
+        return ChainDag({}, 0, math.inf, 0.0)
+    return ChainDag(preds, counts[j], low[j].item(), high[j].item())
+
+
+def budget_error(flow: FlowMatrix, max_paths: int) -> PathBudgetError:
+    """The error of a chain set larger than max_paths."""
+    return PathBudgetError(
+        f"path count from {flow.source} to {flow.target} exceeded max_paths={max_paths}; "
+        f"raise the budget or tighten the weight threshold"
+    )
 
 
 def brute_force_paths(

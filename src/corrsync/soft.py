@@ -18,8 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collection import CorrespondenceMap, GeodesicOracle, ShapeCollection
-from .errors import EmptyPathSetError, MissingMapError, check_integer
-from .flow import MAX_PATHS_DEFAULT, ChainTrie, directed_flow_matrix, enumerate_paths
+from .errors import EmptyPathSetError, MissingMapError, check_integer, check_real
+from .flow import (
+    MAX_PATHS_DEFAULT,
+    ChainDag,
+    ChainTrie,
+    FlowMatrix,
+    budget_error,
+    chain_dag,
+    directed_flow_matrix,
+    enumerate_paths,
+)
 
 # the chain-weight threshold lambda used when a caller sets none
 LAMBDA_DEFAULT = 0.978
@@ -105,10 +114,15 @@ def _edge_maps(
 
 
 # Rows are pushed for a block of queries at a time. A block holds at most
-# _ACC_CELLS (query, target vertex) accumulator cells, and the discrete images
+# _ACC_CELLS (query, target vertex) accumulator cells, or on the DAG pass
+# (query, vertex) cells of the widest shape on a chain, and the discrete images
 # of _CHUNK_CELLS (chain, query) pairs are buffered before they are added up.
 _ACC_CELLS = 1 << 16
 _CHUNK_CELLS = 1 << 14
+
+# a chain set larger than this whose lightest chain weighs at least lam is
+# pushed by one pass over its DAG, not chain by chain
+_DAG_CHAINS = 4096
 
 
 def _node_walk(queries: np.ndarray, chunk: int, nodes: list[tuple[int, CorrespondenceMap, bool]]):
@@ -218,11 +232,61 @@ def _push_block(queries: np.ndarray, walk, probs: np.ndarray, n_tgt: int):
         reached[keys] = True
 
     cells = np.flatnonzero(reached)  # by query, then target
+    return _finish_rows(cells, acc[cells], b, n_tgt)
+
+
+def _finish_rows(cells: np.ndarray, mass: np.ndarray, b: int, n_tgt: int):
+    """A block's rows from its reached cells, query * n_tgt + target in
+    ascending order, and their masses: per query its support size, then the
+    targets and the masses over their row's total."""
     owner = cells // n_tgt
     counts = np.bincount(owner, minlength=b)
     # bincount adds each row's masses one by one, in the order of cells
-    totals = np.bincount(owner, weights=acc[cells], minlength=b)
-    return counts, cells % n_tgt, acc[cells] / np.repeat(totals, counts)
+    totals = np.bincount(owner, weights=mass, minlength=b)
+    return counts, cells % n_tgt, mass / np.repeat(totals, counts)
+
+
+def _dag_block(queries: np.ndarray, dag: ChainDag, flow: FlowMatrix, maps, sizes):
+    """Soft rows of a block of distinct query vertices, as _push_block gives
+    them, by one forward pass over the chains' DAG.
+
+    Vertex v's state holds, per key query * sizes[v] + vertex of shape v, the
+    mass of every chain prefix from the source to v that reaches that key,
+    the source's state being 1.0 on each query. An edge (u, v) pushes u's
+    state, scaled by WF[u, v], through its map maps[u, v]: by a gather, or
+    along a soft map's CSR rows. v adds what its in-edges push, in ascending
+    u, per key. A key reached only with mass 0.0 stays.
+    """
+    b = queries.size
+    i, j = flow.source, flow.target
+    # per vertex: the query and the vertex of each key, and their masses
+    states = {i: (np.arange(b), queries, np.ones(b))}
+    # the state of u is dropped after its last out-edge
+    last = {u: v for v, us in dag.preds.items() for u in us.tolist()}
+    for v, us in dag.preds.items():
+        keys, masses = [], []
+        for u in us.tolist():
+            q, t, mass = states[u]
+            image, mass = maps[u, v].push(t), mass * flow.WF[u, v]
+            if isinstance(image, np.ndarray):
+                keys.append(q * sizes[v] + image)
+                masses.append(mass)
+            else:  # the map's CSR rows of the keys' vertices
+                lens = np.diff(image.indptr)
+                keys.append(np.repeat(q, lens) * sizes[v] + image.indices)
+                masses.append(np.repeat(mass, lens) * image.data)
+        keys = np.concatenate(keys)
+        acc = np.bincount(keys, weights=np.concatenate(masses), minlength=b * sizes[v])
+        reached = np.zeros(acc.size, dtype=bool)
+        reached[keys] = True
+        cells = np.flatnonzero(reached)
+        q, t = np.divmod(cells, sizes[v])
+        states[v] = q, t, acc[cells]
+        for u in us.tolist():
+            if last[u] == v:
+                del states[u]
+    q, t, mass = states[j]
+    return _finish_rows(q * sizes[j] + t, mass, b, sizes[j])
 
 
 def propagate_soft(
@@ -240,7 +304,9 @@ def propagate_soft(
     source_points defaults to the source shape's landmark vertices when it has
     any, otherwise to every vertex; pass an explicit list to control the query
     set; Shape.check_vertices checks every vertex before any work. Rows are
-    aggregated per target vertex and normalized.
+    aggregated per target vertex and normalized. Past _DAG_CHAINS chains, a
+    chain set whose lightest chain weighs at least lam is pushed by one pass
+    over its DAG, and path_count is chain_dag's exact count.
     """
     i = collection.index(source_id)
     j = collection.index(target_id)
@@ -252,52 +318,41 @@ def propagate_soft(
     queries = points[np.sort(np.unique(points, return_index=True)[1])]
 
     flow = directed_flow_matrix(collection.D, i, j, beta=collection.beta)
-    trie = enumerate_paths(flow, lam=lam, max_paths=max_paths, strict=strict)
-    if not trie and strict:
-        raise EmptyPathSetError(
-            f"no admissible path from {i} to {j} survives threshold {lam} in strict mode"
-        )
-    if not trie:
-        # the direct edge survives any threshold unless strict, so the graph
-        # lacks it, which only a zero distance does
-        raise EmptyPathSetError(
-            f"shapes {source_id!r} and {target_id!r} are at distance 0, so the flow "
-            f"graph from {i} to {j} has no edge, not even the direct one"
-        )
-    # the threshold was applied to the raw weights; the retained ones are
-    # normalized by their sum, added left to right
-    total = sum(trie.weights)
-    if not total > 0:
-        raise EmptyPathSetError(
-            f"every admissible path from {i} to {j} has Gibbs weight 0 "
-            f"(exp(-beta * E) underflows); lower beta"
-        )
-    probs = np.asarray(trie.weights) / total
-
-    keys = trie.codes % trie.n**2  # per trie node, its edge's key a * n + b
-    maps = _edge_maps(collection, trie.n, keys)
-    n_tgt = collection.shape(target_id).n
-    block = max(1, _ACC_CELLS // n_tgt)
-    # the depth walk gathers through one table of every edge map: it runs
-    # when every map is discrete and a block's node walk would gather more
-    # entries (one per trie node and query) than the table holds
-    sizes = [m.indices.size for m in maps.values() if m.kind == "discrete"]
-    if len(sizes) == len(maps) and keys.size * min(block, queries.size) > sum(sizes):
-        table = np.concatenate([m.indices for m in maps.values()])
-        at = np.zeros(trie.n**2, dtype=np.int64)  # per edge key, where its map starts
-        at[list(maps)] = np.cumsum(sizes) - sizes
-        walk = functools.partial(_depth_walk, trie=trie, table=table, offsets=at[keys])
-    else:
-        nodes = zip(
-            (trie.codes // trie.n**2).tolist(),
-            map(maps.__getitem__, keys.tolist()),
-            trie.leaves.tolist(),
-        )
-        walk = functools.partial(_node_walk, nodes=list(nodes))
-    blocks = [
-        _push_block(queries[start : start + block], walk, probs, n_tgt)
-        for start in range(0, queries.size, block)
-    ]
+    # checked before the budget is compared, as enumerate_paths checks them
+    check_real(lam, "lambda", 0, high=1)
+    check_integer(max_paths, "max_paths", 1)
+    n_tgt = width = collection.shape(target_id).n
+    push = None
+    trie = enumerate_paths(
+        flow, lam=lam, max_paths=min(max_paths, _DAG_CHAINS), strict=strict,
+        truncate=max_paths > _DAG_CHAINS,
+    )
+    if not trie.complete:
+        # past _DAG_CHAINS chains: one pass over the chains' DAG, unless the
+        # lightest chain weighs less than lam or an edge lacks its map; then
+        # the walks run
+        dag = chain_dag(flow)
+        push = _dag_push(collection, flow, dag, lam, max_paths)
+        if push is None:
+            trie = enumerate_paths(flow, lam=lam, max_paths=max_paths, strict=strict)
+        else:
+            # a block's states span the widest shape on a chain
+            width = max(collection.shapes[v].n for v in dag.preds)
+    block = max(1, _ACC_CELLS // width)
+    if push is None:
+        if not trie and strict:
+            raise EmptyPathSetError(
+                f"no admissible path from {i} to {j} survives threshold {lam} in strict mode"
+            )
+        if not trie:
+            # the direct edge survives any threshold unless strict, so the graph
+            # lacks it, which only a zero distance does
+            raise EmptyPathSetError(
+                f"shapes {source_id!r} and {target_id!r} are at distance 0, so the flow "
+                f"graph from {i} to {j} has no edge, not even the direct one"
+            )
+        push = _trie_push(collection, trie, n_tgt, min(block, queries.size))
+    blocks = [push(queries[start : start + block]) for start in range(0, queries.size, block)]
     # indptr's leading 0, and empty arrays that also serve an empty query set
     empty = (np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros(0))
     counts, indices, data = (np.concatenate(part) for part in zip(empty, *blocks))
@@ -309,8 +364,69 @@ def propagate_soft(
         indptr=np.cumsum(counts),
         indices=indices,
         data=data,
-        path_count=len(trie),
+        path_count=len(trie) if trie.complete else dag.count,
     )
+
+
+def _underflow_error(i: int, j: int) -> EmptyPathSetError:
+    return EmptyPathSetError(
+        f"every admissible path from {i} to {j} has Gibbs weight 0 "
+        f"(exp(-beta * E) underflows); lower beta"
+    )
+
+
+def _trie_push(collection: ShapeCollection, trie: ChainTrie, n_tgt: int, b: int):
+    """_push_block for the trie's chains: their probabilities, and the walk
+    that gathers less for blocks of b queries."""
+    # the threshold was applied to the raw weights; the retained ones are
+    # normalized by their sum, added left to right
+    total = sum(trie.weights)
+    if not total > 0:
+        raise _underflow_error(trie.source, trie.target)
+    probs = np.asarray(trie.weights) / total
+
+    keys = trie.codes % trie.n**2  # per trie node, its edge's key a * n + b
+    maps = _edge_maps(collection, trie.n, keys)
+    # the depth walk gathers through one table of every edge map: it runs
+    # when every map is discrete and a block's node walk would gather more
+    # entries (one per trie node and query) than the table holds
+    sizes = [m.indices.size for m in maps.values() if m.kind == "discrete"]
+    if len(sizes) == len(maps) and keys.size * b > sum(sizes):
+        table = np.concatenate([m.indices for m in maps.values()])
+        at = np.zeros(trie.n**2, dtype=np.int64)  # per edge key, where its map starts
+        at[list(maps)] = np.cumsum(sizes) - sizes
+        walk = functools.partial(_depth_walk, trie=trie, table=table, offsets=at[keys])
+    else:
+        nodes = zip(
+            (trie.codes // trie.n**2).tolist(),
+            map(maps.__getitem__, keys.tolist()),
+            trie.leaves.tolist(),
+        )
+        walk = functools.partial(_node_walk, nodes=list(nodes))
+    return functools.partial(_push_block, walk=walk, probs=probs, n_tgt=n_tgt)
+
+
+def _dag_push(collection: ShapeCollection, flow: FlowMatrix, dag: ChainDag, lam: float, max_paths: int):
+    """_dag_block for the DAG's chains, or None when the lightest weighs less
+    than lam or an edge lacks its stored map: the walks then prune exactly,
+    or name the first such edge in chain order. Raises as the walks would
+    when the chains exceed max_paths or every chain weight underflows."""
+    if dag.floor < lam:
+        return None
+    if dag.count > max_paths:
+        raise budget_error(flow, max_paths)
+    if not dag.peak > 0:
+        raise _underflow_error(flow.source, flow.target)
+    ids = collection.ids
+    try:
+        maps = {
+            (u, v): collection.map(ids[u], ids[v])
+            for v, us in dag.preds.items() for u in us.tolist()
+        }
+    except MissingMapError:
+        return None
+    sizes = [s.n for s in collection.shapes]
+    return functools.partial(_dag_block, dag=dag, flow=flow, maps=maps, sizes=sizes)
 
 
 def mle(soft: SoftCorrespondence) -> dict[int, int]:
@@ -373,12 +489,13 @@ def frechet_mean(soft: SoftCorrespondence, oracle: GeodesicOracle) -> dict[int, 
     """
     sizes = np.diff(soft.indptr)
     picks = np.full(sizes.size, -1, dtype=np.int64)
-    oracle.shape.check_vertices(soft.indices)
+    # every support entry is checked, once, before any distance row is filled
+    vertices = oracle.shape.check_vertices(soft.indices)
     multi = np.repeat(sizes > 1, sizes)
     # the row-store slot of each support entry's vertex, for multi-vertex rows
     slot = np.zeros(soft.indices.size, dtype=np.int64)
     if multi.any():
-        store, slot[multi] = oracle.row_slots(soft.indices[multi])
+        store, slot[multi] = oracle._row_slots(vertices[multi])
     for s in np.unique(sizes[sizes > 0]).tolist():
         rows = np.flatnonzero(sizes == s)
         at = soft.indptr[rows, None] + np.arange(s)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
+import corrsync.baselines as baselines_mod
 from corrsync.benchmark import (
     METHODS,
     ErrorCurve,
@@ -212,6 +213,22 @@ class TestRunBenchmark:
         oracles = [coll.oracle(s) for s in coll.ids]
         assert all(o._filled == len(o._store) for o in oracles)
         assert all(o._filled >= 16 for o in oracles)
+
+    def test_spanning_tree_is_built_once_per_collection(self, monkeypatch):
+        # mst routes over the tree and shortest's default epsilon is its
+        # longest edge: one Kruskal run serves all 30 pairs of both methods
+        calls = []
+
+        def counted(D, _real=baselines_mod.kruskal_mst):
+            calls.append(D.shape)
+            return _real(D)
+
+        monkeypatch.setattr(baselines_mod, "kruskal_mst", counted)
+        coll = synth_collection(6, 60, 0.05, seed=7, map_source="truth")
+        res = run_benchmark(coll, methods=("mst", "shortest"))
+        assert len(res.pairs) == 30 and calls == [(6, 6)]
+        run_benchmark(coll, methods=("mst", "shortest"))
+        assert calls == [(6, 6)]
 
     def test_unknown_method_rejected(self):
         coll = synth_collection(3, 50, 0.05, seed=7, map_source="truth")

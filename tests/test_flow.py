@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from corrsync.errors import InvalidValueError, PathBudgetError
 from corrsync.flow import (
     brute_force_paths,
+    chain_dag,
     directed_flow_matrix,
     enumerate_paths,
 )
@@ -249,3 +250,61 @@ class TestEnumeratePaths:
         ]
         assert [r.vertices for r in pruned] == sorted(kept)
 
+
+
+class TestChainDag:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_path_sums_match_the_chains(self, seed, duplicates):
+        # the count is the brute-force chain count, and the floor and peak
+        # are exactly the lightest and heaviest weights the DFS multiplies;
+        # preds holds every chain edge, its keys in ascending D[i, .]
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        pts = rng.normal(size=(n, 2))
+        if duplicates:
+            pts[rng.integers(0, n, size=n // 2)] = pts[rng.integers(0, n, size=n // 2)]
+        D = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)) * rng.uniform(0.2, 3.0)
+        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+        flow = directed_flow_matrix(D, i, j, beta=float(rng.uniform(0.1, 5.0)))
+        dag = chain_dag(flow)
+        chains = [r.vertices for r in brute_force_paths(D, i, j)]
+        assert dag.count == len(chains)
+        if not chains:
+            assert (dag.preds, dag.floor, dag.peak) == ({}, np.inf, 0.0)
+            return
+        trie = enumerate_paths(flow)
+        assert dag.floor == min(trie.weights)
+        assert dag.peak == max(trie.weights)
+        edges = {(a, b) for c in chains for a, b in zip(c, c[1:])}
+        assert {(int(a), b) for b, us in dag.preds.items() for a in us} == edges
+        assert list(dag.preds) == sorted(dag.preds, key=lambda v: D[i, v])
+        assert list(dag.preds)[-1] == j
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_trie_is_the_first_chains(self, seed, budget):
+        # past the budget, truncate returns the trie of the first budget
+        # chains: the full trie's nodes up to that chain's leaf
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 10))
+        D = random_euclidean_distances(rng, n)
+        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+        lam = float(rng.choice([0.0, 1e-3, 0.05]))
+        strict = bool(rng.integers(0, 2))
+        flow = directed_flow_matrix(D, i, j)
+        full = enumerate_paths(flow, lam=lam, strict=strict)
+        got = enumerate_paths(flow, lam=lam, max_paths=budget, strict=strict, truncate=True)
+        if len(full) <= budget:
+            assert got.complete and got.codes.tolist() == full.codes.tolist()
+            return
+        assert not got.complete and got.weights == full.weights[:budget]
+        stop = int(np.flatnonzero(full.leaves)[budget - 1]) + 1
+        assert got.codes.tolist() == full.codes[:stop].tolist()
+        assert [r.vertices for r in got] == [r.vertices for r in full][:budget]
+
+    def test_count_is_exact_past_int64(self):
+        # 70 shapes on a line: every chain from the first to the last is a
+        # subset of the 68 between them, 2**68 chains
+        flow = directed_flow_matrix(line_distances(np.arange(70.0)), 0, 69)
+        assert chain_dag(flow).count == 2**68

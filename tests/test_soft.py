@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import warnings
 
@@ -18,8 +19,9 @@ from corrsync.errors import (
     IndexRangeError,
     InvalidValueError,
     MissingMapError,
+    PathBudgetError,
 )
-from corrsync.flow import directed_flow_matrix, enumerate_paths, gibbs_weights
+from corrsync.flow import chain_dag, directed_flow_matrix, enumerate_paths, gibbs_weights
 from corrsync.soft import (
     all_pairs_soft,
     ball_mass,
@@ -260,16 +262,39 @@ class TestPropagateSoft:
         assert masses.tolist() == [1.0, 0.0]
 
 
-@pytest.fixture
-def walks(monkeypatch):
-    """The names of the chain walks that propagate_soft runs, one per block."""
+def spy_walks(mp):
+    """Through the MonkeyPatch mp, the list that the names of the chain walks
+    propagate_soft runs are appended to, one per block."""
     ran = []
     for name in ("_node_walk", "_depth_walk"):
         def spy(*args, _walk=getattr(soft_mod, name), _name=name, **kwargs):
             ran.append(_name)
             return _walk(*args, **kwargs)
-        monkeypatch.setattr(soft_mod, name, spy)
+        mp.setattr(soft_mod, name, spy)
     return ran
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The names of the chain walks that propagate_soft runs, one per block."""
+    return spy_walks(monkeypatch)
+
+
+@contextlib.contextmanager
+def dag_chains(chains):
+    """propagate_soft with _DAG_CHAINS set to chains; yields spy_walks' list.
+    A context, not a fixture, so that hypothesis tests can use it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(soft_mod, "_DAG_CHAINS", chains)
+        yield spy_walks(mp)
+
+
+def same_soft(a, b) -> bool:
+    """Whether two soft correspondences hold the same rows, bit for bit."""
+    fields = ("queries", "indptr", "indices", "data")
+    return a.path_count == b.path_count and all(
+        getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in fields
+    )
 
 
 # s0 -> s7 of line_collection(rng, 8, 12): 64 chains, 127 trie nodes 7 deep,
@@ -277,6 +302,19 @@ def walks(monkeypatch):
 # would gather 127 * 12 entries, more than the 336 of the table, so the depth
 # walk runs; with one query it would gather 127, and the node walk runs.
 WALK_QUERIES = [("_depth_walk", 12), ("_node_walk", 1)]
+
+
+def large_trie_peak(lam):
+    """s0 -> s16 of line_collection(rng(0), 17, 16) at lam, every vertex
+    queried: the second run's soft correspondence and tracemalloc peak."""
+    coll = line_collection(np.random.default_rng(0), 17, 16)
+    propagate_soft(coll, "s0", "s16", lam=lam, source_points=range(16))
+    tracemalloc.start()
+    try:
+        soft = propagate_soft(coll, "s0", "s16", lam=lam, source_points=range(16))
+        return soft, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBatchedPush:
@@ -390,16 +428,20 @@ class TestBatchedPush:
 
     def test_large_trie_memory_stays_bounded(self, walks):
         # 32,768 chains, 65,535 trie nodes, 16 queries: an image array for
-        # every node would take 8.4 MB alone, while the depth walk keeps one
-        # chunk's images at a time
+        # every node would take 8.4 MB alone. At lam 0 they take the DAG
+        # pass, which holds one state per vertex
+        soft, peak = large_trie_peak(0.0)
+        assert soft.path_count == 2**15
+        assert walks == []
+        assert peak <= 6_000_000
+
+    def test_large_trie_memory_stays_bounded_uncertified(self, walks):
+        # a lam just above the lightest chain, the direct one, which the
+        # rescue keeps, breaks the certificate: the depth walk runs, and it
+        # keeps one chunk's images at a time
         coll = line_collection(np.random.default_rng(0), 17, 16)
-        propagate_soft(coll, "s0", "s16", lam=0.0, source_points=range(16))
-        tracemalloc.start()
-        try:
-            soft = propagate_soft(coll, "s0", "s16", lam=0.0, source_points=range(16))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        floor = chain_dag(directed_flow_matrix(coll.D, 0, 16)).floor
+        soft, peak = large_trie_peak(np.nextafter(floor, 1.0))
         assert soft.path_count == 2**15
         assert walks == ["_depth_walk"] * 2
         assert peak <= 6_000_000
@@ -413,6 +455,144 @@ class TestBatchedPush:
         want = per_chain_rows(l4_swap, "s0", "s3", 0.0, [0], max_paths=100)
         assert soft.rows[0] == pytest.approx(want[0], abs=1e-12)
         assert soft.rows[0][1] == pytest.approx((0.75 * np.exp(-9) + np.exp(-5)) / Z)
+
+
+class TestDagRoute:
+    """Past _DAG_CHAINS chains, a chain set whose lightest chain weighs at
+    least lam is pushed by one forward pass over its DAG; its rows must match
+    pushing every query through every chain separately, and any other chain
+    set must take the walks with unchanged bits."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.4]), st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_dag_rows_match_per_chain_push(self, seed, soft_share, lam_share):
+        # lam at most the lightest chain's weight prunes nothing
+        rng = np.random.default_rng(seed)
+        coll = random_collection(rng, soft_share)
+        for a in coll.ids:
+            for b in coll.ids:
+                if a == b:
+                    continue
+                pts = random_queries(rng, coll.shape(a).n)
+                flow = directed_flow_matrix(coll.D, coll.index(a), coll.index(b), beta=coll.beta)
+                dag = chain_dag(flow)
+                lam = dag.floor * lam_share
+                with dag_chains(1) as ran:
+                    got = propagate_soft(coll, a, b, lam=lam, source_points=pts)
+                want = per_chain_rows(coll, a, b, lam, pts)
+                # a lone chain fits the budget of 1, and the walks push it
+                if dag.count > 1:
+                    assert ran == []
+                assert got.path_count == dag.count
+                assert list(got.rows) == list(want)
+                for v in want:
+                    assert list(got.rows[v]) == list(want[v])
+                    assert np.allclose(
+                        list(got.rows[v].values()), list(want[v].values()), rtol=0, atol=1e-12
+                    )
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.4]), st.floats(0.0, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_uncertified_lam_takes_the_walks_with_the_same_bits(self, seed, soft_share, share):
+        # a lam above the lightest chain's weight prunes a chain, or keeps
+        # the direct one only by the rescue rule
+        rng = np.random.default_rng(seed)
+        coll = random_collection(rng, soft_share)
+        for a in coll.ids:
+            for b in coll.ids:
+                if a == b:
+                    continue
+                pts = random_queries(rng, coll.shape(a).n)
+                flow = directed_flow_matrix(coll.D, coll.index(a), coll.index(b), beta=coll.beta)
+                floor = chain_dag(flow).floor
+                lam = min(1.0, max(np.nextafter(floor, 1.0), floor + share * (1.0 - floor)))
+                want = propagate_soft(coll, a, b, lam=lam, source_points=pts)
+                with dag_chains(1) as ran:
+                    got = propagate_soft(coll, a, b, lam=lam, source_points=pts)
+                # one block of at most 12 queries, none for an empty query set
+                assert len(ran) == (1 if pts else 0)
+                assert same_soft(got, want)
+
+    @pytest.mark.parametrize("soft_share", [0.0, 0.4])
+    def test_block_size_changes_no_bit(self, monkeypatch, soft_share):
+        # blocks of two to six queries: a query's keys meet no other query's
+        for seed in range(15):
+            rng = np.random.default_rng(seed)
+            coll = random_collection(rng, soft_share)
+            for a, b in [(coll.ids[0], coll.ids[-1]), (coll.ids[-1], coll.ids[1])]:
+                pts = random_queries(rng, coll.shape(a).n)
+                with dag_chains(1):
+                    want = propagate_soft(coll, a, b, lam=0.0, source_points=pts)
+                    monkeypatch.setattr("corrsync.soft._ACC_CELLS", 12)
+                    got = propagate_soft(coll, a, b, lam=0.0, source_points=pts)
+                    monkeypatch.undo()
+                assert same_soft(got, want)
+
+    @pytest.mark.parametrize("chains", [1, 100])
+    def test_budget_overflow_raises_as_the_walks_do(self, monkeypatch, chains):
+        # 64 chains: past a _DAG_CHAINS of 1 the exact count raises at once,
+        # with no second enumeration; at 100 the first enumeration raises
+        coll = line_collection(np.random.default_rng(0), 8, 12)
+        with pytest.raises(PathBudgetError) as want:
+            propagate_soft(coll, "s0", "s7", lam=0.0, max_paths=63)
+        budgets = []
+
+        def counted(flow, lam, max_paths, strict, truncate=False, _real=soft_mod.enumerate_paths):
+            budgets.append((max_paths, truncate))
+            return _real(flow, lam=lam, max_paths=max_paths, strict=strict, truncate=truncate)
+
+        monkeypatch.setattr(soft_mod, "enumerate_paths", counted)
+        with dag_chains(chains), pytest.raises(PathBudgetError) as got:
+            propagate_soft(coll, "s0", "s7", lam=0.0, max_paths=63)
+        assert str(got.value) == str(want.value)
+        assert budgets == [(1, True) if chains == 1 else (63, False)]
+        with dag_chains(chains):
+            assert propagate_soft(coll, "s0", "s7", lam=0.0, max_paths=64).path_count == 64
+
+    @pytest.mark.parametrize("bad", ["10", None, float("inf"), 2.5])
+    def test_budget_is_checked_before_it_is_compared(self, bad):
+        # min(inf, _DAG_CHAINS) would be a valid budget, and min("10", ...) a TypeError
+        with pytest.raises(InvalidValueError, match="max_paths"):
+            propagate_soft(build_l4(), "s0", "s3", max_paths=bad)
+
+    def test_missing_map_names_the_first_chain_edge(self):
+        # the DAG's edges are looked up in another order; the walks name the
+        # first chain's (6, 7), not the shallower (0, 2)
+        coll = line_collection(np.random.default_rng(0), 8, 12)
+        del coll.maps["s6", "s7"], coll.maps["s0", "s2"]
+        with dag_chains(1), pytest.raises(MissingMapError) as got:
+            propagate_soft(coll, "s0", "s7", lam=0.0, source_points=[0])
+        assert str(got.value) == "no stored map 's6' -> 's7' on admissible edge (6, 7)"
+
+    def test_all_weights_underflowing_is_the_same_error(self):
+        coll = build_l4()
+        coll = ShapeCollection(shapes=coll.shapes, D=coll.D * 40, maps=coll.maps)
+        with pytest.raises(EmptyPathSetError) as want:
+            propagate_soft(coll, "s0", "s3", lam=0.0, max_paths=100)
+        with dag_chains(1) as ran, pytest.raises(EmptyPathSetError) as got:
+            propagate_soft(coll, "s0", "s3", lam=0.0, max_paths=100)
+        assert ran == [] and str(got.value) == str(want.value)
+
+    def test_target_reached_by_an_underflowing_chain_keeps_mass_zero(self):
+        # TestPropagateSoft's case past a budget of 1: the state that chain
+        # (0, 1, 2) pushes into s2's vertex 1 has mass exp(-486) * exp(-486),
+        # which underflows to 0.0, and the key stays
+        shapes = [two_point_shape(f"s{k}") for k in range(3)]
+        maps = {
+            (f"s{a}", f"s{b}"): CorrespondenceMap(
+                f"s{a}", f"s{b}", "discrete", target_size=2,
+                indices=np.array([1, 0] if {a, b} == {1, 2} else [0, 1]),
+            )
+            for a in range(3) for b in range(3) if a != b
+        }
+        D = [[0.0, 0.9, 1.0], [0.9, 0.0, 0.9], [1.0, 0.9, 0.0]]
+        coll = ShapeCollection(shapes=shapes, D=D, maps=maps, beta=600.0)
+        with dag_chains(1) as ran:
+            soft = propagate_soft(coll, "s0", "s2", lam=0.0, source_points=[0])
+        assert ran == [] and soft.path_count == 2
+        targets, masses = soft.row(0)
+        assert targets.tolist() == [0, 1]
+        assert masses.tolist() == [1.0, 0.0]
 
 
 class TestCsrRows:
@@ -723,6 +903,27 @@ class TestFrechetMean:
         many = soft_from_rows({1: {2: 0.5, bad: 0.5}}, target="cloud")
         with pytest.raises(IndexRangeError):
             frechet_mean(many, CLOUD)
+
+    @pytest.mark.parametrize("bad", [-1, 40])
+    def test_support_is_checked_once_before_any_row(self, monkeypatch, bad):
+        # a bad entry in the last, single-vertex row raises before the
+        # multi-vertex rows' distance rows are computed
+        oracle = GeodesicOracle(Shape(id="c", points=CLOUD.shape.points), k=6)
+        checks = []
+
+        def counted(shape, vertices, what="vertex", _real=Shape.check_vertices):
+            checks.append(what)
+            return _real(shape, vertices, what)
+
+        monkeypatch.setattr(Shape, "check_vertices", counted)
+        sc = soft_from_rows({0: {3: 0.5, 6: 0.5}, 1: {bad: 1.0}}, target="c")
+        with pytest.raises(IndexRangeError, match=f"vertex {bad} out of range"):
+            frechet_mean(sc, oracle)
+        assert oracle._filled == 0
+        good = soft_from_rows({0: {3: 0.5, 6: 0.5}, 1: {2: 1.0}}, target="c")
+        checks.clear()
+        assert frechet_mean(good, oracle) == {0: 3, 1: 2}
+        assert checks == ["vertex"] and oracle._filled == 2
 
     def test_squares_are_python_float_squares(self):
         # about 0.08% of d * d differ from float(d) ** 2 in the last bit;
