@@ -209,13 +209,17 @@ class Shape:
         """The vertices as one flat int64 array. A vertex is a Python or numpy
         integer in [0, n): a bool or a float, even an integral one, raises
         InvalidValueError, and an integer outside the shape IndexRangeError,
-        naming the first such. An integer array is range-checked by its min
-        and max; any other iterable item by item, as Python ints, so one
-        beyond int64 is out of range rather than an overflow. Anything else,
-        a scalar or a 0-d non-integer array, raises InvalidValueError."""
+        naming the first such. An integer array is range-checked by one max
+        over its uint64 view; any other iterable item by item, as Python
+        ints, so one beyond int64 is out of range rather than an overflow.
+        Anything else, a scalar or a 0-d non-integer array, raises
+        InvalidValueError."""
         if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
             idx = vertices.ravel()
-            lo, hi = (idx.min(), idx.max()) if idx.size else (0, 0)
+            out = idx.astype(np.int64, copy=False)
+            # one reduction: a negative vertex, or a uint64 one past the
+            # int64 range, wraps above any size as uint64
+            inside = not out.size or out.view(np.uint64).max() < self.n
         else:
             named = f"shape {self.id!r}: {what}"
             try:
@@ -224,11 +228,12 @@ class Shape:
                 raise InvalidValueError(
                     f"{named} set {vertices!r} is not an array or an iterable") from None
             idx = [v if type(v) is int else check_integer(v, named) for v in items]
-            lo, hi = (min(idx), max(idx)) if idx else (0, 0)
-        if lo < 0 or hi >= self.n:
+            inside = not idx or (min(idx) >= 0 and max(idx) < self.n)
+            out = None
+        if not inside:
             bad = next(v for v in idx if not 0 <= v < self.n)
             raise IndexRangeError(f"shape {self.id!r}: {what} {bad} out of range")
-        return np.asarray(idx, dtype=np.int64)
+        return np.asarray(idx, dtype=np.int64) if out is None else out
 
 
 @dataclass
@@ -257,9 +262,8 @@ class CorrespondenceMap:
             self.indices = indices.astype(np.int64, copy=False)
             if self.indices.ndim != 1:
                 raise ManifestError("discrete map indices must be a vector")
-            if self.indices.size and (
-                self.indices.min() < 0 or self.indices.max() >= self.target_size
-            ):
+            # one reduction: a negative index wraps above any size as uint64
+            if self.indices.size and self.indices.view(np.uint64).max() >= self.target_size:
                 raise IndexRangeError(
                     f"map {self.source_id!r}->{self.target_id!r}: "
                     f"target index out of range"

@@ -122,7 +122,11 @@ _CHUNK_CELLS = 1 << 14
 
 # a chain set larger than this whose lightest chain weighs at least lam is
 # pushed by one pass over its DAG, not chain by chain
-_DAG_CHAINS = 4096
+_DAG_CHAINS = 256
+# the DAG pass adds up a vertex's keys in a fresh accumulator of every
+# (query, vertex) cell of the block while those fit in this many; past it, in
+# one accumulator per block, reset after each vertex at the cells it reached
+_DAG_DENSE_CELLS = 1 << 14
 
 
 def _node_walk(queries: np.ndarray, chunk: int, nodes: list[tuple[int, CorrespondenceMap, bool]]):
@@ -252,10 +256,10 @@ def _dag_block(queries: np.ndarray, dag: ChainDag, flow: FlowMatrix, maps, sizes
 
     Vertex v's state holds, per key query * sizes[v] + vertex of shape v, the
     mass of every chain prefix from the source to v that reaches that key,
-    the source's state being 1.0 on each query. An edge (u, v) pushes u's
-    state, scaled by WF[u, v], through its map maps[u, v]: by a gather, or
-    along a soft map's CSR rows. v adds what its in-edges push, in ascending
-    u, per key. A key reached only with mass 0.0 stays.
+    the source's state being 1.0 on each query. v pushes each in-edge's tail
+    state through its map maps[u, v], then scales every mass by its edge's
+    WF[u, v], spreads it along the CSR rows of the images and adds it per
+    key, in ascending u. A key reached only with mass 0.0 stays.
     """
     b = queries.size
     i, j = flow.source, flow.target
@@ -263,26 +267,52 @@ def _dag_block(queries: np.ndarray, dag: ChainDag, flow: FlowMatrix, maps, sizes
     states = {i: (np.arange(b), queries, np.ones(b))}
     # the state of u is dropped after its last out-edge
     last = {u: v for v, us in dag.preds.items() for u in us.tolist()}
+    # the vertices with a soft in-edge
+    spread = {v for (u, v), m in maps.items() if m.kind == "soft"}
+    # the accumulator of the vertices past _DAG_DENSE_CELLS cells, kept at 0.0
+    width = b * max(sizes[v] for v in dag.preds)
+    if width > _DAG_DENSE_CELLS:
+        block_acc, block_reached = np.zeros(width), np.zeros(width, dtype=bool)
     for v, us in dag.preds.items():
-        keys, masses = [], []
-        for u in us.tolist():
-            q, t, mass = states[u]
-            image, mass = maps[u, v].push(t), mass * flow.WF[u, v]
-            if isinstance(image, np.ndarray):
-                keys.append(q * sizes[v] + image)
-                masses.append(mass)
-            else:  # the map's CSR rows of the keys' vertices
-                lens = np.diff(image.indptr)
-                keys.append(np.repeat(q, lens) * sizes[v] + image.indices)
-                masses.append(np.repeat(mass, lens) * image.data)
-        keys = np.concatenate(keys)
-        acc = np.bincount(keys, weights=np.concatenate(masses), minlength=b * sizes[v])
-        reached = np.zeros(acc.size, dtype=bool)
-        reached[keys] = True
-        cells = np.flatnonzero(reached)
+        us = us.tolist()
+        tails = [states[u] for u in us]
+        images = [maps[u, v].push(t) for u, (_, t, _) in zip(us, tails)]
+        q = np.concatenate([tail[0] for tail in tails])
+        mass = np.concatenate([tail[2] for tail in tails])
+        mass *= np.repeat(flow.WF[us, v], [tail[0].size for tail in tails])
+        # an image is one CSR row per key of its tail; a vertex array's rows
+        # hold one vertex of mass 1.0 each, so only a soft map's rows spread
+        if v in spread:
+            rows = [
+                (np.ones(image.size, dtype=np.int64), image, np.ones(image.size))
+                if isinstance(image, np.ndarray)
+                else (np.diff(image.indptr), image.indices, image.data)
+                for image in images
+            ]
+            lens, images, weights = zip(*rows)
+            lens = np.concatenate(lens)
+            q = np.repeat(q, lens)
+            mass = np.repeat(mass, lens) * np.concatenate(weights)
+        keys = q * sizes[v] + np.concatenate(images)
+        # both add each key's masses one by one in the order of keys, from
+        # 0.0, so both merges give the same bits
+        cells = b * sizes[v]
+        if cells <= _DAG_DENSE_CELLS:
+            acc = np.bincount(keys, weights=mass, minlength=cells)
+            reached = np.zeros(cells, dtype=bool)
+            reached[keys] = True
+            cells = np.flatnonzero(reached)
+            mass = acc[cells]
+        else:
+            np.add.at(block_acc, keys, mass)
+            block_reached[keys] = True
+            cells = np.flatnonzero(block_reached[:cells])
+            mass = block_acc[cells]
+            block_acc[cells] = 0.0
+            block_reached[cells] = False
         q, t = np.divmod(cells, sizes[v])
-        states[v] = q, t, acc[cells]
-        for u in us.tolist():
+        states[v] = q, t, mass
+        for u in us:
             if last[u] == v:
                 del states[u]
     q, t, mass = states[j]

@@ -342,6 +342,50 @@ class TestCorrespondenceMap:
         assert push_row(m, {0: 0.5, 1: 0.5}) == pytest.approx({0: 0.25, 1: 0.75})
 
 
+# integer arrays at the edges of the one-reduction range rule, on a size of 5:
+# (indices, the first one out of range or None)
+_RANGE_EDGES = [
+    (np.array([2, -1, 7]), -1),
+    (np.array([4, 5]), 5),
+    (np.array([np.iinfo(np.int64).min]), np.iinfo(np.int64).min),
+    (np.array([-128], dtype=np.int8), -128),
+    (np.array([3, 2**63 + 5], dtype=np.uint64), 2**63 + 5),
+    (np.array([2**64 - 1], dtype=np.uint64), 2**64 - 1),
+    (np.zeros(0, dtype=np.int64), None),
+    (np.zeros(0, dtype=np.uint64), None),
+    (np.array([0, 4], dtype=np.uint64), None),
+]
+_RANGE_IDS = ["negative", "n", "int64-min", "int8-negative", "uint64-past-int64",
+              "uint64-max", "empty", "empty-uint64", "inside-uint64"]
+
+
+class TestIntegerRangeRule:
+    """Shape.check_vertices and a discrete CorrespondenceMap check an integer
+    array's range with one max over its uint64 view, where a negative value
+    wraps above any size; errors and messages are the two-sided check's."""
+
+    @pytest.mark.parametrize("indices, bad", _RANGE_EDGES, ids=_RANGE_IDS)
+    def test_check_vertices(self, indices, bad):
+        shape = Shape(id="s", points=_FIVE)
+        if bad is None:
+            got = shape.check_vertices(indices)
+            assert got.dtype == np.int64 and got.tolist() == indices.tolist()
+        else:
+            with pytest.raises(IndexRangeError, match=re.escape(f"shape 's': vertex {bad} out")):
+                shape.check_vertices(indices)
+
+    @pytest.mark.parametrize("indices, bad", _RANGE_EDGES, ids=_RANGE_IDS)
+    def test_discrete_map(self, indices, bad):
+        def make():
+            return CorrespondenceMap("a", "b", "discrete", indices=indices, target_size=5)
+
+        if bad is None:
+            assert make().indices.tolist() == indices.tolist()
+        else:
+            with pytest.raises(IndexRangeError, match="^map 'a'->'b': target index out of range$"):
+                make()
+
+
 def _chain_collection(*maps: CorrespondenceMap) -> ShapeCollection:
     """Shapes a, b, c, ... on a line, storing only the given maps a -> b -> c -> ..."""
     ids = [maps[0].source_id] + [m.target_id for m in maps]

@@ -297,6 +297,23 @@ def same_soft(a, b) -> bool:
     )
 
 
+def boundary_collection(extra):
+    """s0 -> s9 of line_collection(rng(0), 10, 6), 256 chains, or with extra
+    an eleventh shape s10 at 0.99 of the s0 -> s9 distance from both ends:
+    every shape between them lies neither before nor after s10 on a chain,
+    so it adds the one chain (0, 10, 9). Maps are random_maps of 6 points."""
+    rng = np.random.default_rng(0)
+    coll = line_collection(rng, 10, 6)
+    if not extra:
+        return coll
+    D = np.ones((11, 11))
+    D[:10, :10] = coll.D
+    D[10, [0, 9]] = D[[0, 9], 10] = 0.99 * coll.D[0, 9]
+    D[10, 10] = 0.0
+    shapes = [*coll.shapes, Shape(id="s10", points=rng.normal(size=(6, 3)))]
+    return ShapeCollection(shapes=shapes, D=D, maps=random_maps(rng, [6] * 11))
+
+
 # s0 -> s7 of line_collection(rng, 8, 12): 64 chains, 127 trie nodes 7 deep,
 # over 28 edge maps of 12 entries. With all 12 vertices queried the node walk
 # would gather 127 * 12 entries, more than the 336 of the table, so the depth
@@ -512,6 +529,50 @@ class TestDagRoute:
                 # one block of at most 12 queries, none for an empty query set
                 assert len(ran) == (1 if pts else 0)
                 assert same_soft(got, want)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-the-budget", "one-chain-more"])
+    def test_dag_pass_starts_one_chain_past_the_budget(self, extra):
+        # _DAG_CHAINS chains take the walks, bit for bit as with no DAG
+        # route; one chain more takes the DAG pass, within 1e-12 of them
+        coll = boundary_collection(extra)
+        flow = directed_flow_matrix(coll.D, 0, 9, beta=coll.beta)
+        assert chain_dag(flow).count == soft_mod._DAG_CHAINS + extra
+        pts = list(range(6))
+        with dag_chains(10**9) as walked:
+            want = propagate_soft(coll, "s0", "s9", lam=0.0, source_points=pts)
+        with pytest.MonkeyPatch.context() as mp:
+            ran = spy_walks(mp)
+            got = propagate_soft(coll, "s0", "s9", lam=0.0, source_points=pts)
+        assert got.path_count == want.path_count == soft_mod._DAG_CHAINS + extra
+        if extra:
+            assert ran == [] and walked != []
+            assert got.indptr.tobytes() == want.indptr.tobytes()
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert np.allclose(got.data, want.data, rtol=0, atol=1e-12)
+        else:
+            assert ran == walked != []
+            assert same_soft(got, want)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.4]))
+    @settings(max_examples=30, deadline=None)
+    def test_both_merges_give_the_same_bits(self, seed, soft_share):
+        # a cell limit of 0 adds every vertex's keys in the block's shared
+        # accumulator, a huge one in a fresh accumulator of all its cells
+        rng = np.random.default_rng(seed)
+        coll = random_collection(rng, soft_share)
+        for a in coll.ids:
+            for b in coll.ids:
+                if a == b:
+                    continue
+                pts = random_queries(rng, coll.shape(a).n)
+                got = []
+                for limit in (0, 10**12):
+                    with dag_chains(1) as ran, pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(soft_mod, "_DAG_DENSE_CELLS", limit)
+                        got.append(propagate_soft(coll, a, b, lam=0.0, source_points=pts))
+                    if got[-1].path_count > 1:
+                        assert ran == []
+                assert same_soft(*got)
 
     @pytest.mark.parametrize("soft_share", [0.0, 0.4])
     def test_block_size_changes_no_bit(self, monkeypatch, soft_share):
