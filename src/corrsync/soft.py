@@ -123,10 +123,6 @@ _CHUNK_CELLS = 1 << 14
 # a chain set larger than this whose lightest chain weighs at least lam is
 # pushed by one pass over its DAG, not chain by chain
 _DAG_CHAINS = 256
-# the DAG pass adds up a vertex's keys in a fresh accumulator of every
-# (query, vertex) cell of the block while those fit in this many; past it, in
-# one accumulator per block, reset after each vertex at the cells it reached
-_DAG_DENSE_CELLS = 1 << 14
 
 
 def _node_walk(queries: np.ndarray, chunk: int, nodes: list[tuple[int, CorrespondenceMap, bool]]):
@@ -250,7 +246,7 @@ def _finish_rows(cells: np.ndarray, mass: np.ndarray, b: int, n_tgt: int):
     return counts, cells % n_tgt, mass / np.repeat(totals, counts)
 
 
-def _dag_block(queries: np.ndarray, dag: ChainDag, flow: FlowMatrix, maps, sizes):
+def _dag_block(queries: np.ndarray, dag: ChainDag, flow: FlowMatrix, maps, sizes, spread, widest):
     """Soft rows of a block of distinct query vertices, as _push_block gives
     them, by one forward pass over the chains' DAG.
 
@@ -258,8 +254,10 @@ def _dag_block(queries: np.ndarray, dag: ChainDag, flow: FlowMatrix, maps, sizes
     mass of every chain prefix from the source to v that reaches that key,
     the source's state being 1.0 on each query. v pushes each in-edge's tail
     state through its map maps[u, v], then scales every mass by its edge's
-    WF[u, v], spreads it along the CSR rows of the images and adds it per
-    key, in ascending u. A key reached only with mass 0.0 stays.
+    WF[u, v], spreads it along the CSR rows of the images when v is in
+    spread, the vertices with a soft in-edge, and adds it per key, in
+    ascending u. A key reached only with mass 0.0 stays. widest is the
+    largest of sizes over the DAG's vertices.
     """
     b = queries.size
     i, j = flow.source, flow.target
@@ -267,12 +265,8 @@ def _dag_block(queries: np.ndarray, dag: ChainDag, flow: FlowMatrix, maps, sizes
     states = {i: (np.arange(b), queries, np.ones(b))}
     # the state of u is dropped after its last out-edge
     last = {u: v for v, us in dag.preds.items() for u in us.tolist()}
-    # the vertices with a soft in-edge
-    spread = {v for (u, v), m in maps.items() if m.kind == "soft"}
-    # the accumulator of the vertices past _DAG_DENSE_CELLS cells, kept at 0.0
-    width = b * max(sizes[v] for v in dag.preds)
-    if width > _DAG_DENSE_CELLS:
-        block_acc, block_reached = np.zeros(width), np.zeros(width, dtype=bool)
+    # one accumulator for every vertex, reset to 0.0 at the cells it reached
+    acc, reached = np.zeros(b * widest), np.zeros(b * widest, dtype=bool)
     for v, us in dag.preds.items():
         us = us.tolist()
         tails = [states[u] for u in us]
@@ -294,22 +288,13 @@ def _dag_block(queries: np.ndarray, dag: ChainDag, flow: FlowMatrix, maps, sizes
             q = np.repeat(q, lens)
             mass = np.repeat(mass, lens) * np.concatenate(weights)
         keys = q * sizes[v] + np.concatenate(images)
-        # both add each key's masses one by one in the order of keys, from
-        # 0.0, so both merges give the same bits
-        cells = b * sizes[v]
-        if cells <= _DAG_DENSE_CELLS:
-            acc = np.bincount(keys, weights=mass, minlength=cells)
-            reached = np.zeros(cells, dtype=bool)
-            reached[keys] = True
-            cells = np.flatnonzero(reached)
-            mass = acc[cells]
-        else:
-            np.add.at(block_acc, keys, mass)
-            block_reached[keys] = True
-            cells = np.flatnonzero(block_reached[:cells])
-            mass = block_acc[cells]
-            block_acc[cells] = 0.0
-            block_reached[cells] = False
+        # each key's masses are added one by one in the order of keys, from 0.0
+        np.add.at(acc, keys, mass)
+        reached[keys] = True
+        cells = np.flatnonzero(reached[: b * sizes[v]])
+        mass = acc[cells]
+        acc[cells] = 0.0
+        reached[cells] = False
         q, t = np.divmod(cells, sizes[v])
         states[v] = q, t, mass
         for u in us:
@@ -367,7 +352,7 @@ def propagate_soft(
             trie = enumerate_paths(flow, lam=lam, max_paths=max_paths, strict=strict)
         else:
             # a block's states span the widest shape on a chain
-            width = max(collection.shapes[v].n for v in dag.preds)
+            width = push.keywords["widest"]
     block = max(1, _ACC_CELLS // width)
     if push is None:
         if not trie and strict:
@@ -456,7 +441,11 @@ def _dag_push(collection: ShapeCollection, flow: FlowMatrix, dag: ChainDag, lam:
     except MissingMapError:
         return None
     sizes = [s.n for s in collection.shapes]
-    return functools.partial(_dag_block, dag=dag, flow=flow, maps=maps, sizes=sizes)
+    spread = {v for (u, v), m in maps.items() if m.kind == "soft"}
+    widest = max(sizes[v] for v in dag.preds)
+    return functools.partial(
+        _dag_block, dag=dag, flow=flow, maps=maps, sizes=sizes, spread=spread, widest=widest
+    )
 
 
 def mle(soft: SoftCorrespondence) -> dict[int, int]:

@@ -553,27 +553,6 @@ class TestDagRoute:
             assert ran == walked != []
             assert same_soft(got, want)
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.4]))
-    @settings(max_examples=30, deadline=None)
-    def test_both_merges_give_the_same_bits(self, seed, soft_share):
-        # a cell limit of 0 adds every vertex's keys in the block's shared
-        # accumulator, a huge one in a fresh accumulator of all its cells
-        rng = np.random.default_rng(seed)
-        coll = random_collection(rng, soft_share)
-        for a in coll.ids:
-            for b in coll.ids:
-                if a == b:
-                    continue
-                pts = random_queries(rng, coll.shape(a).n)
-                got = []
-                for limit in (0, 10**12):
-                    with dag_chains(1) as ran, pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(soft_mod, "_DAG_DENSE_CELLS", limit)
-                        got.append(propagate_soft(coll, a, b, lam=0.0, source_points=pts))
-                    if got[-1].path_count > 1:
-                        assert ran == []
-                assert same_soft(*got)
-
     @pytest.mark.parametrize("soft_share", [0.0, 0.4])
     def test_block_size_changes_no_bit(self, monkeypatch, soft_share):
         # blocks of two to six queries: a query's keys meet no other query's
